@@ -7,6 +7,13 @@ two (resp. four, eight) distinguished bipartite charts is a polynomial
 decision returns a verdict with one certificate per chart; a certificate
 records the pullback itself so it can be re-checked independently.
 
+The chart matrices do not depend on the function being decided.  Each is
+built lazily, on first use, once per process per (space, n, word), and a
+decision is then a table lookup plus ``substitute``.  Certificates are the
+same as with a fresh build.  Held at once, the unipotent charts at sl3-sl7
+and the quotient and full-group charts at sl3-sl5 take about 1.6 MB
+(tracemalloc), of which the eight sl5 full-group charts take 0.77 MB.
+
 Chart inversion is provided for n <= 4: closed formulas for the first
 bipartite word, with the second word's formulas derived by composing with
 the braid-move transition between the two words.
@@ -21,7 +28,8 @@ from typing import Optional
 from .exact_arith import (PoleError, RatFunc, is_laurent_in, is_polynomial,
                           substitute)
 from .root_data import CartanDatum, cartan, distinguished_word
-from .sl_realization import GroupMatrix, TorusPoint, chart_G, chart_GmodU, chart_U
+from .sl_realization import (GroupMatrix, TorusPoint, _datum_for, chart_G,
+                             chart_GmodU, chart_U)
 
 DEFAULT_SEED = 20250801
 
@@ -98,29 +106,54 @@ def torus_names(n: int) -> tuple:
     return tuple(f"t{i}" for i in range(1, n))
 
 
-def _nu(n: int) -> int:
-    return n * (n - 1) // 2
+# -- chart tables -------------------------------------------------------
+#
+# Keyed by the words themselves rather than the datum, so a labeling
+# override gives other keys instead of a stale hit.  eps stays in the key
+# where it names the parameters (a... for 0, b... for 1).
+
+
+def _datum(n: int, datum: Optional[CartanDatum]) -> CartanDatum:
+    return datum if datum is not None else _datum_for(n)
+
+
+@lru_cache(maxsize=None)
+def _cached_chart_U(jj: tuple, eps: int, n: int) -> GroupMatrix:
+    universe = param_names(eps, len(jj))
+    params = [RatFunc.var(universe, v) for v in universe]
+    return chart_U(jj, params, n)
+
+
+@lru_cache(maxsize=None)
+def _cached_chart_GmodU(jj: tuple, eps: int, sign: str, n: int) -> GroupMatrix:
+    names = param_names(eps, len(jj))
+    tnames = torus_names(n)
+    universe = names + tnames
+    params = [RatFunc.var(universe, v) for v in names]
+    t = TorusPoint(tuple(RatFunc.var(universe, v) for v in tnames))
+    return chart_GmodU(jj, params, t, sign, n)
+
+
+@lru_cache(maxsize=None)
+def _cached_chart_G(jj: tuple, jj2: tuple, variant: str, n: int) -> GroupMatrix:
+    anames = param_names(0, len(jj))
+    bnames = param_names(1, len(jj2))
+    tnames = torus_names(n)
+    universe = anames + tnames + bnames
+    aparams = [RatFunc.var(universe, v) for v in anames]
+    bparams = [RatFunc.var(universe, v) for v in bnames]
+    t = TorusPoint(tuple(RatFunc.var(universe, v) for v in tnames))
+    return chart_G(jj, jj2, aparams, t, bparams, variant, n)
 
 
 # -- unipotent group ----------------------------------------------------
 
 
-def _datum(n: int, datum: Optional[CartanDatum]) -> CartanDatum:
-    return datum if datum is not None else cartan("A", n - 1)
-
-
-def _chart_U_entries(n: int, eps: int, datum: Optional[CartanDatum] = None):
-    d = _datum(n, datum)
-    jj = distinguished_word(d, eps)
-    universe = param_names(eps, d.nu)
-    params = [RatFunc.var(universe, v) for v in universe]
-    return chart_U(jj, params, n)
-
-
 def pullback_U(phi: RatFunc, eps: int, n: int,
                datum: Optional[CartanDatum] = None) -> RatFunc:
     """Pullback along the bipartite unipotent chart for eps."""
-    matrix = _chart_U_entries(n, eps, datum)
+    jj = distinguished_word(_datum(n, datum), eps)
+    matrix = _cached_chart_U(jj, eps, n)
     assignment = {}
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
@@ -188,12 +221,8 @@ def decide_O_GmodU(phi: RatFunc, n: int,
     certs = []
     for eps in (0, 1):
         jj = distinguished_word(d, eps)
-        universe = param_names(eps, d.nu) + tnames
-        params = [RatFunc.var(universe, v) for v in param_names(eps, d.nu)]
-        t = TorusPoint(tuple(RatFunc.var(universe, v) for v in tnames))
         for sign in ("+", "-"):
-            matrix = chart_GmodU(jj, params, t, sign, n)
-            pb = _pull_through_matrix(phi, matrix)
+            pb = _pull_through_matrix(phi, _cached_chart_GmodU(jj, eps, sign, n))
             certs.append(Certificate(ChartId("GmodU", eps, sign=sign), pb,
                                      is_laurent_in(pb, tnames)))
     return _verdict(certs)
@@ -209,21 +238,13 @@ def decide_O_G(phi: RatFunc, n: int,
     """
     d = _datum(n, datum)
     tnames = torus_names(n)
-    nu = d.nu
-    anames = tuple(f"a{k}" for k in range(1, nu + 1))
-    bnames = tuple(f"b{k}" for k in range(1, nu + 1))
-    universe = anames + tnames + bnames
-    aparams = [RatFunc.var(universe, v) for v in anames]
-    bparams = [RatFunc.var(universe, v) for v in bnames]
-    t = TorusPoint(tuple(RatFunc.var(universe, v) for v in tnames))
     certs = []
     for eps in (0, 1):
         for eps2 in (0, 1):
             jj = distinguished_word(d, eps)
             jj2 = distinguished_word(d, eps2)
             for variant in ("pm", "mp"):
-                matrix = chart_G(jj, jj2, aparams, t, bparams, variant, n)
-                pb = _pull_through_matrix(phi, matrix)
+                pb = _pull_through_matrix(phi, _cached_chart_G(jj, jj2, variant, n))
                 certs.append(Certificate(
                     ChartId("G", eps, eps2=eps2, variant=variant), pb,
                     is_laurent_in(pb, tnames)))

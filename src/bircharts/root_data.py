@@ -163,6 +163,7 @@ class CartanDatum:
         self.h = 2 * self.nu // rank
         self.i0, self.i1 = self._bipartition(i0)
         self._simple_cache: dict = {}
+        self._word_cache: dict = {}
         self._w0: Optional[WeylElement] = None
         # omega-coordinate vectors of the positive roots, for length counting
         self._pos_omega = tuple(self._root_to_omega(c) for c in self.positive_roots)
@@ -348,8 +349,11 @@ def distinguished_word(datum: CartanDatum, eps: int) -> Word:
     """Bipartite word of length nu: the two classes alternate h times.
 
     Block l consists of the nodes of class [eps + l] in ascending order.
-    The word is verified to be reduced.
+    The word is verified to be reduced once per datum and eps; later calls
+    return the same tuple.
     """
+    if eps in datum._word_cache:
+        return datum._word_cache[eps]
     word: list = []
     for l in range(datum.h):
         word.extend(datum.class_nodes(eps + l))
@@ -358,6 +362,7 @@ def distinguished_word(datum: CartanDatum, eps: int) -> Word:
         raise AssertionError("bipartite word has wrong length")
     if not is_reduced(word_t, datum):
         raise AssertionError("bipartite word is not reduced")
+    datum._word_cache[eps] = word_t
     return word_t
 
 

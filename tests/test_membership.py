@@ -7,12 +7,13 @@ from fractions import Fraction
 
 import pytest
 
-from bircharts import (GroupMatrix, RatFunc, cartan,
-                       check_invariance, chart_U, decide_O_G, decide_O_GmodU,
-                       decide_O_U, distinguished_word, g_variables, gen_minor,
-                       invert_chart, is_polynomial, minor_spec, param_names,
-                       pullback_U, substitute, transition, u_variables,
-                       weight_sets)
+from bircharts import (GroupMatrix, RatFunc, TorusPoint, cartan,
+                       check_invariance, chart_G, chart_GmodU, chart_U,
+                       decide_O_G, decide_O_GmodU, decide_O_U,
+                       distinguished_word, g_variables, gen_minor,
+                       invert_chart, is_polynomial, membership, minor_spec,
+                       param_names, pullback_U, substitute, torus_names,
+                       transition, u_variables, weight_sets)
 
 from helpers import SL4_INVERSION_EXPRS, random_poly
 
@@ -209,6 +210,113 @@ def test_certificates_are_faithful():
     for cert in verdict.certificates:
         again = pullback_U(phi, cert.chart.eps, 4)
         assert again == cert.pullback
+
+
+# -- chart tables: cached charts equal freshly built ones -------------------
+
+
+def _fresh_chart_U(jj, eps, n):
+    names = param_names(eps, len(jj))
+    return chart_U(jj, [RatFunc.var(names, v) for v in names], n)
+
+
+def _fresh_chart_GmodU(jj, eps, sign, n):
+    names = param_names(eps, len(jj))
+    universe = names + torus_names(n)
+    t = TorusPoint(tuple(RatFunc.var(universe, v) for v in torus_names(n)))
+    return chart_GmodU(jj, [RatFunc.var(universe, v) for v in names], t, sign, n)
+
+
+def _fresh_chart_G(jj, jj2, variant, n):
+    anames, bnames = param_names(0, len(jj)), param_names(1, len(jj2))
+    universe = anames + torus_names(n) + bnames
+    t = TorusPoint(tuple(RatFunc.var(universe, v) for v in torus_names(n)))
+    return chart_G(jj, jj2, [RatFunc.var(universe, v) for v in anames], t,
+                   [RatFunc.var(universe, v) for v in bnames], variant, n)
+
+
+def _pull_g(phi, matrix):
+    n = matrix.n
+    return substitute(phi, {f"g{i}{j}": matrix.entry(i, j)
+                            for i in range(1, n + 1) for j in range(1, n + 1)})
+
+
+def test_chart_tables_key_by_word_and_eps():
+    # warm the tables with the default labeling, whose jj1 is the override's jj0
+    names, u = _uvars(4)
+    gnames, g = _gvars(4)
+    phi_u = u["u12"] * u["u34"] + u["u14"]
+    phi_g = g["g14"] * g["g24"] + g["g34"]
+    decide_O_U(phi_u, 4)
+    decide_O_GmodU(phi_g, 4)
+
+    datum = cartan("A", 3, i0={1, 3})
+    assert distinguished_word(datum, 0) == distinguished_word(cartan("A", 3), 1)
+    for cert in decide_O_U(phi_u, 4, datum=datum).certificates:
+        eps = cert.chart.eps
+        fresh = _fresh_chart_U(distinguished_word(datum, eps), eps, 4)
+        assert cert.pullback == substitute(phi_u, {
+            f"u{i}{j}": fresh.entry(i, j)
+            for i in range(1, 5) for j in range(i + 1, 5)})
+    for cert in decide_O_GmodU(phi_g, 4, datum=datum).certificates:
+        eps, sign = cert.chart.eps, cert.chart.sign
+        fresh = _fresh_chart_GmodU(distinguished_word(datum, eps), eps, sign, 4)
+        assert cert.pullback == _pull_g(phi_g, fresh)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_cached_chart_U_equals_fresh(n):
+    d = cartan("A", n - 1)
+    for eps in (0, 1):
+        jj = distinguished_word(d, eps)
+        assert membership._cached_chart_U(jj, eps, n) == _fresh_chart_U(jj, eps, n)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_cached_charts_GmodU_and_G_equal_fresh(n):
+    d = cartan("A", n - 1)
+    words = [distinguished_word(d, eps) for eps in (0, 1)]
+    for eps, jj in enumerate(words):
+        for sign in ("+", "-"):
+            assert (membership._cached_chart_GmodU(jj, eps, sign, n)
+                    == _fresh_chart_GmodU(jj, eps, sign, n))
+        for jj2 in words:
+            for variant in ("pm", "mp"):
+                assert (membership._cached_chart_G(jj, jj2, variant, n)
+                        == _fresh_chart_G(jj, jj2, variant, n))
+
+
+def test_cached_charts_are_shared_and_immutable():
+    names, g = _gvars(3)
+    phi = g["g11"] * g["g23"] - g["g32"] + 2
+    first = decide_O_G(phi, 3)
+    assert decide_O_G(phi, 3) == first
+    jj = distinguished_word(cartan("A", 2), 0)
+    matrix = membership._cached_chart_G(jj, jj, "pm", 3)
+    assert matrix is membership._cached_chart_G(jj, jj, "pm", 3)
+    assert isinstance(matrix.entries, tuple)
+    assert all(isinstance(row, tuple) for row in matrix.entries)
+    with pytest.raises(TypeError):
+        matrix.entries[0][0] = RatFunc.const(matrix.entries[0][0].universe, 0)
+
+
+def test_each_chart_is_built_once(monkeypatch):
+    built = []
+
+    def counting_chart_U(word, params, n):
+        built.append((tuple(word), n))
+        return chart_U(word, params, n)
+
+    monkeypatch.setattr(membership, "chart_U", counting_chart_U)
+    membership._cached_chart_U.cache_clear()
+    try:
+        names, u = _uvars(4)
+        for phi in (u["u12"], u["u13"] + u["u24"], u["u14"].inv()):
+            decide_O_U(phi, 4)
+    finally:
+        membership._cached_chart_U.cache_clear()
+    assert sorted(built) == sorted((distinguished_word(cartan("A", 3), eps), 4)
+                                   for eps in (0, 1))
 
 
 @pytest.mark.parametrize("n,eps", [(2, 0), (2, 1), (3, 0), (3, 1), (4, 0), (4, 1)])

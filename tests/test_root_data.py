@@ -228,3 +228,14 @@ def test_verify_lemmas_g2_negative_pairing_exists():
     # four interior weights per direction in this type
     _, _, interior = weight_sets(cartan("G", 2), 0)
     assert len(interior) == 4
+
+
+def test_distinguished_word_is_memoised_per_datum():
+    d = cartan("A", 4)
+    first = distinguished_word(d, 1)
+    assert distinguished_word(d, 1) is first
+    assert first == distinguished_word(cartan("A", 4), 1)
+    override = cartan("A", 4, i0={1, 3})
+    assert distinguished_word(override, 0) == first
+    assert distinguished_word(d, 0) != first
+
