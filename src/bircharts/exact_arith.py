@@ -14,9 +14,16 @@ Canonical form of a rational function num/den:
 * the zero function is 0/1.
 
 Polynomials are dicts mapping exponent tuples (one entry per universe
-variable, non-negative) to nonzero Fraction coefficients.  The graded-lex
-order is used only for canonical printing and leading-term queries; no
-mathematical meaning is attached to it.
+variable, non-negative) to nonzero coefficients.  A coefficient is an
+``int`` when it is integral and a ``Fraction`` otherwise, so the integer
+polynomials that canonical forms consist of never touch ``Fraction``.
+The graded-lex order is used only for canonical printing and leading-term
+queries; no mathematical meaning is attached to it.
+
+The public ``MultiPoly(vars, terms)`` constructor validates and
+canonicalizes its input.  Kernel arithmetic builds its results through the
+trusted ``MultiPoly._make``, which stores terms it already knows to be
+valid without checking them again.
 
 Two values may be combined only when their universes agree; a constant is
 silently promoted into the other operand's universe (a constant mentions
@@ -28,9 +35,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as _igcd, lcm as _ilcm
+from operator import add as _add, sub as _sub
 from typing import Iterable, Mapping, Sequence
 
-BigRational = Fraction
+
+_ONE = Fraction(1)
 
 
 class UniverseError(ValueError):
@@ -46,12 +55,37 @@ def _grlex(exp):
     return (sum(exp), exp)
 
 
+def _coeff(value):
+    """Canonical coefficient: ``int`` when integral, ``Fraction`` otherwise."""
+    if type(value) is int:
+        return value
+    c = Fraction(value)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _canon(terms: dict) -> dict:
+    """Drop zero coefficients and store integral Fractions as int."""
+    out = {}
+    for e, c in terms.items():
+        if c:
+            out[e] = c if type(c) is int or c.denominator != 1 else c.numerator
+    return out
+
+
+def _div(a, b):
+    """Canonical coefficient a/b; exact integer division when it is exact."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return _coeff(Fraction(a) / b)
+
+
 class MultiPoly:
     """Sparse multivariate polynomial over Q.
 
     ``vars`` is the ordered universe; ``terms`` maps exponent tuples of
-    length len(vars) to nonzero coefficients.  The zero polynomial has no
-    terms.
+    length len(vars) to nonzero coefficients (see the module docstring).
+    The zero polynomial has no terms.
     """
 
     __slots__ = ("vars", "terms")
@@ -67,28 +101,39 @@ class MultiPoly:
                     f"exponent vector {e} has length {len(e)}, expected {width}")
             if any(x < 0 for x in e):
                 raise ValueError(f"negative exponent in {e}")
-            c = Fraction(coeff)
+            c = _coeff(coeff)
             if c != 0:
                 clean[e] = c
         self.vars = vs
         self.terms = clean
 
+    @classmethod
+    def _make(cls, vars: tuple, terms: dict) -> "MultiPoly":
+        """Trusted constructor: ``vars`` is a tuple and ``terms`` already
+        canonical (right width, non-negative exponents, nonzero canonical
+        coefficients).  The dict is stored, not copied."""
+        obj = object.__new__(cls)
+        obj.vars = vars
+        obj.terms = terms
+        return obj
+
     # -- constructors -------------------------------------------------
 
     @classmethod
     def zero(cls, vars: Sequence[str]) -> "MultiPoly":
-        return cls(vars, {})
+        return _small_const(tuple(vars), 0)
 
     @classmethod
     def const(cls, vars: Sequence[str], value) -> "MultiPoly":
-        c = Fraction(value)
-        if c == 0:
-            return cls(vars, {})
-        return cls(vars, {(0,) * len(tuple(vars)): c})
+        vs = tuple(vars)
+        c = _coeff(value)
+        if type(c) is int and -_SMALL <= c <= _SMALL:
+            return _small_const(vs, c)
+        return cls._make(vs, {(0,) * len(vs): c})
 
     @classmethod
     def one(cls, vars: Sequence[str]) -> "MultiPoly":
-        return cls.const(vars, 1)
+        return _small_const(tuple(vars), 1)
 
     @classmethod
     def variable(cls, vars: Sequence[str], name: str) -> "MultiPoly":
@@ -97,11 +142,11 @@ class MultiPoly:
             raise UniverseError(f"variable {name!r} not in universe {vs}")
         exp = [0] * len(vs)
         exp[vs.index(name)] = 1
-        return cls(vs, {tuple(exp): Fraction(1)})
+        return cls._make(vs, {tuple(exp): 1})
 
     @classmethod
     def monomial(cls, vars: Sequence[str], exp: Sequence[int], coeff=1) -> "MultiPoly":
-        return cls(vars, {tuple(exp): Fraction(coeff)})
+        return cls(vars, {tuple(exp): coeff})
 
     # -- queries ------------------------------------------------------
 
@@ -111,11 +156,16 @@ class MultiPoly:
 
     @property
     def is_const(self) -> bool:
-        return all(all(x == 0 for x in e) for e in self.terms)
+        t = self.terms
+        return not t or (len(t) == 1 and not any(next(iter(t))))
 
     @property
     def is_one(self) -> bool:
-        return self.is_const and self.const_value == 1
+        t = self.terms
+        if len(t) != 1:
+            return False
+        e, c = next(iter(t.items()))
+        return c == 1 and not any(e)
 
     @property
     def const_value(self) -> Fraction:
@@ -123,7 +173,7 @@ class MultiPoly:
             raise ValueError("polynomial is not constant")
         if not self.terms:
             return Fraction(0)
-        return next(iter(self.terms.values()))
+        return Fraction(next(iter(self.terms.values())))
 
     @property
     def is_monomial(self) -> bool:
@@ -134,7 +184,7 @@ class MultiPoly:
             raise ValueError("zero polynomial has no leading term")
         return max(self.terms, key=_grlex)
 
-    def leading_coeff(self) -> Fraction:
+    def leading_coeff(self):
         return self.terms[self.leading_exp()]
 
     def total_degree(self) -> int:
@@ -179,18 +229,21 @@ class MultiPoly:
         if a is None:
             return NotImplemented
         terms = dict(a.terms)
+        get = terms.get
         for e, c in b.terms.items():
-            s = terms.get(e, Fraction(0)) + c
-            if s == 0:
-                terms.pop(e, None)
-            else:
+            s = get(e, 0) + c
+            if not s:
+                del terms[e]
+            elif type(s) is int or s.denominator != 1:
                 terms[e] = s
-        return MultiPoly(a.vars, terms)
+            else:
+                terms[e] = s.numerator
+        return MultiPoly._make(a.vars, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._make(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         a, b = self._pair(other)
@@ -206,15 +259,13 @@ class MultiPoly:
         if a is None:
             return NotImplemented
         terms: dict = {}
+        get = terms.get
+        bt = b.terms.items()
         for e1, c1 in a.terms.items():
-            for e2, c2 in b.terms.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                s = terms.get(e, Fraction(0)) + c1 * c2
-                if s == 0:
-                    terms.pop(e, None)
-                else:
-                    terms[e] = s
-        return MultiPoly(a.vars, terms)
+            for e2, c2 in bt:
+                e = tuple(map(_add, e1, e2))
+                terms[e] = get(e, 0) + c1 * c2
+        return MultiPoly._make(a.vars, _canon(terms))
 
     __rmul__ = __mul__
 
@@ -231,10 +282,13 @@ class MultiPoly:
         return result
 
     def scale(self, c) -> "MultiPoly":
-        c = Fraction(c)
-        if c == 0:
-            return MultiPoly.zero(self.vars)
-        return MultiPoly(self.vars, {e: x * c for e, x in self.terms.items()})
+        c = _coeff(c)
+        if not c:
+            return _small_const(self.vars, 0)
+        if c == 1:
+            return self
+        return MultiPoly._make(
+            self.vars, _canon({e: x * c for e, x in self.terms.items()}))
 
     # -- comparison / printing ----------------------------------------
 
@@ -278,6 +332,27 @@ class MultiPoly:
         return f"MultiPoly({self})"
 
 
+_SMALL = 256
+_SMALL_CONSTS: dict = {}
+
+
+def _small_const(vs: tuple, c: int) -> MultiPoly:
+    """The shared constant polynomial c over ``vs``, for |c| <= _SMALL.
+
+    Values are immutable, so, as with CPython's small ints, each small
+    constant over one universe is a single object: numeric results (whose
+    entries are small fractions, with denominators mostly 1) hold no
+    copies of them.
+    """
+    table = _SMALL_CONSTS.get(vs)
+    if table is None:
+        table = _SMALL_CONSTS[vs] = {}
+    p = table.get(c)
+    if p is None:
+        p = table[c] = MultiPoly._make(vs, {(0,) * len(vs): c} if c else {})
+    return p
+
+
 # ---------------------------------------------------------------------
 # polynomial division and GCD
 # ---------------------------------------------------------------------
@@ -291,41 +366,51 @@ def poly_exact_div(p: MultiPoly, d: MultiPoly) -> MultiPoly:
     if p.is_zero:
         return p
     if d.is_const:
-        return p.scale(Fraction(1) / d.const_value)
+        return p.scale(_div(1, d.const_value))
     rem = dict(p.terms)
+    get = rem.get
     quot: dict = {}
     d_exp = d.leading_exp()
     d_lc = d.terms[d_exp]
+    d_terms = d.terms.items()
     while rem:
         lexp = max(rem, key=_grlex)
-        qexp = tuple(a - b for a, b in zip(lexp, d_exp))
-        if any(x < 0 for x in qexp):
+        qexp = tuple(map(_sub, lexp, d_exp))
+        if min(qexp, default=0) < 0:
             raise ValueError("polynomial division is not exact")
-        qc = rem[lexp] / d_lc
+        qc = _div(rem[lexp], d_lc)
         quot[qexp] = qc
-        for e, c in d.terms.items():
-            t = tuple(a + b for a, b in zip(qexp, e))
-            s = rem.get(t, Fraction(0)) - qc * c
-            if s == 0:
-                rem.pop(t, None)
-            else:
+        for e, c in d_terms:
+            t = tuple(map(_add, qexp, e))
+            s = get(t, 0) - qc * c
+            if s:
                 rem[t] = s
-    return MultiPoly(p.vars, quot)
+            else:
+                rem.pop(t, None)
+    return MultiPoly._make(p.vars, quot)
 
 
 def _int_primitive(p: MultiPoly):
     """Write p = scale * P with P integer, content 1, positive leading coeff."""
     if p.is_zero:
         return Fraction(0), p
+    if p.is_const:
+        return p.const_value, _small_const(p.vars, 1)
     num_gcd = 0
     den_lcm = 1
     for c in p.terms.values():
-        num_gcd = _igcd(num_gcd, c.numerator)
-        den_lcm = _ilcm(den_lcm, c.denominator)
-    scale = Fraction(num_gcd, den_lcm)
+        if type(c) is int:
+            num_gcd = _igcd(num_gcd, c)
+        else:
+            num_gcd = _igcd(num_gcd, c.numerator)
+            den_lcm = _ilcm(den_lcm, c.denominator)
     if p.leading_coeff() < 0:
-        scale = -scale
-    return scale, p.scale(Fraction(1) / scale)
+        num_gcd = -num_gcd
+    if num_gcd == 1 and den_lcm == 1:
+        return _ONE, p
+    # every c * den_lcm is an integer multiple of num_gcd
+    prim = {e: int(c * den_lcm) // num_gcd for e, c in p.terms.items()}
+    return Fraction(num_gcd, den_lcm), MultiPoly._make(p.vars, prim)
 
 
 def _primitive_positive(p: MultiPoly) -> MultiPoly:
@@ -345,24 +430,21 @@ def _monomial_content(p: MultiPoly) -> tuple:
 
 
 def _shift_down(p: MultiPoly, mono: tuple) -> MultiPoly:
-    if all(x == 0 for x in mono):
+    if not any(mono):
         return p
-    return MultiPoly(
-        p.vars,
-        {tuple(a - b for a, b in zip(e, mono)): c for e, c in p.terms.items()})
+    return MultiPoly._make(
+        p.vars, {tuple(map(_sub, e, mono)): c for e, c in p.terms.items()})
 
 
 def _univ(p: MultiPoly, v: int) -> dict:
     """View of p as univariate in variable index v: degree -> coefficient poly."""
     coeffs: dict = {}
     for e, c in p.terms.items():
-        d = e[v]
         rest = list(e)
         rest[v] = 0
-        key = tuple(rest)
-        bucket = coeffs.setdefault(d, {})
-        bucket[key] = bucket.get(key, Fraction(0)) + c
-    return {d: MultiPoly(p.vars, t) for d, t in coeffs.items()}
+        # e determines (e[v], rest) and back, so no two terms collide
+        coeffs.setdefault(e[v], {})[tuple(rest)] = c
+    return {d: MultiPoly._make(p.vars, t) for d, t in coeffs.items()}
 
 
 def _from_univ(coeffs: dict, v: int, vars: tuple) -> MultiPoly:
@@ -372,7 +454,7 @@ def _from_univ(coeffs: dict, v: int, vars: tuple) -> MultiPoly:
             ee = list(e)
             ee[v] += d
             terms[tuple(ee)] = c
-    return MultiPoly(vars, terms)
+    return MultiPoly._make(vars, terms)
 
 
 def _prem(f: dict, g: dict) -> dict:
@@ -408,7 +490,7 @@ def _subresultant_last(f: dict, g: dict) -> dict:
     if n < m:
         f, g, n, m = g, f, m, n
     d = n - m
-    sign = Fraction(-1) ** (d + 1)
+    sign = (-1) ** (d + 1)
     h = _prem(f, g)
     h = {k: c.scale(sign) for k, c in h.items()}
     lc = g[m]
@@ -586,10 +668,7 @@ def _heu_gcd_raw(p: dict, q: dict, depth: int, width: int) -> dict:
 
 def _heu_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     """Heuristic gcd of integer-primitive polynomials; raises on failure."""
-    praw = {e: c.numerator for e, c in p.terms.items()}
-    qraw = {e: c.numerator for e, c in q.terms.items()}
-    graw = _heu_gcd_raw(praw, qraw, 0, len(p.vars))
-    return MultiPoly(p.vars, {e: Fraction(c) for e, c in graw.items()})
+    return MultiPoly._make(p.vars, _heu_gcd_raw(p.terms, q.terms, 0, len(p.vars)))
 
 
 def _gcd_core(p: MultiPoly, q: MultiPoly) -> MultiPoly:
@@ -642,7 +721,7 @@ def poly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
         except _HeuristicFailed:
             core = _gcd_core(p0, q0)
     if any(shared):
-        core = core * MultiPoly.monomial(p.vars, shared)
+        core = core * MultiPoly._make(p.vars, {shared: 1})
     return _primitive_positive(core)
 
 
@@ -676,7 +755,10 @@ class RatFunc:
 
     @classmethod
     def const(cls, vars: Sequence[str], value) -> "RatFunc":
-        return cls(MultiPoly.const(vars, value))
+        vs = tuple(vars)
+        c = Fraction(value)
+        return cls._raw(MultiPoly.const(vs, c.numerator),
+                        MultiPoly.const(vs, c.denominator))
 
     @classmethod
     def var(cls, vars: Sequence[str], name: str) -> "RatFunc":
@@ -791,6 +873,8 @@ class RatFunc:
 
     def __rtruediv__(self, other):
         a, b = self._pair(other)
+        if a is None:
+            return NotImplemented
         return b.__truediv__(a)
 
     def inv(self) -> "RatFunc":
@@ -830,7 +914,9 @@ class RatFunc:
 def _canonical_scale(num: MultiPoly, den: MultiPoly) -> RatFunc:
     """Canonical scaling of an already poly-coprime pair."""
     if num.is_zero:
-        return RatFunc._raw(num, MultiPoly.one(num.vars))
+        return RatFunc.const(num.vars, 0)
+    if num.is_const and den.is_const:
+        return RatFunc.const(num.vars, num.const_value / den.const_value)
     cn, pn = _int_primitive(num)
     cd, pd = _int_primitive(den)
     ratio = cn / cd
@@ -842,19 +928,12 @@ def ratfunc_normalize(num: MultiPoly, den: MultiPoly) -> RatFunc:
     num, den = num._pair(den)
     if den.is_zero:
         raise ZeroDivisionError("division by zero polynomial")
-    if num.is_zero:
-        return RatFunc._raw(num, MultiPoly.one(num.vars))
     if not (num.is_const or den.is_const):
         g = poly_gcd(num, den)
         if not g.is_one:
             num = poly_exact_div(num, g)
             den = poly_exact_div(den, g)
-    cn, pn = _int_primitive(num)
-    cd, pd = _int_primitive(den)
-    ratio = cn / cd
-    num = pn.scale(ratio.numerator)
-    den = pd.scale(ratio.denominator)
-    return RatFunc._raw(num, den)
+    return _canonical_scale(num, den)
 
 
 def ratfunc_arith(op: str, f: RatFunc, g: RatFunc) -> RatFunc:

@@ -12,6 +12,10 @@ Grammar (standard precedence, ^ binds tightest, then unary minus, then
 Indexed variables like u(1,2) map onto canonical universe names ("u12");
 a bare name is accepted when it is itself a universe variable, so printed
 canonical forms parse back to themselves.
+
+An exponent whose absolute value exceeds ``MAX_EXPONENT`` is rejected
+before any power is computed, so a hostile input such as
+``(u(1,2)+1)^100000`` fails at once instead of expanding.
 """
 
 from __future__ import annotations
@@ -28,6 +32,8 @@ class ParseError(ValueError):
 
 
 _SYMBOLS = "+-*/^(),"
+
+MAX_EXPONENT = 1000
 
 
 def _tokenize(text: str):
@@ -119,6 +125,12 @@ class _Parser:
                 self.advance()
                 sign = -1
             tok = self.expect("int")
+            digits = tok[1].lstrip("0")
+            # compare lengths first: never convert an arbitrarily long digit string
+            if (len(digits) > len(str(MAX_EXPONENT))
+                    or int(digits or "0") > MAX_EXPONENT):
+                raise ParseError(
+                    f"exponent {tok[1]} exceeds the limit {MAX_EXPONENT}", tok[2])
             value = value ** (sign * int(tok[1]))
         return value
 

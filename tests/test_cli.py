@@ -152,3 +152,10 @@ def test_config_file_defaults(tmp_path, capsys):
     assert report["seed"] == 99
     # labeling i0={1} makes jj0 start with letter 1
     assert report["values"]["word"][0] == 1
+
+
+def test_huge_exponent_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "membership", "u", "--group", "sl4",
+                         "--expr", "(u(1,2)+1)^100000")
+    assert code == 2 and out == ""
+    assert "exponent 100000 exceeds the limit" in err and "position 11" in err

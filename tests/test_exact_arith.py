@@ -270,3 +270,23 @@ def test_printing_golden():
     assert str(f) == "(a1*a2 + 3)/(a3^2)"
     assert str(RatFunc.const(names, 0)) == "0"
     assert str(a1 - a2) == "a1 - a2"
+
+
+def test_reflected_division_by_unsupported_operand_is_type_error():
+    x = RatFunc(_x())
+    with pytest.raises(TypeError):
+        _ = 1.5 / x
+    with pytest.raises(TypeError):
+        _ = "a" / x
+    assert 2 / x == RatFunc(MultiPoly.const(XY, 2), _x())
+
+
+def test_integral_coefficients_are_ints():
+    p = MultiPoly(XY, {(1, 0): Fraction(4, 2), (0, 1): Fraction(1, 3), (0, 0): 0})
+    assert p.terms == {(1, 0): 2, (0, 1): Fraction(1, 3)}
+    assert type(p.terms[(1, 0)]) is int
+    q = p * p.scale(3)
+    assert q.terms == {(2, 0): 12, (1, 1): 4, (0, 2): Fraction(1, 3)}
+    assert [type(c) for c in q.terms.values()] == [int, int, Fraction]
+    assert type((p + p.scale(2)).terms[(0, 1)]) is int
+    assert type(MultiPoly.const(XY, Fraction(6, 3)).const_value) is Fraction

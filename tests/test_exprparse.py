@@ -7,6 +7,7 @@ import random
 import pytest
 
 from bircharts import (ParseError, RatFunc, parse_expression, u_variables)
+from bircharts.exprparse import MAX_EXPONENT
 
 from helpers import random_nonzero_poly, random_poly
 
@@ -102,3 +103,21 @@ def test_parser_fuzz_against_direct_evaluation():
     for _ in range(60):
         text, expected = _random_expression(rng, names, 3)
         assert parse_expression(text, names) == expected
+
+
+def test_huge_exponent_rejected_with_position():
+    # only the error path: the power itself is never computed
+    text = "(u(1,2)+1)^100000"
+    with pytest.raises(ParseError, match="exponent 100000 exceeds") as err:
+        parse_expression(text, UV)
+    assert err.value.pos == text.index("100000")
+    with pytest.raises(ParseError, match="exceeds"):
+        parse_expression("u(1,2)^-" + "9" * 5000, UV)
+    with pytest.raises(ParseError, match="exceeds"):
+        parse_expression(f"u(1,2)^{MAX_EXPONENT + 1}", UV)
+
+
+def test_exponent_at_the_limit_parses():
+    assert parse_expression(f"2^{MAX_EXPONENT}", ()) == RatFunc.const((), 2 ** MAX_EXPONENT)
+    assert parse_expression(f"u(1,2)^-000{MAX_EXPONENT}", UV) == \
+        RatFunc.var(UV, "u12") ** -MAX_EXPONENT
