@@ -12,8 +12,7 @@ __version__ = "0.1.0"
 
 from .exact_arith import (MultiPoly, PoleError, RatFunc, UniverseError,
                           is_laurent_in, is_polynomial, poly_exact_div,
-                          poly_gcd, ratfunc_arith, ratfunc_normalize,
-                          substitute)
+                          poly_gcd, ratfunc_normalize, substitute)
 from .root_data import (CartanDatum, ChartWeights, LemmaCheck,
                         VerificationReport, Weight, WeylElement, cartan,
                         chart_weights, distinguished_word,
@@ -35,7 +34,7 @@ from .exprparse import ParseError, parse_expression
 
 __all__ = [
     "MultiPoly", "RatFunc", "PoleError", "UniverseError",
-    "ratfunc_normalize", "ratfunc_arith", "poly_gcd", "poly_exact_div",
+    "ratfunc_normalize", "poly_gcd", "poly_exact_div",
     "substitute", "is_polynomial", "is_laurent_in",
     "CartanDatum", "Weight", "WeylElement", "ChartWeights", "LemmaCheck",
     "VerificationReport", "cartan", "parse_type", "weyl_apply",

@@ -15,7 +15,9 @@ canonical forms parse back to themselves.
 
 An exponent whose absolute value exceeds ``MAX_EXPONENT`` is rejected
 before any power is computed, so a hostile input such as
-``(u(1,2)+1)^100000`` fails at once instead of expanding.
+``(u(1,2)+1)^100000`` fails at once instead of expanding.  An integer
+literal (a constant, an index or an exponent) longer than
+``MAX_LITERAL_DIGITS`` digits is rejected before it is converted.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ class ParseError(ValueError):
 _SYMBOLS = "+-*/^(),"
 
 MAX_EXPONENT = 1000
+MAX_LITERAL_DIGITS = 1000
 
 
 def _tokenize(text: str):
@@ -52,6 +55,10 @@ def _tokenize(text: str):
             j = i
             while j < len(text) and text[j].isdigit():
                 j += 1
+            if j - i > MAX_LITERAL_DIGITS:
+                raise ParseError(
+                    f"integer literal of {j - i} digits exceeds the limit "
+                    f"of {MAX_LITERAL_DIGITS} digits", i)
             tokens.append(("int", text[i:j], i))
             i = j
             continue

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import isqrt
 from typing import Optional
 
 from .exact_arith import (PoleError, RatFunc, is_laurent_in, is_polynomial,
@@ -174,13 +175,11 @@ def decide_O_U(phi: RatFunc, n: int,
 # -- flag-type quotient and full group ----------------------------------
 
 
-def check_invariance(phi: RatFunc, side: str = "right_Uminus") -> bool:
+def check_invariance(phi: RatFunc) -> bool:
     """Whether phi(g y_j(s)) = phi(g) for every lower one-parameter subgroup."""
-    if side != "right_Uminus":
-        raise ValueError(f"unknown side {side!r}")
     gvars = phi.universe
     n2 = len(gvars)
-    n = round(n2 ** 0.5)
+    n = isqrt(n2)
     if n * n != n2:
         raise ValueError("expected a full matrix-entry universe")
     big = gvars + ("s",)

@@ -16,7 +16,6 @@ vectors rather than assumed:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 Word = tuple  # tuple[int, ...], letters are node labels 1..r
@@ -76,10 +75,6 @@ class Weight:
         """<coroot_node, self> for a 1-based node label."""
         return self.coords[node - 1]
 
-    @property
-    def is_dominant(self) -> bool:
-        return all(c >= 0 for c in self.coords)
-
     def __str__(self):
         return "(" + ",".join(str(c) for c in self.coords) + ")"
 
@@ -109,22 +104,6 @@ class WeylElement:
             tuple(sum(m1[i][k] * m2[k][j] for k in range(r)) for j in range(r))
             for i in range(r))
         return WeylElement(prod, self.word + other.word)
-
-    def inverse(self) -> "WeylElement":
-        r = len(self.matrix)
-        aug = [[Fraction(x) for x in row] + [Fraction(i == j) for j in range(r)]
-               for i, row in enumerate(self.matrix)]
-        for col in range(r):
-            piv = next(i for i in range(col, r) if aug[i][col] != 0)
-            aug[col], aug[piv] = aug[piv], aug[col]
-            p = aug[col][col]
-            aug[col] = [x / p for x in aug[col]]
-            for i in range(r):
-                if i != col and aug[i][col] != 0:
-                    f = aug[i][col]
-                    aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-        inv = tuple(tuple(int(aug[i][r + j]) for j in range(r)) for i in range(r))
-        return WeylElement(inv, tuple(reversed(self.word)))
 
     @property
     def is_identity(self) -> bool:
@@ -236,9 +215,6 @@ class CartanDatum:
                      for j in range(self.rank))
 
     # -- basic data -----------------------------------------------------
-
-    def node_class(self, i: int) -> int:
-        return 0 if i in self.i0 else 1
 
     def class_nodes(self, parity: int) -> tuple:
         return self.i0 if parity % 2 == 0 else self.i1

@@ -114,11 +114,6 @@ class GroupMatrix:
             prod.append(row)
         return GroupMatrix(prod, check=False)
 
-    def transpose(self) -> "GroupMatrix":
-        return GroupMatrix(
-            [[self.entries[j][i] for j in range(self.n)] for i in range(self.n)],
-            check=False)
-
     def inverse(self) -> "GroupMatrix":
         # adjugate; valid because det = 1
         n = self.n
@@ -139,11 +134,6 @@ class GroupMatrix:
     @property
     def is_upper_unitriangular(self) -> bool:
         return (_is_triangular(self.entries, True)
-                and all(self.entries[i][i] == 1 for i in range(self.n)))
-
-    @property
-    def is_lower_unitriangular(self) -> bool:
-        return (_is_triangular(self.entries, False)
                 and all(self.entries[i][i] == 1 for i in range(self.n)))
 
     @property

@@ -28,6 +28,24 @@ def random_ratfunc(rng, vars, **kw) -> RatFunc:
     return RatFunc(random_poly(rng, vars, **kw), random_nonzero_poly(rng, vars, **kw))
 
 
+def reference_substitute(f: RatFunc, values, universe) -> RatFunc:
+    """f at values (in the order of f's universe), term by term with the
+    RatFunc operators; int and Fraction values become constants."""
+    values = [v if isinstance(v, RatFunc) else RatFunc.const(universe, v)
+              for v in values]
+
+    def evaluate(p):
+        total = RatFunc.const(universe, 0)
+        for e, c in p.terms.items():
+            term = RatFunc.const(universe, c)
+            for v, k in zip(values, e):
+                term = term * v ** k
+            total = total + term
+        return total
+
+    return evaluate(f.num) / evaluate(f.den)
+
+
 def divide_univariate(num, den):
     """Long division of univariate coefficient lists (ascending powers).
 

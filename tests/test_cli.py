@@ -159,3 +159,10 @@ def test_huge_exponent_is_a_usage_error(capsys):
                          "--expr", "(u(1,2)+1)^100000")
     assert code == 2 and out == ""
     assert "exponent 100000 exceeds the limit" in err and "position 11" in err
+
+
+def test_long_literal_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "membership", "u", "--group", "sl4",
+                         "--expr", "u(1,2) + " + "1" * 5000)
+    assert code == 2 and out == ""
+    assert "exceeds the limit" in err and "position 9" in err

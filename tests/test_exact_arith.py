@@ -9,9 +9,10 @@ import pytest
 
 from bircharts import (MultiPoly, PoleError, RatFunc, UniverseError,
                        is_laurent_in, is_polynomial, poly_exact_div, poly_gcd,
-                       ratfunc_arith, ratfunc_normalize, substitute)
+                       ratfunc_normalize, substitute)
 
-from helpers import divide_univariate, random_nonzero_poly, random_poly
+from helpers import (divide_univariate, random_nonzero_poly, random_poly,
+                     reference_substitute)
 
 XY = ("x", "y")
 
@@ -57,19 +58,19 @@ def test_normalize_zero_denominator_rejected():
 
 def test_arith_examples():
     x, y = RatFunc(_x()), RatFunc(_y())
-    s = ratfunc_arith("add", x.inv(), y.inv())
+    s = x.inv() + y.inv()
     assert s == RatFunc(_x() + _y(), _x() * _y())
     h = x + y
-    assert ratfunc_arith("mul", h, h.inv()) == 1
+    assert h * h.inv() == 1
     names = ("a2", "a5")
     a2, a5 = RatFunc.var(names, "a2"), RatFunc.var(names, "a5")
-    assert ratfunc_arith("sub", a2 + a5, a2) == a5
+    assert (a2 + a5) - a2 == a5
 
 
 def test_divide_by_zero_function():
     x = RatFunc(_x())
     with pytest.raises(ZeroDivisionError):
-        ratfunc_arith("div", x, x - x)
+        x / (x - x)
 
 
 def test_poly_gcd_from_factored_inputs():
@@ -226,6 +227,53 @@ def test_substitute_pole_error():
     a = RatFunc.var(("a",), "a")
     with pytest.raises(PoleError):
         substitute(f, {"x": a, "y": a})
+
+
+AB = ("a", "b")
+
+
+def _matches_reference(f, assignment):
+    values = [assignment[v] for v in f.universe]
+    return substitute(f, assignment) == reference_substitute(f, values, AB)
+
+
+def _ab():
+    return RatFunc.var(AB, "a"), RatFunc.var(AB, "b")
+
+
+def test_substitute_polynomial_values_with_constant_denominators():
+    a, b = _ab()
+    x, y = RatFunc(_x()), RatFunc(_y())
+    f = (x ** 3 * y - 3 * y + 1) / (x + 2 * y * y + 5)
+    assert _matches_reference(
+        f, {"x": (a + 1) / 2, "y": RatFunc.const(AB, Fraction(3, 4))})
+    assert _matches_reference(f, {"x": (a * b - 1) / 6, "y": (2 * b + a) / 3})
+
+
+def test_substitute_mixes_constant_and_nonconstant_values():
+    a, b = _ab()
+    x, y = RatFunc(_x()), RatFunc(_y())
+    f = (x * x + x * y - y ** 3) / (y + 7)
+    for xval, yval in [(3, a + b), (Fraction(-2, 5), a * b / 4),
+                       (RatFunc.const((), Fraction(1, 3)), (a + 1) / b),
+                       (a - b, Fraction(5, 2))]:
+        assert _matches_reference(f, {"x": xval, "y": yval})
+
+
+def test_substitute_rational_values():
+    a, b = _ab()
+    x, y = RatFunc(_x()), RatFunc(_y())
+    f = (x * x * y + 2 * x ** 3 - 1) / (x * y + y * y + 1)
+    for assignment in [{"x": 1 / a, "y": (a + b) / (a - b)},
+                       {"x": (a * a + 1) / (b + 2), "y": b / (a + 1)}]:
+        assert _matches_reference(f, assignment)
+
+
+def test_substitute_pole_error_with_rational_values():
+    f = RatFunc(MultiPoly.one(XY), _x() - _y())
+    a = RatFunc.var(("a",), "a")
+    with pytest.raises(PoleError):
+        substitute(f, {"x": 1 / a, "y": 1 / a})
 
 
 def test_is_polynomial_examples():

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from bircharts import (ParseError, RatFunc, parse_expression, u_variables)
-from bircharts.exprparse import MAX_EXPONENT
+from bircharts.exprparse import MAX_EXPONENT, MAX_LITERAL_DIGITS
 
 from helpers import random_nonzero_poly, random_poly
 
@@ -121,3 +121,26 @@ def test_exponent_at_the_limit_parses():
     assert parse_expression(f"2^{MAX_EXPONENT}", ()) == RatFunc.const((), 2 ** MAX_EXPONENT)
     assert parse_expression(f"u(1,2)^-000{MAX_EXPONENT}", UV) == \
         RatFunc.var(UV, "u12") ** -MAX_EXPONENT
+
+
+def test_long_literal_rejected_with_position():
+    # only the error path: the literal is never converted
+    text = "u(1,2) + " + "1" * 5000
+    with pytest.raises(ParseError, match="5000 digits exceeds") as err:
+        parse_expression(text, UV)
+    assert err.value.pos == text.index("1" * 5000)
+    with pytest.raises(ParseError, match="exceeds") as err:
+        parse_expression("1" * 5000, ())
+    assert err.value.pos == 0
+
+
+def test_long_index_rejected_with_position():
+    text = "u(1," + "2" * (MAX_LITERAL_DIGITS + 1) + ")"
+    with pytest.raises(ParseError, match="exceeds") as err:
+        parse_expression(text, UV)
+    assert err.value.pos == 4
+
+
+def test_literal_at_the_digit_limit_parses():
+    digits = "7" * MAX_LITERAL_DIGITS
+    assert parse_expression(digits, ()) == RatFunc.const((), int(digits))

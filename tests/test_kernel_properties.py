@@ -19,6 +19,8 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 from bircharts import (MultiPoly, PoleError, RatFunc, exact_arith,  # noqa: E402
                        poly_exact_div, poly_gcd, ratfunc_normalize, substitute)
 
+from helpers import reference_substitute  # noqa: E402
+
 XY = ("x", "y")
 AB = ("a", "b")
 ST = ("s", "t")
@@ -141,6 +143,26 @@ def test_substitute_composes(f, inner, outer):
     assert_canonical_ratfunc(once)
     assert_canonical_ratfunc(direct)
     assert once == direct
+
+
+substituted = st.one_of(
+    coeffs.map(lambda c: RatFunc.const(AB, c)),
+    st.builds(lambda p, k: RatFunc(p) / k, polys(AB, max_deg=1, max_terms=3),
+              st.integers(1, 6)),
+    ratfuncs(AB, max_deg=1, max_terms=2))
+
+
+@SETTINGS
+@given(ratfuncs(XY, max_deg=3, max_terms=3), st.tuples(substituted, substituted))
+def test_substitute_matches_term_by_term_reference(f, vals):
+    try:
+        got = substitute(f, dict(zip(XY, vals)))
+    except PoleError:
+        with pytest.raises(ZeroDivisionError):
+            reference_substitute(f, vals, AB)
+        return
+    assert_canonical_ratfunc(got)
+    assert got == reference_substitute(f, vals, AB)
 
 
 @SETTINGS

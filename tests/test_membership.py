@@ -129,6 +129,12 @@ def test_check_invariance_examples():
     assert check_invariance(det23 / (RatFunc.const(names3, 1) + g3["g13"]))
 
 
+def test_check_invariance_rejects_non_square_universe():
+    names = ("g11", "g12", "g21")
+    with pytest.raises(ValueError, match="full matrix-entry universe"):
+        check_invariance(RatFunc.var(names, "g12"))
+
+
 def test_decide_O_GmodU_sl2():
     names, g = _gvars(2)
     verdict = decide_O_GmodU(g["g12"], 2)
