@@ -61,6 +61,9 @@ def _parse_labeling(text):
         raise UsageError("labeling must list integer nodes") from None
 
 
+_CONFIG_KEYS = ("group", "labeling", "seed", "bfs-budget", "rank-budget")
+
+
 def _read_config(path):
     values = {}
     with open(path) as fh:
@@ -70,16 +73,16 @@ def _read_config(path):
                 continue
             if "=" not in line:
                 raise UsageError(f"bad config line {line!r}")
-            key, val = line.split("=", 1)
-            values[key.strip()] = val.strip()
+            key, val = (part.strip() for part in line.split("=", 1))
+            if key not in _CONFIG_KEYS:
+                raise UsageError(f"unknown config key {key!r}; expected one of "
+                                 + ", ".join(_CONFIG_KEYS))
+            values[key] = val
     return values
 
 
 def _datum_for_group(n: int, labeling):
-    i0 = None
-    if labeling is not None:
-        i0 = labeling
-    return cartan("A", n - 1, i0=i0)
+    return cartan("A", n - 1, i0=labeling)
 
 
 def _word_arg(text: str, datum):
@@ -166,6 +169,8 @@ def _cmd_chart_invert(args, common):
     universe = u_variables(n)
     entries = [[parse_expression(str(e), universe) for e in row] for row in raw]
     matrix = GroupMatrix(entries)
+    if not matrix.is_upper_unitriangular:
+        raise UsageError("chart inversion expects an upper unitriangular matrix")
     try:
         params = invert_chart(matrix, args.eps, n, datum)
     except ValueError as exc:
@@ -272,7 +277,8 @@ def _add_common(parser, root: bool):
     parser.add_argument("--labeling", default=d(None),
                         help="bipartition override, e.g. i0=2 or i0=1,3")
     parser.add_argument("--config", default=d(None),
-                        help="key = value file with defaults (group, labeling, seed, bfs-budget)")
+                        help="key = value file with defaults ("
+                        + ", ".join(_CONFIG_KEYS) + ")")
     parser.add_argument("--bfs-budget", type=int, default=d(None))
     parser.add_argument("--rank-budget", type=int, default=d(None))
 

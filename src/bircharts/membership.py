@@ -14,9 +14,12 @@ same as with a fresh build.  Held at once, the unipotent charts at sl3-sl7
 and the quotient and full-group charts at sl3-sl5 take about 1.6 MB
 (tracemalloc), of which the eight sl5 full-group charts take 0.77 MB.
 
-Chart inversion is provided for n <= 4: closed formulas for the first
-bipartite word, with the second word's formulas derived by composing with
-the braid-move transition between the two words.
+Chart inversion works for every n by one construction: factors are peeled
+off the left of the generic unitriangular matrix, each parameter a ratio of
+minors.  The formulas are built once per (word, n) and then substituted;
+a point is undefined only where a canonical denominator vanishes.  Building
+them takes under 0.01 s at sl4, 0.05-0.08 s at sl5 and 2.6-24 s at sl6,
+depending on the word (Python 3.11); at sl7 it did not finish in 500 s.
 """
 
 from __future__ import annotations
@@ -28,9 +31,9 @@ from typing import Optional
 
 from .exact_arith import (PoleError, RatFunc, is_laurent_in, is_polynomial,
                           substitute)
-from .root_data import CartanDatum, cartan, distinguished_word
-from .sl_realization import (GroupMatrix, TorusPoint, _datum_for, chart_G,
-                             chart_GmodU, chart_U)
+from .root_data import CartanDatum, distinguished_word
+from .sl_realization import (GroupMatrix, TorusPoint, _datum_for, _det,
+                             chart_G, chart_GmodU, chart_U)
 
 DEFAULT_SEED = 20250801
 
@@ -250,59 +253,41 @@ def decide_O_G(phi: RatFunc, n: int,
     return _verdict(certs)
 
 
-# -- chart inversion for small n -----------------------------------------
-
-
-def _uvar(universe, i, j):
-    return RatFunc.var(universe, f"u{_idx(i, j)}")
+# -- chart inversion ----------------------------------------------------
 
 
 @lru_cache(maxsize=None)
 def _inversion_formulas(word: tuple, n: int) -> tuple:
-    """Inverse of the unipotent chart for a supported word, as rational
-    functions of the strictly-upper matrix entries."""
-    uu = u_variables(n)
-    if n == 2 and word == (1,):
-        return (_uvar(uu, 1, 2),)
-    if n == 3:
-        u12, u13, u23 = (_uvar(uu, 1, 2), _uvar(uu, 1, 3), _uvar(uu, 2, 3))
-        if word == (1, 2, 1):
-            return (u13 / u23, u23, u12 - u13 / u23)
-        if word == (2, 1, 2):
-            return (u23 - u13 / u12, u12, u13 / u12)
-    if n == 4:
-        u12, u13, u14 = (_uvar(uu, 1, 2), _uvar(uu, 1, 3), _uvar(uu, 1, 4))
-        u23, u24, u34 = (_uvar(uu, 2, 3), _uvar(uu, 2, 4), _uvar(uu, 3, 4))
-        if word == (2, 1, 3, 2, 1, 3):
-            p = u13 * u34 - u14
-            q = u23 * u34 - u24
-            return (
-                (u13 * u24 - u14 * u23) / p,
-                p / q,
-                p / u13,
-                u13 * q / p,
-                u12 - p / q,
-                u14 / u13,
-            )
-        if word == (1, 3, 2, 1, 3, 2):
-            # compose the first-word formulas with the word-to-word transition
-            from .braid_engine import transition
+    """Inverse of the unipotent chart along a reduced word for w0, as
+    rational functions of the strictly-upper matrix entries.
 
-            datum = cartan("A", 3)
-            first = (2, 1, 3, 2, 1, 3)
-            base = _inversion_formulas(first, 4)
-            names = tuple(f"a{k}" for k in range(1, 7))
-            tr = transition(first, word, datum, param_names=names)
-            assignment = {name: base[k] for k, name in enumerate(names)}
-            return tuple(substitute(f, assignment) for f in tr.formulas)
-    raise ValueError(f"no inversion formulas for word {word} at n={n}")
+    Factors are peeled off the left of the generic matrix g (Chamber
+    Ansatz, Berenstein-Fomin-Zelevinsky 1996).  Before letter i, w is w0
+    times the simple reflections already peeled, in one-line notation; the
+    parameter a is the ratio of the minors of g on rows 1..i and on rows
+    1..i-1, i+1, both on the columns w(1..i).  Then g <- x_i(-a) g and
+    w <- w s_i.
+    """
+    uu = u_variables(n)
+    g = [[RatFunc.var(uu, f"u{_idx(i, j)}") if j > i
+          else RatFunc.const(uu, 1 if i == j else 0)
+          for j in range(1, n + 1)] for i in range(1, n + 1)]
+    w = list(range(n, 0, -1))
+    params = []
+    for i in word:
+        cols = sorted(w[:i])
+        rows = list(range(i - 1))
+        a = (_det([[g[r][c - 1] for c in cols] for r in rows + [i - 1]])
+             / _det([[g[r][c - 1] for c in cols] for r in rows + [i]]))
+        params.append(a)
+        g[i - 1] = [x - a * y for x, y in zip(g[i - 1], g[i])]
+        w[i - 1], w[i] = w[i], w[i - 1]
+    return tuple(params)
 
 
 def invert_chart(u: GroupMatrix, eps: int, n: int,
                  datum: Optional[CartanDatum] = None) -> tuple:
-    """Chart parameters reproducing an upper unitriangular matrix (n <= 4)."""
-    if n > 4:
-        raise ValueError("general inversion not implemented")
+    """Chart parameters reproducing an upper unitriangular matrix."""
     if u.n != n:
         raise ValueError("matrix size does not match n")
     if not u.is_upper_unitriangular:

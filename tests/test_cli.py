@@ -89,6 +89,29 @@ def test_chart_invert_singular_matrix_is_negative_verdict(tmp_path, capsys):
     assert "undefined" in report["error"]
 
 
+def test_chart_eval_then_invert_sl5(tmp_path, capsys):
+    params = [str(k) for k in range(1, 11)]
+    code, report, _ = run_json(capsys, "chart", "eval", "--group", "sl5",
+                               "--params", ",".join(params))
+    assert code == 0
+    mfile = tmp_path / "m.json"
+    mfile.write_text(json.dumps(report["values"]["matrix"]))
+    code, report, _ = run_json(capsys, "chart", "invert", "--group", "sl5",
+                               "--eps", "0", "--matrix", str(mfile))
+    assert code == 0
+    assert report["values"]["params"] == params
+
+
+def test_chart_invert_non_unitriangular_is_a_usage_error(tmp_path, capsys):
+    mfile = tmp_path / "m.json"
+    mfile.write_text(json.dumps([["1", "2", "3"], ["0", "1", "4"],
+                                 ["0", "1", "5"]]))
+    code, out, err = run(capsys, "chart", "invert", "--group", "sl3",
+                         "--eps", "0", "--matrix", str(mfile))
+    assert code == 2 and out == ""
+    assert "upper unitriangular" in err
+
+
 def test_weights_and_verify(capsys):
     code, report, _ = run_json(capsys, "weights", "--type", "A3", "--eps", "0")
     assert code == 0
@@ -152,6 +175,18 @@ def test_config_file_defaults(tmp_path, capsys):
     assert report["seed"] == 99
     # labeling i0={1} makes jj0 start with letter 1
     assert report["values"]["word"][0] == 1
+
+
+def test_config_file_rejects_unknown_keys(tmp_path, capsys):
+    cfg = tmp_path / "cfg"
+    for line in ("bfs_budget = 5", "foo = 1"):
+        cfg.write_text(f"group = sl3\n{line}\n")
+        code, out, err = run(capsys, "--config", str(cfg), "chart", "eval")
+        assert code == 2 and out == ""
+        assert f"unknown config key {line.split()[0]!r}" in err
+    cfg.write_text("group = sl3\nlabeling = i0=1\nseed = 5\n"
+                   "bfs-budget = 9\nrank-budget = 2\n")
+    assert run(capsys, "--config", str(cfg), "chart", "eval")[0] == 0
 
 
 def test_huge_exponent_is_a_usage_error(capsys):

@@ -23,6 +23,13 @@ def _uvars(n):
     return names, {v: RatFunc.var(names, v) for v in names}
 
 
+def _generic_u(n):
+    """The upper unitriangular matrix with u_ij above the diagonal."""
+    _, u = _uvars(n)
+    return GroupMatrix([[1 if i == j else u[f"u{i}{j}"] if j > i else 0
+                         for j in range(1, n + 1)] for i in range(1, n + 1)])
+
+
 def _gvars(n):
     names = g_variables(n)
     return names, {v: RatFunc.var(names, v) for v in names}
@@ -371,8 +378,42 @@ def test_invert_chart_sl3_closed_forms():
                            u["u13"] / u["u12"])
 
 
+@pytest.mark.parametrize("i0", [None, {1, 3}, {2, 4}],
+                         ids=["default", "i0=1,3", "i0=2,4"])
+@pytest.mark.parametrize("eps", [0, 1])
+def test_invert_chart_generic_round_trip_sl5(eps, i0):
+    # the chart at the inverted parameters gives back the generic matrix
+    usym = _generic_u(5)
+    d = cartan("A", 4, i0=i0)
+    params = invert_chart(usym, eps, 5, d)
+    assert chart_U(distinguished_word(d, eps), params, 5) == usym
+
+
+def test_invert_chart_sl4_second_word_matches_transition():
+    # the second word's formulas equal the golden first-word formulas
+    # composed with the braid-move transition between the two words
+    from bircharts.exprparse import parse_expression
+    d = cartan("A", 3)
+    jj0, jj1 = distinguished_word(d, 0), distinguished_word(d, 1)
+    base = [parse_expression(e, u_variables(4)) for e in SL4_INVERSION_EXPRS]
+    anames = param_names(0, 6)
+    tr = transition(jj0, jj1, d, param_names=anames)
+    expected = tuple(substitute(f, dict(zip(anames, base))) for f in tr.formulas)
+    assert invert_chart(_generic_u(4), 1, 4) == expected
+
+
+def test_invert_chart_degenerate_point_sl3():
+    # an intermediate minor of the peeled matrix vanishes here, but the
+    # canonical formulas are defined
+    half = Fraction(1, 2)
+    u = GroupMatrix([[1, half, 0], [0, 1, 0], [0, 0, 1]])
+    assert distinguished_word(cartan("A", 2), 0) == (2, 1, 2)
+    got = invert_chart(u, 0, 3)
+    assert [p.const_value for p in got] == [0, half, 0]
+
+
 def test_invert_chart_errors():
-    with pytest.raises(ValueError, match="not implemented"):
+    with pytest.raises(ValueError, match="undefined"):
         invert_chart(GroupMatrix.identity(5), 0, 5)
     with pytest.raises(ValueError, match="undefined"):
         invert_chart(GroupMatrix.identity(4), 0, 4)
