@@ -20,12 +20,12 @@ from .root_data import (CartanDatum, ChartWeights, LemmaCheck,
                         longest_element, minimal_coset_rep, parse_type,
                         simple_below, verify_lemmas, weight_sets, weyl_apply,
                         weyl_from_word)
-from .sl_realization import (GroupMatrix, MinorSpec, TorusPoint, chart_G,
-                             chart_GmodU, chart_U, gauss_decompose, gen_minor,
-                             generator, iota, lift, minor_spec, torus_point,
-                             twist)
-from .braid_engine import (DEFAULT_BFS_BUDGET, Move, TransitionMap,
-                           apply_move, available_moves, transition, word_path)
+from .sl_realization import (GroupMatrix, MinorSpec, TorusPoint, Unsupported,
+                             chart_G, chart_GmodU, chart_U, gauss_decompose,
+                             gen_minor, generator, iota, lift, minor_spec,
+                             torus_point, twist)
+from .braid_engine import (Move, TransitionMap, apply_move, available_moves,
+                           transition, word_path)
 from .membership import (Certificate, ChartId, MembershipVerdict,
                          check_invariance, decide_O_G, decide_O_GmodU,
                          decide_O_U, g_variables, invert_chart, param_names,
@@ -44,8 +44,8 @@ __all__ = [
     "verify_lemmas",
     "GroupMatrix", "TorusPoint", "MinorSpec", "generator", "torus_point",
     "chart_U", "chart_GmodU", "chart_G", "lift", "iota", "gen_minor",
-    "minor_spec", "gauss_decompose", "twist",
-    "Move", "TransitionMap", "DEFAULT_BFS_BUDGET", "apply_move",
+    "minor_spec", "gauss_decompose", "twist", "Unsupported",
+    "Move", "TransitionMap", "apply_move",
     "available_moves", "word_path", "transition",
     "ChartId", "Certificate", "MembershipVerdict", "pullback_U",
     "decide_O_U", "check_invariance", "decide_O_GmodU", "decide_O_G",

@@ -1,13 +1,34 @@
-"""Reduced-word graph under commuting and order-3 braid moves, and the
-induced birational transition maps between chart parametrizations.
+"""Transition maps between chart parametrizations, and the braid moves
+that serve as their test oracle.
 
-Only commuting moves and order-3 (simply-laced) braid moves are
-implemented; connecting two reduced words that would require an order-4
-or order-6 move is reported as unsupported.  The order-3 parameter rule
+``transition`` changes the parameters of the unipotent chart along one
+reduced word into those along another by the Chamber Ansatz
+(Berenstein-Fomin-Zelevinsky 1996, Thm 1.4).  The source chart is twisted
+once, z = twist(chart_U(word1, params)), and the k-th target parameter is a
+ratio of four chamber minors of z around the k-th crossing of word2:
 
-    x_i(a) x_j(b) x_i(c) = x_j(bc/(a+c)) x_i(a+c) x_j(ab/(a+c))
+    t_k = D(w[:i+1]) D(w[:i-1]) / (D(w[:i]) D((w s_i)[:i]))
 
-is certified against the symbolic matrix identity in the test suite.
+where i is the k-th letter of word2, w = s_{i_1} ... s_{i_{k-1}} in
+one-line notation, and D(J) is the minor of z on rows 1..|J| and the
+sorted columns J (D of no columns or of all n columns is 1).  Each
+distinct minor is computed once, and the four are combined factor by
+factor, so no gcd of the products is ever taken.  Two reduced words of a
+shorter element w are completed by a common suffix to words for w0; the
+suffix parameters come back unchanged, which is checked.
+
+Only type A is supported (only SL_n has a realization here); any other
+datum raises ``Unsupported`` before any work.
+
+The word graph under commuting and order-3 braid moves stays as an
+independent oracle: ``word_path`` finds a move sequence by breadth-first
+search, and ``apply_move`` applies the order-3 parameter rule
+
+    x_i(a) x_j(b) x_i(c) = x_j(bc/(a+c)) x_i(a+c) x_j(ab/(a+c)),
+
+which is certified against the symbolic matrix identity in the test
+suite.  Connecting two words that would need an order-4 or order-6 move
+is reported as unsupported there.
 """
 
 from __future__ import annotations
@@ -16,11 +37,9 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .exact_arith import RatFunc
+from .exact_arith import MultiPoly, RatFunc, ratio_of_products
 from .root_data import CartanDatum, is_reduced, weyl_from_word
-
-DEFAULT_BFS_BUDGET = 200_000
-
+from .sl_realization import Unsupported, _det, chart_U, twist
 
 @dataclass(frozen=True)
 class Move:
@@ -112,7 +131,7 @@ def available_moves(word: tuple, datum: CartanDatum):
 
 
 def word_path(word1: Sequence[int], word2: Sequence[int], datum: CartanDatum,
-              budget: int = DEFAULT_BFS_BUDGET):
+              budget: int = 200_000):
     """Breadth-first move sequence transforming word1 into word2."""
     w1, w2 = tuple(word1), tuple(word2)
     if not is_reduced(w1, datum) or not is_reduced(w2, datum):
@@ -148,21 +167,94 @@ def word_path(word1: Sequence[int], word2: Sequence[int], datum: CartanDatum,
         "connecting these words requires a braid move of order 4 or 6 (unsupported)")
 
 
+def _completion(word: tuple, n: int) -> tuple:
+    """Letters that extend a reduced word of SL_n to a reduced word for w0."""
+    w = list(range(1, n + 1))
+    for i in word:
+        w[i - 1], w[i] = w[i], w[i - 1]
+    suffix = []
+    i = 1
+    while i < n:
+        if w[i - 1] < w[i]:
+            w[i - 1], w[i] = w[i], w[i - 1]
+            suffix.append(i)
+            i = 1
+        else:
+            i += 1
+    return tuple(suffix)
+
+
+def _chamber_parameters(source: tuple, target: tuple, params: tuple,
+                        n: int) -> tuple:
+    """Parameters along ``target`` (a word for w0) of chart_U(source, params)."""
+    z = twist(chart_U(source, params, n)).entries
+    one = RatFunc.const(params[0].universe, 1)
+    minors: dict = {}
+
+    def minor(cols):
+        key = tuple(sorted(cols))
+        if len(key) in (0, n):
+            return one
+        if key not in minors:
+            minors[key] = _det([[z[r][c - 1] for c in key]
+                                for r in range(len(key))])
+        return minors[key]
+
+    w = list(range(1, n + 1))
+    out = []
+    for i in target:
+        ws = list(w)
+        ws[i - 1], ws[i] = w[i], w[i - 1]
+        out.append(ratio_of_products((minor(w[:i + 1]), minor(w[:i - 1])),
+                                     (minor(w[:i]), minor(ws[:i]))))
+        w = ws
+    return tuple(out)
+
+
 def transition(word1: Sequence[int], word2: Sequence[int], datum: CartanDatum,
-               param_names: Optional[Sequence[str]] = None,
-               budget: int = DEFAULT_BFS_BUDGET) -> TransitionMap:
-    """Composite parameter transform along a move path from word1 to word2."""
+               param_names: Optional[Sequence[str]] = None) -> TransitionMap:
+    """Parameters along word2 of the chart along word1, by the Chamber Ansatz.
+
+    word1 and word2 must be reduced words of one Weyl group element;
+    ``formulas[k]`` is the k-th parameter along word2 as a canonical
+    rational function of ``param_names`` (a1, a2, ... by default).  Raises
+    ``Unsupported`` outside type A, before any work.
+    """
+    if datum.type_label != "A":
+        raise Unsupported(
+            f"transition maps need type A, not {datum.type_label}{datum.rank}")
     w1, w2 = tuple(word1), tuple(word2)
     if param_names is None:
         param_names = tuple(f"a{k}" for k in range(1, len(w1) + 1))
     universe = tuple(param_names)
     if len(universe) != len(w1):
         raise ValueError("need one parameter name per letter")
-    params = tuple(RatFunc.var(universe, v) for v in universe)
-    path = word_path(w1, w2, datum, budget=budget)
-    word, vals = w1, params
-    for move in path:
-        word, vals = apply_move(word, vals, move, datum)
-    if word != w2:
-        raise AssertionError("move path did not land on the target word")
-    return TransitionMap(w1, w2, tuple(vals))
+    if not is_reduced(w1, datum) or not is_reduced(w2, datum):
+        raise ValueError("both words must be reduced")
+    if weyl_from_word(w1, datum) != weyl_from_word(w2, datum):
+        raise ValueError("reduced words have different Weyl-group products")
+    n = datum.rank + 1
+    suffix = _completion(w1, n)
+    # longer than every given name, so the suffix names cannot clash
+    stem = "_" * (1 + max(map(len, universe), default=0)) + "s"
+    full = universe + tuple(f"{stem}{k}" for k in range(1, len(suffix) + 1))
+    params = tuple(RatFunc.var(full, v) for v in full)
+    out = _chamber_parameters(w1 + suffix, w2 + suffix, params, n)
+    if out[len(w1):] != params[len(w1):]:
+        raise AssertionError("the completing suffix changed its parameters")
+    formulas = out[:len(w1)]
+    if suffix:
+        formulas = tuple(_restrict(f, universe) for f in formulas)
+    return TransitionMap(w1, w2, formulas)
+
+
+def _restrict(f: RatFunc, universe: tuple) -> RatFunc:
+    """f over the leading ``universe`` of its own universe."""
+    k = len(universe)
+
+    def cut(p: MultiPoly) -> MultiPoly:
+        if any(any(e[k:]) for e in p.terms):
+            raise AssertionError("a transition formula depends on the suffix")
+        return MultiPoly(universe, {e[:k]: c for e, c in p.terms.items()})
+
+    return RatFunc(cut(f.num), cut(f.den))

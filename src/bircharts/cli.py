@@ -5,7 +5,7 @@ transition, weights, verify-lemmas.  Reports print human-readable by
 default and as stable JSON with --json.
 
 Exit codes: 0 success / member, 1 valid run with a negative verdict,
-2 usage error, 3 internal invariant failure.
+2 usage error, 3 unsupported request or internal invariant failure.
 """
 
 from __future__ import annotations
@@ -16,14 +16,15 @@ import sys
 import time
 
 from . import __version__
-from .braid_engine import DEFAULT_BFS_BUDGET, transition
+from .braid_engine import transition
 from .exact_arith import RatFunc
 from .exprparse import ParseError, parse_expression
 from .membership import (DEFAULT_SEED, decide_O_G, decide_O_GmodU, decide_O_U,
-                         g_variables, invert_chart, u_variables)
+                         g_variables, invert_chart, require_invertible,
+                         u_variables)
 from .root_data import (cartan, chart_weights, distinguished_word, parse_type,
                         verify_lemmas, weight_sets)
-from .sl_realization import GroupMatrix, chart_U
+from .sl_realization import GroupMatrix, Unsupported, chart_U
 
 DEFAULT_RANK_BUDGET = 6
 
@@ -61,7 +62,7 @@ def _parse_labeling(text):
         raise UsageError("labeling must list integer nodes") from None
 
 
-_CONFIG_KEYS = ("group", "labeling", "seed", "bfs-budget", "rank-budget")
+_CONFIG_KEYS = ("group", "labeling", "seed", "rank-budget")
 
 
 def _read_config(path):
@@ -160,6 +161,7 @@ def _cmd_chart_eval(args, common):
 
 def _cmd_chart_invert(args, common):
     n = _parse_group(args.group)
+    require_invertible(n)
     datum = _datum_for_group(n, common["labeling"])
     with open(args.matrix) as fh:
         raw = json.load(fh)
@@ -191,8 +193,7 @@ def _cmd_transition(args, common):
     word2, tag2 = _word_arg(args.to_word, datum)
     stems = {"jj0": "a", "jj1": "b", "custom": "c"}
     names = tuple(f"{stems[tag1]}{k}" for k in range(1, len(word1) + 1))
-    tmap = transition(word1, word2, datum, param_names=names,
-                      budget=common["bfs_budget"])
+    tmap = transition(word1, word2, datum, param_names=names)
     target_stem = stems[tag2] if tag2 != "custom" else "p"
     return {
         "group": f"sl{n}",
@@ -279,7 +280,6 @@ def _add_common(parser, root: bool):
     parser.add_argument("--config", default=d(None),
                         help="key = value file with defaults ("
                         + ", ".join(_CONFIG_KEYS) + ")")
-    parser.add_argument("--bfs-budget", type=int, default=d(None))
     parser.add_argument("--rank-budget", type=int, default=d(None))
 
 
@@ -364,8 +364,6 @@ def run_command(argv, args) -> tuple:
                 else config.get("labeling")),
             "seed": args.seed if args.seed is not None
             else int(config.get("seed", DEFAULT_SEED)),
-            "bfs_budget": args.bfs_budget if args.bfs_budget is not None
-            else int(config.get("bfs-budget", DEFAULT_BFS_BUDGET)),
             "rank_budget": args.rank_budget if args.rank_budget is not None
             else int(config.get("rank-budget", DEFAULT_RANK_BUDGET)),
         }
@@ -384,6 +382,8 @@ def run_command(argv, args) -> tuple:
         code, report = 0, handler(args, common)
     except NegativeVerdict as verdict:
         code, report = 1, dict(verdict.report)
+    except Unsupported as exc:
+        return 3, None, f"error: unsupported: {exc}"
     except (UsageError, ParseError, ValueError, OSError,
             ZeroDivisionError, json.JSONDecodeError) as exc:
         return 2, None, f"error: {exc}"

@@ -43,10 +43,11 @@ no variable, so no capture can occur).  Any other mix raises
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial, reduce
 from math import gcd as _igcd, lcm as _ilcm
-from operator import add as _add, sub as _sub
+from operator import add as _add, mul as _mul, sub as _sub
 from typing import Iterable, Mapping, Sequence
 
 
@@ -699,11 +700,110 @@ def _gcd_core(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     return cg * prim
 
 
+# Coprimality certificate.  For each variable x present in both inputs,
+# every other variable is specialised at a point mod a prime where both
+# leading coefficients in x survive, and the univariate gcd of the two
+# images is taken mod the prime.  A common factor g involving x divides
+# both inputs over Z (Gauss), its leading coefficient in x divides theirs,
+# so its image keeps its x-degree and divides both images.  Hence a
+# constant image gcd for every shared variable proves the gcd is 1: the
+# answer is exact, and only its reach depends on the points.  Cases where
+# the certificate cannot conclude fall through to the gcd proper.
+
+_CERT_PRIME = (1 << 61) - 1
+_CERT_TRIES = 3
+
+
+@lru_cache(maxsize=None)
+def _cert_point(width: int, attempt: int) -> tuple:
+    """The attempt-th evaluation point for a universe of ``width``
+    variables: fixed, seeded values mod the prime, none of them 0 or 1."""
+    rng = random.Random(f"{width}/{attempt}")
+    return tuple(rng.randrange(2, _CERT_PRIME) for _ in range(width))
+
+
+def _univ_images(terms: dict, shared, point: tuple) -> dict:
+    """Per shared variable v, the coefficient list mod the prime of terms
+    with every variable but v set to ``point``; None where the leading
+    coefficient in v vanishes there."""
+    P = _CERT_PRIME
+    powers = [{} for _ in point]
+    full = []
+    for e, c in terms.items():
+        val = c
+        for i, k in enumerate(e):
+            if k:
+                cache = powers[i]
+                pw = cache.get(k)
+                if pw is None:
+                    pw = cache[k] = pow(point[i], k, P)
+                val = val * pw % P
+        full.append((e, val))
+    images = {}
+    for v in shared:
+        # divide the full value by point[v] ** e[v] to free the variable v
+        inv = pow(point[v], -1, P)
+        unpow = [1]
+        for _ in range(max(e[v] for e in terms)):
+            unpow.append(unpow[-1] * inv % P)
+        coeffs = [0] * len(unpow)
+        for e, val in full:
+            k = e[v]
+            coeffs[k] += val * unpow[k]
+        coeffs = [c % P for c in coeffs]
+        images[v] = coeffs if coeffs[-1] else None
+    return images
+
+
+def _gcd_degree_mod(f: list, g: list) -> int:
+    """Degree of the gcd mod the prime of two coefficient lists (low to
+    high) with nonzero leading coefficients."""
+    P = _CERT_PRIME
+    if len(f) < len(g):
+        f, g = g, f
+    f = list(f)
+    while g:
+        inv = pow(g[-1], -1, P)
+        m = len(g) - 1
+        while len(f) > m:
+            c = f[-1] * inv % P
+            shift = len(f) - 1 - m
+            for k in range(m):
+                f[shift + k] = (f[shift + k] - c * g[k]) % P
+            f.pop()
+            while f and not f[-1]:
+                f.pop()
+        f, g = g, f
+    return len(f) - 1
+
+
+def _certified_coprime(p: MultiPoly, q: MultiPoly) -> bool:
+    """True only if the integer polynomials p and q are coprime; False
+    when the certificate does not conclude."""
+    pending = sorted(set(p.variables_present()) & set(q.variables_present()))
+    for attempt in range(_CERT_TRIES):
+        if not pending:
+            return True
+        point = _cert_point(len(p.vars), attempt)
+        ip = _univ_images(p.terms, pending, point)
+        iq = _univ_images(q.terms, pending, point)
+        retry = []
+        for v in pending:
+            fp, fq = ip[v], iq[v]
+            if fp is None or fq is None:
+                retry.append(v)
+            elif _gcd_degree_mod(fp, fq) > 0:
+                return False
+        pending = retry
+    return not pending
+
+
 def poly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     """Greatest common divisor, integer-primitive with positive leading coeff.
 
     gcd(p, 0) is the normalized associate of p; gcd of two nonzero constants
-    is 1 (constants are units over Q).
+    is 1 (constants are units over Q).  Coprime inputs are recognised by the
+    certificate above before any gcd is computed.
     """
     p, q = p._pair(q)
     if p.is_zero:
@@ -718,10 +818,14 @@ def poly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     if p0.is_const or q0.is_const:
         core = MultiPoly.one(p.vars)
     else:
-        try:
-            core = _heu_gcd(_primitive_positive(p0), _primitive_positive(q0))
-        except _HeuristicFailed:
-            core = _gcd_core(p0, q0)
+        pp, qp = _primitive_positive(p0), _primitive_positive(q0)
+        if _certified_coprime(pp, qp):
+            core = MultiPoly.one(p.vars)
+        else:
+            try:
+                core = _heu_gcd(pp, qp)
+            except _HeuristicFailed:
+                core = _gcd_core(p0, q0)
     if any(shared):
         core = core * MultiPoly._make(p.vars, {shared: 1})
     return _primitive_positive(core)
@@ -936,6 +1040,38 @@ def ratfunc_normalize(num: MultiPoly, den: MultiPoly) -> RatFunc:
             num = poly_exact_div(num, g)
             den = poly_exact_div(den, g)
     return _canonical_scale(num, den)
+
+
+def ratio_of_products(nums: Sequence[RatFunc], dens: Sequence[RatFunc]) -> RatFunc:
+    """Canonical prod(nums) / prod(dens) over one universe, reduced factor
+    by factor.
+
+    Each factor on top is made coprime to each factor below by cancelling
+    their pairwise gcds; in a unique factorisation domain that makes the
+    two products coprime, so no gcd of the (much larger) products is
+    taken.  Constant factors are promoted into the universe of the others.
+    Raises ZeroDivisionError when a factor of ``dens`` is zero.
+    """
+    factors = [*nums, *dens]
+    vars = next((f.universe for f in factors if not f.is_const),
+                factors[0].universe)
+    factors = [f if f.universe == vars else RatFunc.const(vars, f.const_value)
+               for f in factors]
+    nums, dens = factors[:len(nums)], factors[len(nums):]
+    top = [f.num for f in nums] + [f.den for f in dens]
+    bottom = [f.den for f in nums] + [f.num for f in dens]
+    if any(b.is_zero for b in bottom):
+        raise ZeroDivisionError("division by the zero function")
+    if any(t.is_zero for t in top):
+        return RatFunc.const(vars, 0)
+    for i, t in enumerate(top):
+        for j, b in enumerate(bottom):
+            g = poly_gcd(t, b)
+            if not g.is_one:
+                t = poly_exact_div(t, g)
+                bottom[j] = poly_exact_div(b, g)
+        top[i] = t
+    return _canonical_scale(reduce(_mul, top), reduce(_mul, bottom))
 
 
 def is_polynomial(f: RatFunc) -> bool:

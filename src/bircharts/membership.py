@@ -19,7 +19,8 @@ off the left of the generic unitriangular matrix, each parameter a ratio of
 minors.  The formulas are built once per (word, n) and then substituted;
 a point is undefined only where a canonical denominator vanishes.  Building
 them takes under 0.01 s at sl4, 0.05-0.08 s at sl5 and 2.6-24 s at sl6,
-depending on the word (Python 3.11); at sl7 it did not finish in 500 s.
+depending on the word (Python 3.11); at sl7 it did not finish in 500 s,
+so inversion above sl6 raises ``Unsupported`` before any work.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ from typing import Optional
 from .exact_arith import (PoleError, RatFunc, is_laurent_in, is_polynomial,
                           substitute)
 from .root_data import CartanDatum, distinguished_word
-from .sl_realization import (GroupMatrix, TorusPoint, _datum_for, _det,
-                             chart_G, chart_GmodU, chart_U)
+from .sl_realization import (GroupMatrix, TorusPoint, Unsupported, _datum_for,
+                             _det, chart_G, chart_GmodU, chart_U)
 
 DEFAULT_SEED = 20250801
 
@@ -285,9 +286,17 @@ def _inversion_formulas(word: tuple, n: int) -> tuple:
     return tuple(params)
 
 
+def require_invertible(n: int) -> None:
+    """Raise Unsupported above sl6, where building the inversion formulas
+    does not finish in bounded time (see the module docstring)."""
+    if n > 6:
+        raise Unsupported(f"chart inversion is implemented up to sl6, not sl{n}")
+
+
 def invert_chart(u: GroupMatrix, eps: int, n: int,
                  datum: Optional[CartanDatum] = None) -> tuple:
     """Chart parameters reproducing an upper unitriangular matrix."""
+    require_invertible(n)
     if u.n != n:
         raise ValueError("matrix size does not match n")
     if not u.is_upper_unitriangular:

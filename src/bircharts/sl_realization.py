@@ -24,6 +24,11 @@ from .root_data import CartanDatum, Weight, cartan, distinguished_word, \
     fundamental_orbit_index, is_reduced, minimal_coset_rep
 
 
+class Unsupported(Exception):
+    """A well-formed request that this implementation does not cover, such
+    as a transition outside type A or a chart inversion above sl6."""
+
+
 def _as_ratfunc(x) -> RatFunc:
     if isinstance(x, RatFunc):
         return x
@@ -369,7 +374,15 @@ def twist(u: GroupMatrix) -> GroupMatrix:
     """
     if not u.is_upper_unitriangular:
         raise ValueError("twist is defined on upper unitriangular matrices")
-    m = u @ lift(_w0_word(u.n), "dot", u.n).inverse()
+    # The inverse of the dot lift of w0 is the product of the inverses of
+    # its letters' lifts in reverse order; right multiplication by the
+    # inverse of sdot_i moves column i+1 to column i and column i, negated,
+    # to column i+1.
+    rows = [list(row) for row in u.entries]
+    for i in reversed(_w0_word(u.n)):
+        for row in rows:
+            row[i - 1], row[i] = row[i], -row[i - 1]
+    m = GroupMatrix(rows, check=False)
     try:
         L, _, _ = gauss_decompose(m)
     except ValueError:

@@ -1,14 +1,16 @@
-"""Move rules, reduced-word graph search, transition maps."""
+"""Move rules, reduced-word graph search, and transition maps by the
+Chamber Ansatz, checked against move composition."""
 
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
-from bircharts import (Move, RatFunc, apply_move, available_moves, cartan,
-                       chart_U, distinguished_word, substitute, transition,
-                       word_path)
+from bircharts import (Move, RatFunc, Unsupported, apply_move, available_moves,
+                       cartan, chart_U, distinguished_word, substitute,
+                       transition, word_path)
 
 from helpers import golden_sl4_transition
 
@@ -161,3 +163,98 @@ def test_transition_formulas_subtraction_free():
             for f in t.formulas:
                 assert all(c > 0 for c in f.num.terms.values())
                 assert all(c > 0 for c in f.den.terms.values())
+
+
+def _by_moves(w1, w2, d, names):
+    """The transition as a composition of moves along a word-graph path."""
+    word, vals = tuple(w1), _params(names)
+    for move in word_path(w1, w2, d):
+        word, vals = apply_move(word, vals, move, d)
+    assert word == tuple(w2)
+    return vals
+
+
+def _random_word(n, rng, length=None):
+    """A reduced word of SL_n grown by random ascents (w0 by default)."""
+    w, word = list(range(1, n + 1)), []
+    while length is None or len(word) < length:
+        ascents = [i for i in range(1, n) if w[i - 1] < w[i]]
+        if not ascents:
+            break
+        i = rng.choice(ascents)
+        w[i - 1], w[i] = w[i], w[i - 1]
+        word.append(i)
+    return tuple(word)
+
+
+def _moved(word, d, rng, steps=6):
+    """Another reduced word of the same element, by random moves."""
+    ones = tuple(RatFunc.const((), 1) for _ in word)
+    for _ in range(steps):
+        moves = available_moves(word, d)
+        if moves:
+            word, _ = apply_move(word, ones, rng.choice(moves), d)
+    return word
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_transition_equals_move_composition(n):
+    d = cartan("A", n - 1)
+    jj0, jj1 = distinguished_word(d, 0), distinguished_word(d, 1)
+    names = tuple(f"b{k}" for k in range(1, d.nu + 1))
+    for src, dst in ((jj1, jj0), (jj0, jj1)):
+        assert transition(src, dst, d, param_names=names).formulas == \
+            _by_moves(src, dst, d, names)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_transition_equals_move_composition_on_random_words(n):
+    d = cartan("A", n - 1)
+    rng = random.Random(f"words/{n}")
+    names = tuple(f"c{k}" for k in range(1, d.nu + 1))
+    words = {_random_word(n, rng) for _ in range(12)}
+    assert len(words) >= 5
+    for k, word in enumerate(sorted(words)[:5]):
+        other = distinguished_word(d, k % 2)
+        src, dst = (word, other) if k % 2 else (other, word)
+        assert transition(src, dst, d, param_names=names).formulas == \
+            _by_moves(src, dst, d, names)
+
+
+def test_transition_of_shorter_words_sl4():
+    d = cartan("A", 3)
+    rng = random.Random("shorter/4")
+    pairs = set()
+    for _ in range(40):
+        w1 = _random_word(4, rng, rng.randint(2, 5))
+        w2 = _moved(w1, d, rng)
+        if w1 != w2:
+            pairs.add((w1, w2))
+    assert len(pairs) >= 5
+    for w1, w2 in sorted(pairs)[:8]:
+        names = tuple(f"c{k}" for k in range(1, len(w1) + 1))
+        t = transition(w1, w2, d, param_names=names)
+        assert t.formulas == _by_moves(w1, w2, d, names)
+        assert all(f.universe == names for f in t.formulas)
+
+
+def test_transition_sl6_reproduces_the_source_chart():
+    d = cartan("A", 5)
+    jj0, jj1 = distinguished_word(d, 0), distinguished_word(d, 1)
+    names = tuple(f"b{k}" for k in range(1, 16))
+    t = transition(jj1, jj0, d, param_names=names)
+    rng = random.Random("transition/6")
+    point = {v: RatFunc.const((), Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+             for v in names}
+    target = [substitute(f, point) for f in t.formulas]
+    assert chart_U(jj0, target, 6) == chart_U(jj1, [point[v] for v in names], 6)
+
+
+def test_transition_rejects_bad_words_and_other_types():
+    d = cartan("A", 3)
+    with pytest.raises(ValueError, match="different"):
+        transition((1, 2), (2, 1), d)
+    with pytest.raises(ValueError, match="reduced"):
+        transition((1, 1), (2, 2), d)
+    with pytest.raises(Unsupported, match="type A"):
+        transition((1, 2, 1, 2), (2, 1, 2, 1), cartan("B", 2))

@@ -179,13 +179,12 @@ def test_config_file_defaults(tmp_path, capsys):
 
 def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     cfg = tmp_path / "cfg"
-    for line in ("bfs_budget = 5", "foo = 1"):
+    for line in ("bfs-budget = 5", "rank_budget = 5", "foo = 1"):
         cfg.write_text(f"group = sl3\n{line}\n")
         code, out, err = run(capsys, "--config", str(cfg), "chart", "eval")
         assert code == 2 and out == ""
         assert f"unknown config key {line.split()[0]!r}" in err
-    cfg.write_text("group = sl3\nlabeling = i0=1\nseed = 5\n"
-                   "bfs-budget = 9\nrank-budget = 2\n")
+    cfg.write_text("group = sl3\nlabeling = i0=1\nseed = 5\nrank-budget = 2\n")
     assert run(capsys, "--config", str(cfg), "chart", "eval")[0] == 0
 
 
@@ -201,3 +200,14 @@ def test_long_literal_is_a_usage_error(capsys):
                          "--expr", "u(1,2) + " + "1" * 5000)
     assert code == 2 and out == ""
     assert "exceeds the limit" in err and "position 9" in err
+
+
+def test_unsupported_requests_exit_three(tmp_path, capsys):
+    # refused before the matrix file is read, so a missing file is fine
+    code, out, err = run(capsys, "chart", "invert", "--group", "sl7", "--eps", "0",
+                         "--matrix", str(tmp_path / "absent.json"))
+    assert code == 3 and out == ""
+    assert err.startswith("error: unsupported: chart inversion")
+    # the search budget is gone with the search
+    assert run(capsys, "transition", "--group", "sl3", "--from", "jj1", "--to",
+               "jj0", "--bfs-budget", "5")[0] == 2

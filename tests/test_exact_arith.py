@@ -8,8 +8,8 @@ from fractions import Fraction
 import pytest
 
 from bircharts import (MultiPoly, PoleError, RatFunc, UniverseError,
-                       is_laurent_in, is_polynomial, poly_exact_div, poly_gcd,
-                       ratfunc_normalize, substitute)
+                       exact_arith, is_laurent_in, is_polynomial,
+                       poly_exact_div, poly_gcd, ratfunc_normalize, substitute)
 
 from helpers import (divide_univariate, random_nonzero_poly, random_poly,
                      reference_substitute)
@@ -338,3 +338,39 @@ def test_integral_coefficients_are_ints():
     assert [type(c) for c in q.terms.values()] == [int, int, Fraction]
     assert type((p + p.scale(2)).terms[(0, 1)]) is int
     assert type(MultiPoly.const(XY, Fraction(6, 3)).const_value) is Fraction
+
+
+def test_coprimality_certificate_on_minors():
+    # distinct 2x2 minors of a generic 3x3 upper unitriangular matrix are
+    # coprime; the certificate proves it, and a shared factor defeats it
+    vs = ("u12", "u13", "u23", "x")
+    u12, u13, u23, x = (MultiPoly.variable(vs, v) for v in vs)
+    m1 = u12 * u23 - u13
+    m2 = u13 + x * u23
+    assert exact_arith._certified_coprime(m1, m2)
+    assert poly_gcd(m1, m2).is_one
+    assert not exact_arith._certified_coprime(m1 * m2, m2 * m2 + m1 * m2)
+    assert poly_gcd(m1 * m2, m2 * (m2 + m1)) == m2
+    # no shared variable: coprime without any evaluation
+    assert exact_arith._certified_coprime(u12 + 1, u23 * x + 1)
+
+
+def test_coprimality_certificate_moves_off_a_vanishing_leading_coefficient():
+    vs = ("x", "y")
+    x, y = (MultiPoly.variable(vs, v) for v in vs)
+    c = exact_arith._cert_point(2, 0)[1]
+    p = (y - c) * x + 1  # leading coefficient in x vanishes at the first point
+    assert exact_arith._certified_coprime(p, x + y)
+    assert not exact_arith._certified_coprime(p * (x + y), (x - y) * (x + y))
+
+
+def test_ratio_of_products_cancels_factor_by_factor():
+    vs = ("a", "b", "c")
+    a, b, c = (RatFunc.var(vs, v) for v in vs)
+    s = a + b
+    f = exact_arith.ratio_of_products((s * c / a, s / b), (c * s / (a * b), s + c))
+    assert f == s / (s + c)
+    assert f == (s * c / a) * (s / b) / ((c * s / (a * b)) * (s + c))
+    assert exact_arith.ratio_of_products((a - a,), (b,)).is_zero
+    with pytest.raises(ZeroDivisionError):
+        exact_arith.ratio_of_products((a,), (b - b,))

@@ -178,3 +178,33 @@ def test_subresultant_route_is_canonical_and_agrees(p, q, common):
     for x in (a, b):
         assert poly_exact_div(x, g) * g == x
     assert exact_arith._primitive_positive(g) == poly_gcd(a, b)
+
+
+XYZ = ("x", "y", "z")
+
+
+@SETTINGS
+@given(nonzero_polys(XYZ, max_terms=3), nonzero_polys(XYZ, max_terms=3),
+       nonzero_polys(XYZ, max_deg=1).filter(lambda r: not r.is_const))
+def test_gcd_keeps_a_shared_factor(p, q, r):
+    # the coprimality certificate never fires on inputs with a common factor
+    g = poly_gcd(p * r, q * r)
+    assert_canonical(g)
+    assert poly_exact_div(g, r) * r == g
+
+
+@SETTINGS
+@given(nonzero_polys(XYZ, max_terms=3), nonzero_polys(XYZ, max_terms=3),
+       nonzero_polys(XYZ, max_deg=1, max_terms=2))
+def test_certified_coprime_agrees_with_gcd_core(p, q, common):
+    a, b = p * common, q * common
+    a = exact_arith._primitive_positive(
+        exact_arith._shift_down(a, exact_arith._monomial_content(a)))
+    b = exact_arith._primitive_positive(
+        exact_arith._shift_down(b, exact_arith._monomial_content(b)))
+    assume(not (a.is_const or b.is_const))
+    # exact when it fires, and at these fixed points it fires on every
+    # coprime pair drawn here
+    coprime = exact_arith._gcd_core(a, b).is_const
+    assert exact_arith._certified_coprime(a, b) == coprime
+    assert poly_gcd(a, b).is_one == coprime

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from bircharts import (GroupMatrix, RatFunc, TorusPoint, cartan,
+from bircharts import (GroupMatrix, RatFunc, TorusPoint, Unsupported, cartan,
                        check_invariance, chart_G, chart_GmodU, chart_U,
                        decide_O_G, decide_O_GmodU, decide_O_U,
                        distinguished_word, g_variables, gen_minor,
@@ -419,3 +419,8 @@ def test_invert_chart_errors():
         invert_chart(GroupMatrix.identity(4), 0, 4)
     with pytest.raises(ValueError, match="unitriangular"):
         invert_chart(GroupMatrix([[0, 1], [-1, 0]]), 0, 2)
+
+
+def test_invert_chart_above_sl6_is_unsupported():
+    with pytest.raises(Unsupported, match="up to sl6"):
+        invert_chart(GroupMatrix.identity(7), 0, 7)

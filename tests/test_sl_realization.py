@@ -340,3 +340,25 @@ def test_group_matrix_validation():
         GroupMatrix([[1, 0, 0], [0, 1, 0]])
     m = GroupMatrix([[2, 1], [1, 1]])
     assert m.det() == 1
+
+
+def _twist_by_lift_inverse(u):
+    """The twist built as stated: u times the inverted w0 dot lift."""
+    n = u.n
+    w0 = distinguished_word(cartan("A", n - 1), 0)
+    L, _, _ = gauss_decompose(u @ lift(w0, "dot", n).inverse())
+    return iota(L)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+def test_twist_column_swaps_match_lift_inverse(n):
+    d = cartan("A", n - 1)
+    rng = random.Random(f"twist/{n}")
+    for eps in (0, 1):
+        jj = distinguished_word(d, eps)
+        params = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in jj]
+        u = chart_U(jj, params, n)
+        assert twist(u) == _twist_by_lift_inverse(u)
+    names = tuple(f"a{k}" for k in range(1, d.nu + 1))
+    u = chart_U(distinguished_word(d, n % 2), [RatFunc.var(names, v) for v in names], n)
+    assert twist(u) == _twist_by_lift_inverse(u)
