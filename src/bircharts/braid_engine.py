@@ -1,34 +1,40 @@
 """Transition maps between chart parametrizations, and the braid moves
-that serve as their test oracle.
+they fall back on.
 
 ``transition`` changes the parameters of the unipotent chart along one
-reduced word into those along another by the Chamber Ansatz
-(Berenstein-Fomin-Zelevinsky 1996, Thm 1.4).  The source chart is twisted
-once, z = twist(chart_U(word1, params)), and the k-th target parameter is a
-ratio of four chamber minors of z around the k-th crossing of word2:
+reduced word into those along another.  In type A it uses the Chamber
+Ansatz (Berenstein-Fomin-Zelevinsky 1996, Thm 1.4).  The source chart is
+twisted once, z = twist(chart_U(word1, params)), and the k-th target
+parameter is a ratio of four chamber minors of z around the k-th crossing
+of word2:
 
     t_k = D(w[:i+1]) D(w[:i-1]) / (D(w[:i]) D((w s_i)[:i]))
 
 where i is the k-th letter of word2, w = s_{i_1} ... s_{i_{k-1}} in
 one-line notation, and D(J) is the minor of z on rows 1..|J| and the
 sorted columns J (D of no columns or of all n columns is 1).  Each
-distinct minor is computed once, and the four are combined factor by
-factor, so no gcd of the products is ever taken.  Two reduced words of a
-shorter element w are completed by a common suffix to words for w0; the
-suffix parameters come back unchanged, which is checked.
+distinct minor is computed once.  Most gcds taken in reducing the ratio
+are of coprime polynomials, which the certificate in ``poly_gcd`` settles
+before its heuristic runs.
 
-Only type A is supported (only SL_n has a realization here); any other
-datum raises ``Unsupported`` before any work.
+Generators of different runs of adjacent letters commute, so each run a
+word uses is transformed on its own, as a word of the smallest SL_n that
+holds it; a short word costs the same in every group.  Two reduced words
+of an element shorter than w0 are completed by a common suffix to words
+for w0.  The suffix parameters are set to 1 and must come back unchanged,
+which is checked.
 
-The word graph under commuting and order-3 braid moves stays as an
-independent oracle: ``word_path`` finds a move sequence by breadth-first
-search, and ``apply_move`` applies the order-3 parameter rule
+Runs beyond SL_7, where the chamber formulas outgrow memory, and the other
+Cartan types compose braid moves: ``word_path`` finds a move sequence by
+breadth-first search of the word graph, and ``apply_move`` applies the
+commuting rule or the order-3 parameter rule
 
     x_i(a) x_j(b) x_i(c) = x_j(bc/(a+c)) x_i(a+c) x_j(ab/(a+c)),
 
 which is certified against the symbolic matrix identity in the test
-suite.  Connecting two words that would need an order-4 or order-6 move
-is reported as unsupported there.
+suite, where the moves also check the chamber route.  ``transition``
+raises ``Unsupported`` when the search exceeds its budget or the words
+need an order-4 or order-6 move.
 """
 
 from __future__ import annotations
@@ -37,8 +43,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .exact_arith import MultiPoly, RatFunc, ratio_of_products
-from .root_data import CartanDatum, is_reduced, weyl_from_word
+from .exact_arith import RatFunc
+from .root_data import CartanDatum, cartan, is_reduced, weyl_from_word
 from .sl_realization import Unsupported, _det, chart_U, twist
 
 @dataclass(frozen=True)
@@ -205,24 +211,84 @@ def _chamber_parameters(source: tuple, target: tuple, params: tuple,
     for i in target:
         ws = list(w)
         ws[i - 1], ws[i] = w[i], w[i - 1]
-        out.append(ratio_of_products((minor(w[:i + 1]), minor(w[:i - 1])),
-                                     (minor(w[:i]), minor(ws[:i]))))
+        out.append(minor(w[:i + 1]) * minor(w[:i - 1])
+                   / (minor(w[:i]) * minor(ws[:i])))
         w = ws
     return tuple(out)
 
 
+def _chamber_transition(word1: tuple, word2: tuple, params: tuple,
+                        n: int) -> tuple:
+    """Parameters along word2 of chart_U(word1, params, n)."""
+    if word1 == word2:
+        return params
+    suffix = _completion(word1, n)
+    # The target parameters do not depend on the suffix parameters (the
+    # suffix factor cancels on the right), so those are set to 1; the
+    # chamber minors stay nonzero there, being positive at positive points.
+    ones = (RatFunc.const(params[0].universe, 1),) * len(suffix)
+    out = _chamber_parameters(word1 + suffix, word2 + suffix, params + ones, n)
+    if out[len(word1):] != ones:
+        raise AssertionError("the completing suffix changed its parameters")
+    return out[:len(word1)]
+
+
+def _runs(word: tuple) -> list:
+    """The maximal runs of consecutive letters that a word uses."""
+    runs: list = []
+    for i in sorted(set(word)):
+        if runs and runs[-1][-1] == i - 1:
+            runs[-1].append(i)
+        else:
+            runs.append([i])
+    return runs
+
+
+def _restricted(word1: tuple, word2: tuple, run: list):
+    """Both words cut down to the letters of ``run``, shifted to start at 1,
+    with the positions the letters came from.
+
+    Generators of different runs commute, so each chart is the product of
+    its runs' charts, and the two words' cuts spell one element of SL_n,
+    n = len(run) + 1.
+    """
+    at1 = [k for k, i in enumerate(word1) if i in run]
+    at2 = [k for k, i in enumerate(word2) if i in run]
+    lo = run[0] - 1
+    return (tuple(word1[k] - lo for k in at1), tuple(word2[k] - lo for k in at2),
+            at1, at2)
+
+
+def _compose_moves(word1: tuple, word2: tuple, params: tuple,
+                   datum: CartanDatum) -> tuple:
+    """Parameters along word2, composing the moves of a word-graph path."""
+    try:
+        path = word_path(word1, word2, datum)
+    except ValueError as exc:  # the words are valid: the search gave up
+        raise Unsupported(str(exc)) from None
+    word = word1
+    for move in path:
+        word, params = apply_move(word, params, move, datum)
+    return params
+
+
+# The chamber construction grows with the run, not with the words: w0 of
+# SL_7 takes seconds, w0 of SL_8 exhausts gigabytes, and 21 letters on 21
+# adjacent generators run for minutes.  Longer runs compose braid moves.
+_CHAMBER_MAX_N = 7
+
+
 def transition(word1: Sequence[int], word2: Sequence[int], datum: CartanDatum,
                param_names: Optional[Sequence[str]] = None) -> TransitionMap:
-    """Parameters along word2 of the chart along word1, by the Chamber Ansatz.
+    """Parameters along word2 of the chart along word1.
 
     word1 and word2 must be reduced words of one Weyl group element;
     ``formulas[k]`` is the k-th parameter along word2 as a canonical
-    rational function of ``param_names`` (a1, a2, ... by default).  Raises
-    ``Unsupported`` outside type A, before any work.
+    rational function of ``param_names`` (a1, a2, ... by default).  Runs of
+    adjacent generators within SL_7 use the Chamber Ansatz; longer runs and
+    other types compose braid moves, and raise ``Unsupported`` where the
+    move search exceeds its budget or needs a move of order 4 or 6.
     """
-    if datum.type_label != "A":
-        raise Unsupported(
-            f"transition maps need type A, not {datum.type_label}{datum.rank}")
     w1, w2 = tuple(word1), tuple(word2)
     if param_names is None:
         param_names = tuple(f"a{k}" for k in range(1, len(w1) + 1))
@@ -233,28 +299,20 @@ def transition(word1: Sequence[int], word2: Sequence[int], datum: CartanDatum,
         raise ValueError("both words must be reduced")
     if weyl_from_word(w1, datum) != weyl_from_word(w2, datum):
         raise ValueError("reduced words have different Weyl-group products")
-    n = datum.rank + 1
-    suffix = _completion(w1, n)
-    # longer than every given name, so the suffix names cannot clash
-    stem = "_" * (1 + max(map(len, universe), default=0)) + "s"
-    full = universe + tuple(f"{stem}{k}" for k in range(1, len(suffix) + 1))
-    params = tuple(RatFunc.var(full, v) for v in full)
-    out = _chamber_parameters(w1 + suffix, w2 + suffix, params, n)
-    if out[len(w1):] != params[len(w1):]:
-        raise AssertionError("the completing suffix changed its parameters")
-    formulas = out[:len(w1)]
-    if suffix:
-        formulas = tuple(_restrict(f, universe) for f in formulas)
-    return TransitionMap(w1, w2, formulas)
-
-
-def _restrict(f: RatFunc, universe: tuple) -> RatFunc:
-    """f over the leading ``universe`` of its own universe."""
-    k = len(universe)
-
-    def cut(p: MultiPoly) -> MultiPoly:
-        if any(any(e[k:]) for e in p.terms):
-            raise AssertionError("a transition formula depends on the suffix")
-        return MultiPoly(universe, {e[:k]: c for e, c in p.terms.items()})
-
-    return RatFunc(cut(f.num), cut(f.den))
+    params = tuple(RatFunc.var(universe, v) for v in universe)
+    if w1 == w2:
+        return TransitionMap(w1, w2, params)
+    if datum.type_label != "A":
+        return TransitionMap(w1, w2, _compose_moves(w1, w2, params, datum))
+    formulas = [None] * len(w2)
+    for run in _runs(w1):
+        s1, s2, at1, at2 = _restricted(w1, w2, run)
+        sub = tuple(params[k] for k in at1)
+        n = len(run) + 1
+        if n <= _CHAMBER_MAX_N:
+            out = _chamber_transition(s1, s2, sub, n)
+        else:
+            out = _compose_moves(s1, s2, sub, cartan("A", n - 1))
+        for k, f in zip(at2, out):
+            formulas[k] = f
+    return TransitionMap(w1, w2, tuple(formulas))

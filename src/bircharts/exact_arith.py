@@ -45,9 +45,9 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import lru_cache, partial, reduce
+from functools import lru_cache, partial
 from math import gcd as _igcd, lcm as _ilcm
-from operator import add as _add, mul as _mul, sub as _sub
+from operator import add as _add, sub as _sub
 from typing import Iterable, Mapping, Sequence
 
 
@@ -1040,38 +1040,6 @@ def ratfunc_normalize(num: MultiPoly, den: MultiPoly) -> RatFunc:
             num = poly_exact_div(num, g)
             den = poly_exact_div(den, g)
     return _canonical_scale(num, den)
-
-
-def ratio_of_products(nums: Sequence[RatFunc], dens: Sequence[RatFunc]) -> RatFunc:
-    """Canonical prod(nums) / prod(dens) over one universe, reduced factor
-    by factor.
-
-    Each factor on top is made coprime to each factor below by cancelling
-    their pairwise gcds; in a unique factorisation domain that makes the
-    two products coprime, so no gcd of the (much larger) products is
-    taken.  Constant factors are promoted into the universe of the others.
-    Raises ZeroDivisionError when a factor of ``dens`` is zero.
-    """
-    factors = [*nums, *dens]
-    vars = next((f.universe for f in factors if not f.is_const),
-                factors[0].universe)
-    factors = [f if f.universe == vars else RatFunc.const(vars, f.const_value)
-               for f in factors]
-    nums, dens = factors[:len(nums)], factors[len(nums):]
-    top = [f.num for f in nums] + [f.den for f in dens]
-    bottom = [f.den for f in nums] + [f.num for f in dens]
-    if any(b.is_zero for b in bottom):
-        raise ZeroDivisionError("division by the zero function")
-    if any(t.is_zero for t in top):
-        return RatFunc.const(vars, 0)
-    for i, t in enumerate(top):
-        for j, b in enumerate(bottom):
-            g = poly_gcd(t, b)
-            if not g.is_one:
-                t = poly_exact_div(t, g)
-                bottom[j] = poly_exact_div(b, g)
-        top[i] = t
-    return _canonical_scale(reduce(_mul, top), reduce(_mul, bottom))
 
 
 def is_polynomial(f: RatFunc) -> bool:

@@ -26,7 +26,8 @@ from .root_data import CartanDatum, Weight, cartan, distinguished_word, \
 
 class Unsupported(Exception):
     """A well-formed request that this implementation does not cover, such
-    as a transition outside type A or a chart inversion above sl6."""
+    as a transition that needs an order-4 braid move or a chart inversion
+    above sl6."""
 
 
 def _as_ratfunc(x) -> RatFunc:

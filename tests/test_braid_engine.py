@@ -4,6 +4,7 @@ Chamber Ansatz, checked against move composition."""
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -250,11 +251,53 @@ def test_transition_sl6_reproduces_the_source_chart():
     assert chart_U(jj0, target, 6) == chart_U(jj1, [point[v] for v in names], 6)
 
 
-def test_transition_rejects_bad_words_and_other_types():
+def test_transition_of_short_words_in_a_large_group():
+    # each run of adjacent letters is completed on its own, so a short word
+    # costs the same at sl10 as at sl3
+    d = cartan("A", 9)
+    rng = random.Random("short/10")
+    pairs = [((1, 2, 1), (2, 1, 2)), ((8, 9, 8), (9, 8, 9)), ((1, 9), (9, 1)),
+             ((3, 4, 3, 7), (7, 4, 3, 4)),
+             ((1, 3, 5, 7, 2, 4, 6), (7, 5, 3, 1, 6, 4, 2))]  # spans SL_8: moves
+    for _ in range(4):
+        w1 = tuple(i + 4 for i in _random_word(5, rng, rng.randint(3, 6)))
+        pairs.append((w1, _moved(w1, d, rng)))
+    started = time.monotonic()
+    for w1, w2 in pairs:
+        names = tuple(f"c{k}" for k in range(1, len(w1) + 1))
+        assert transition(w1, w2, d, param_names=names).formulas == \
+            _by_moves(w1, w2, d, names)
+    assert time.monotonic() - started < 10  # about 0.1 s; minutes if w0 of sl10 is built
+
+
+def test_transition_beyond_the_chamber_range_gives_up_as_unsupported():
+    d = cartan("A", 7)
+    with pytest.raises(Unsupported, match="budget"):
+        transition(distinguished_word(d, 1), distinguished_word(d, 0), d)
+
+
+def test_transition_in_other_simply_laced_types():
+    d4 = cartan("D", 4)
+    w1 = (2, 1, 3, 4, 2, 1, 3, 4, 2, 1)
+    w2 = _moved(w1, d4, random.Random("d4"), steps=40)
+    bnames = tuple(f"b{k}" for k in range(1, len(w1) + 1))
+    anames = tuple(f"a{k}" for k in range(1, len(w1) + 1))
+    fwd = transition(w1, w2, d4, param_names=bnames)
+    assert fwd.formulas == _by_moves(w1, w2, d4, bnames)
+    assert any(not f.den.is_const for f in fwd.formulas)  # an order-3 move
+    back = transition(w2, w1, d4, param_names=anames)
+    assignment = dict(zip(anames, fwd.formulas))
+    assert tuple(substitute(f, assignment) for f in back.formulas) == \
+        _params(bnames)
+
+
+def test_transition_rejects_bad_words_and_higher_braid_orders():
     d = cartan("A", 3)
     with pytest.raises(ValueError, match="different"):
         transition((1, 2), (2, 1), d)
     with pytest.raises(ValueError, match="reduced"):
         transition((1, 1), (2, 2), d)
-    with pytest.raises(Unsupported, match="type A"):
+    b3 = cartan("B", 3)
+    assert transition((1, 3), (3, 1), b3).formulas == _params(["a1", "a2"])[::-1]
+    with pytest.raises(Unsupported, match="order 4 or 6"):
         transition((1, 2, 1, 2), (2, 1, 2, 1), cartan("B", 2))

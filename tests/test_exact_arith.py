@@ -362,15 +362,3 @@ def test_coprimality_certificate_moves_off_a_vanishing_leading_coefficient():
     p = (y - c) * x + 1  # leading coefficient in x vanishes at the first point
     assert exact_arith._certified_coprime(p, x + y)
     assert not exact_arith._certified_coprime(p * (x + y), (x - y) * (x + y))
-
-
-def test_ratio_of_products_cancels_factor_by_factor():
-    vs = ("a", "b", "c")
-    a, b, c = (RatFunc.var(vs, v) for v in vs)
-    s = a + b
-    f = exact_arith.ratio_of_products((s * c / a, s / b), (c * s / (a * b), s + c))
-    assert f == s / (s + c)
-    assert f == (s * c / a) * (s / b) / ((c * s / (a * b)) * (s + c))
-    assert exact_arith.ratio_of_products((a - a,), (b,)).is_zero
-    with pytest.raises(ZeroDivisionError):
-        exact_arith.ratio_of_products((a,), (b - b,))
