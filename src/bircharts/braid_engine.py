@@ -34,7 +34,8 @@ commuting rule or the order-3 parameter rule
 which is certified against the symbolic matrix identity in the test
 suite, where the moves also check the chamber route.  ``transition``
 raises ``Unsupported`` when the search exceeds its budget or the words
-need an order-4 or order-6 move.
+need an order-4 or order-6 move.  Nothing bounds the arithmetic along the
+path: D4 jj1 -> jj0 finds its 31 moves in 0.02 s, then composes past 100 s.
 """
 
 from __future__ import annotations

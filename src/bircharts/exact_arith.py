@@ -25,6 +25,11 @@ canonicalizes its input.  Kernel arithmetic builds its results through the
 trusted ``MultiPoly._make``, which stores terms it already knows to be
 valid without checking them again.
 
+There is one exact division and one content routine, on term dicts,
+shared by ``poly_exact_div``, the canonical scaling and the heuristic gcd.
+The division takes the remainder's terms off a heap in descending
+graded-lex order, so no term is looked at twice.
+
 ``substitute`` has one evaluator, which sums c * prod(v_i ** e_i) over
 the terms with one power cache per variable, and picks its arithmetic
 from the values.  When every value has a constant denominator, each is
@@ -46,12 +51,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache, partial
+from heapq import heapify, heappop, heappush
 from math import gcd as _igcd, lcm as _ilcm
-from operator import add as _add, sub as _sub
+from operator import add as _add, neg as _neg, sub as _sub
 from typing import Iterable, Mapping, Sequence
-
-
-_ONE = Fraction(1)
 
 
 class UniverseError(ValueError):
@@ -361,6 +364,49 @@ def _small_const(vs: tuple, c: int) -> MultiPoly:
 # ---------------------------------------------------------------------
 
 
+def _int_div(a: int, b: int):
+    """a // b when b divides a, else None."""
+    q, r = divmod(a, b)
+    return None if r else q
+
+
+def _quotient(p: dict, d: dict, div=_div):
+    """Quotient of the term dicts p / d (d nonzero), or None when d does
+    not divide p; ``div`` divides coefficients and returns None when it
+    cannot.  Each step adds only terms below the one it cancels, so the
+    heap hands out every remainder term once, largest first."""
+    d_exp = max(d, key=_grlex)
+    d_lc = d[d_exp]
+    d_terms = d.items()
+    rem = dict(p)
+    get = rem.get
+    heap = [(-sum(e), tuple(map(_neg, e)), e) for e in rem]
+    heapify(heap)
+    quot: dict = {}
+    while rem:
+        lexp = heappop(heap)[2]
+        c = get(lexp)
+        if c is None:
+            continue
+        qexp = tuple(map(_sub, lexp, d_exp))
+        if min(qexp, default=0) < 0:
+            return None
+        qc = div(c, d_lc)
+        if qc is None:
+            return None
+        quot[qexp] = qc
+        for e, dc in d_terms:
+            t = tuple(map(_add, qexp, e))
+            s = get(t, 0) - qc * dc
+            if not s:
+                del rem[t]
+                continue
+            if t not in rem:
+                heappush(heap, (-sum(t), tuple(map(_neg, t)), t))
+            rem[t] = s
+    return quot
+
+
 def poly_exact_div(p: MultiPoly, d: MultiPoly) -> MultiPoly:
     """Exact division p/d; raises ValueError when d does not divide p."""
     p, d = p._pair(d)
@@ -370,50 +416,39 @@ def poly_exact_div(p: MultiPoly, d: MultiPoly) -> MultiPoly:
         return p
     if d.is_const:
         return p.scale(_div(1, d.const_value))
-    rem = dict(p.terms)
-    get = rem.get
-    quot: dict = {}
-    d_exp = d.leading_exp()
-    d_lc = d.terms[d_exp]
-    d_terms = d.terms.items()
-    while rem:
-        lexp = max(rem, key=_grlex)
-        qexp = tuple(map(_sub, lexp, d_exp))
-        if min(qexp, default=0) < 0:
-            raise ValueError("polynomial division is not exact")
-        qc = _div(rem[lexp], d_lc)
-        quot[qexp] = qc
-        for e, c in d_terms:
-            t = tuple(map(_add, qexp, e))
-            s = get(t, 0) - qc * c
-            if s:
-                rem[t] = s
-            else:
-                rem.pop(t, None)
+    quot = _quotient(p.terms, d.terms)
+    if quot is None:
+        raise ValueError("polynomial division is not exact")
     return MultiPoly._make(p.vars, quot)
 
 
+def _primitive_terms(terms: dict):
+    """Write the nonzero term dict as scale * P, with P integer, of content
+    1 and with a positive graded-lex leading coefficient.  The scale is an
+    ``int`` when integral, and P is ``terms`` itself when the scale is 1."""
+    num = 0
+    den = 1
+    for c in terms.values():
+        if type(c) is int:
+            num = _igcd(num, c)
+        else:
+            num = _igcd(num, c.numerator)
+            den = _ilcm(den, c.denominator)
+    if terms[max(terms, key=_grlex)] < 0:
+        num = -num
+    if num == 1 and den == 1:
+        return 1, terms
+    # every c * den is an integer multiple of num
+    prim = {e: c * den // num for e, c in terms.items()}
+    return (num if den == 1 else Fraction(num, den)), prim
+
+
 def _int_primitive(p: MultiPoly):
-    """Write p = scale * P with P integer, content 1, positive leading coeff."""
-    if p.is_zero:
-        return Fraction(0), p
+    """Write the nonzero p as scale * P (see ``_primitive_terms``)."""
     if p.is_const:
         return p.const_value, _small_const(p.vars, 1)
-    num_gcd = 0
-    den_lcm = 1
-    for c in p.terms.values():
-        if type(c) is int:
-            num_gcd = _igcd(num_gcd, c)
-        else:
-            num_gcd = _igcd(num_gcd, c.numerator)
-            den_lcm = _ilcm(den_lcm, c.denominator)
-    if p.leading_coeff() < 0:
-        num_gcd = -num_gcd
-    if num_gcd == 1 and den_lcm == 1:
-        return _ONE, p
-    # every c * den_lcm is an integer multiple of num_gcd
-    prim = {e: int(c * den_lcm) // num_gcd for e, c in p.terms.items()}
-    return Fraction(num_gcd, den_lcm), MultiPoly._make(p.vars, prim)
+    scale, prim = _primitive_terms(p.terms)
+    return scale, (p if prim is p.terms else MultiPoly._make(p.vars, prim))
 
 
 def _primitive_positive(p: MultiPoly) -> MultiPoly:
@@ -526,26 +561,13 @@ def _content_of_univ(coeffs: dict) -> MultiPoly:
 
 # Heuristic GCD: evaluate at a large integer, take the gcd one level down,
 # reconstruct by balanced base-xi digits, and certify by trial division.
-# Works on raw int dicts (the inputs are integer-primitive) and falls back
-# to the subresultant PRS when it fails to converge.
+# Works on integer term dicts; the trial division runs over Z, so the first
+# coefficient that does not divide ends it.  Falls back to the subresultant
+# PRS when it fails to converge.
 
 
 class _HeuristicFailed(Exception):
     pass
-
-
-def _int_primitive_raw(terms: dict) -> dict:
-    content = 0
-    for c in terms.values():
-        content = _igcd(content, c)
-        if content == 1:
-            break
-    lead = max(terms, key=_grlex)
-    if terms[lead] < 0:
-        content = -content
-    if content in (0, 1):
-        return terms
-    return {e: c // content for e, c in terms.items()}
 
 
 def _eval_at_int_raw(terms: dict, v: int, xi: int) -> dict:
@@ -589,46 +611,11 @@ def _balanced_digits_raw(ge: dict, v: int, xi: int) -> dict:
     return terms
 
 
-def _exact_div_raw(p: dict, d: dict):
-    """Exact division of integer term dicts; None when not divisible."""
-    rem = dict(p)
-    quot: dict = {}
-    d_exp = max(d, key=_grlex)
-    d_lc = d[d_exp]
-    while rem:
-        lexp = max(rem, key=_grlex)
-        qexp = tuple(a - b for a, b in zip(lexp, d_exp))
-        if any(x < 0 for x in qexp):
-            return None
-        qc, r = divmod(rem[lexp], d_lc)
-        if r:
-            return None
-        quot[qexp] = qc
-        for e, c in d.items():
-            t = tuple(a + b for a, b in zip(qexp, e))
-            s = rem.get(t, 0) - qc * c
-            if s:
-                rem[t] = s
-            else:
-                rem.pop(t, None)
-    return quot
-
-
-def _content_raw(terms: dict) -> int:
-    content = 0
-    for c in terms.values():
-        content = _igcd(content, c)
-        if content == 1:
-            break
-    return content
-
-
 def _heu_gcd_raw(p: dict, q: dict, depth: int, width: int) -> dict:
-    """Content-inclusive gcd over the integers of raw term dicts."""
-    common = _igcd(_content_raw(p), _content_raw(q))
-    if common > 1:
-        p = {e: c // common for e, c in p.items()}
-        q = {e: c // common for e, c in q.items()}
+    """Content-inclusive gcd over the integers of nonzero integer term dicts."""
+    cp, p = _primitive_terms(p)
+    cq, q = _primitive_terms(q)
+    common = _igcd(cp, cq)
     present = set()
     for terms in (p, q):
         for e in terms:
@@ -636,7 +623,7 @@ def _heu_gcd_raw(p: dict, q: dict, depth: int, width: int) -> dict:
                 if x:
                     present.add(i)
     if not present:
-        # contents were coprime after extraction, so the gcd is the common part
+        # both primitive parts are 1, so the gcd is the common content
         return {(0,) * width: common}
     if depth > width + 2:
         raise _HeuristicFailed
@@ -659,9 +646,9 @@ def _heu_gcd_raw(p: dict, q: dict, depth: int, width: int) -> dict:
             if g_low is not None:
                 g = _balanced_digits_raw(g_low, v, xi)
                 if g:
-                    g = _int_primitive_raw(g)
-                    if (_exact_div_raw(p, g) is not None
-                            and _exact_div_raw(q, g) is not None):
+                    _, g = _primitive_terms(g)
+                    if (_quotient(p, g, _int_div) is not None
+                            and _quotient(q, g, _int_div) is not None):
                         if common > 1:
                             g = {e: common * c for e, c in g.items()}
                         return g
@@ -1025,7 +1012,7 @@ def _canonical_scale(num: MultiPoly, den: MultiPoly) -> RatFunc:
         return RatFunc.const(num.vars, num.const_value / den.const_value)
     cn, pn = _int_primitive(num)
     cd, pd = _int_primitive(den)
-    ratio = cn / cd
+    ratio = _div(cn, cd)
     return RatFunc._raw(pn.scale(ratio.numerator), pd.scale(ratio.denominator))
 
 

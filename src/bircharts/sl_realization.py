@@ -300,17 +300,17 @@ def chart_G(word: Sequence[int], word2: Sequence[int], params: Sequence,
 
 
 def iota(g: GroupMatrix) -> GroupMatrix:
-    """The pinning-swapping automorphism: x_i(a) <-> y_i(a), t -> t^{-1}."""
-    inv = g.inverse()
+    """The pinning-swapping automorphism: x_i(a) <-> y_i(a), t -> t^{-1}.
+    Entry (i, j) is the minor of g without row i and column j, which is
+    h (g^T)^{-1} h^{-1} for h = diag(1, -1, 1, ...), as det g = 1."""
     n = g.n
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            e = inv.entries[j][i]
-            row.append(e if (i + j) % 2 == 0 else -e)
-        out.append(row)
-    return GroupMatrix(out, check=False)
+    rows = g.entries
+    if n == 1:
+        return GroupMatrix([[rows[0][0].inv()]], check=False)
+    return GroupMatrix(
+        [[_det([[rows[a][b] for b in range(n) if b != j]
+                for a in range(n) if a != i]) for j in range(n)]
+         for i in range(n)], check=False)
 
 
 @dataclass(frozen=True)

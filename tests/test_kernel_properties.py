@@ -4,20 +4,24 @@ Kernel arithmetic builds its results with the trusted ``MultiPoly._make``,
 which checks nothing.  These properties re-validate every result through
 the public constructor, so a producer that emits a zero coefficient, an
 exponent vector of the wrong width, an integral Fraction or a float fails
-here.
+here.  The last property checks ``iota``, which is built from the kernel's
+determinants, against independent Fraction arithmetic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
-from bircharts import (MultiPoly, PoleError, RatFunc, exact_arith,  # noqa: E402
-                       poly_exact_div, poly_gcd, ratfunc_normalize, substitute)
+from bircharts import (MultiPoly, PoleError, RatFunc, TorusPoint,  # noqa: E402
+                       cartan, chart_G, distinguished_word, exact_arith,
+                       iota, poly_exact_div, poly_gcd, ratfunc_normalize,
+                       substitute)
 
 from helpers import reference_substitute  # noqa: E402
 
@@ -33,9 +37,9 @@ coeffs = st.one_of(
     st.fractions(min_value=-4, max_value=4, max_denominator=5))
 
 
-def polys(vars, max_deg=2, max_terms=4):
+def polys(vars, max_deg=2, max_terms=4, cs=coeffs):
     exps = st.tuples(*[st.integers(0, max_deg) for _ in vars])
-    terms = st.dictionaries(exps, coeffs, max_size=max_terms)
+    terms = st.dictionaries(exps, cs, max_size=max_terms)
     return terms.map(lambda t: MultiPoly(vars, t))
 
 
@@ -208,3 +212,120 @@ def test_certified_coprime_agrees_with_gcd_core(p, q, common):
     coprime = exact_arith._gcd_core(a, b).is_const
     assert exact_arith._certified_coprime(a, b) == coprime
     assert poly_gcd(a, b).is_one == coprime
+
+
+int_coeffs = st.integers(-6, 6)
+
+
+def single_terms(vars, coeff_strategy, max_deg=2):
+    """A single nonzero term c * x^e."""
+    exps = st.tuples(*[st.integers(0, max_deg) for _ in vars])
+    return st.builds(lambda e, c: MultiPoly(vars, {e: c}), exps,
+                     coeff_strategy.filter(bool))
+
+
+def _divides_term(d: MultiPoly, r: MultiPoly) -> bool:
+    # a divisor of a monomial is a monomial (up to a unit)
+    if not d.is_monomial:
+        return False
+    (de,), (re,) = d.terms, r.terms
+    return all(a <= b for a, b in zip(de, re))
+
+
+@SETTINGS
+@given(st.sampled_from(["int", "fraction"]), st.data())
+def test_division_returns_the_cofactor_or_reports_not_exact(kind, data):
+    cs = int_coeffs if kind == "int" else coeffs
+    q = data.draw(polys(XY, cs=cs))
+    d = data.draw(polys(XY, cs=cs).filter(lambda p: not p.is_const))
+    r = data.draw(single_terms(XY, cs))
+    assert exact_arith._quotient((q * d).terms, d.terms) == q.terms
+    assume(not _divides_term(d, r))
+    assert exact_arith._quotient((q * d + r).terms, d.terms) is None
+    with pytest.raises(ValueError):
+        poly_exact_div(q * d + r, d)
+
+
+@SETTINGS
+@given(polys(XY, cs=int_coeffs),
+       polys(XY, cs=int_coeffs).filter(lambda p: not p.is_const), st.data())
+def test_integer_trial_division_is_division_by_a_primitive_divisor(q, d, data):
+    # the heuristic gcd divides over Z by a primitive candidate; by Gauss's
+    # lemma that succeeds exactly when division over Q does
+    d = exact_arith._primitive_positive(d)
+    p = q * d
+    quot = exact_arith._quotient(p.terms, d.terms, exact_arith._int_div)
+    assert quot == q.terms
+    assert all(type(c) is int for c in quot.values())
+    # a term that lands on one of p's own terms, often the leading one,
+    # makes a quotient coefficient fail to divide
+    exps = st.tuples(*[st.integers(0, 2) for _ in XY])
+    e = data.draw(st.sampled_from(sorted(p.terms)) if p.terms else exps)
+    r = MultiPoly(XY, {e: data.draw(int_coeffs.filter(bool))})
+    assume(not _divides_term(d, r))
+    assert exact_arith._quotient((p + r).terms, d.terms,
+                                 exact_arith._int_div) is None
+
+
+@SETTINGS
+@given(nonzero_polys(XYZ, max_terms=5))
+def test_content_routine_splits_off_a_positive_primitive_part(p):
+    scale, prim = exact_arith._primitive_terms(p.terms)
+    P = MultiPoly(XYZ, prim)
+    assert P.scale(scale) == p
+    assert type(scale) is int or scale.denominator != 1
+    assert all(type(c) is int for c in prim.values())
+    content = 0
+    for c in prim.values():
+        content = gcd(content, c)
+    assert content == 1
+    assert P.leading_coeff() > 0
+    if scale == 1:
+        assert prim is p.terms
+    assert exact_arith._primitive_positive(p) == P
+
+
+def _fraction_det(rows):
+    """Determinant by Fraction Gaussian elimination (independent of _det)."""
+    m = [list(r) for r in rows]
+    det = Fraction(1)
+    for k in range(len(m)):
+        pivot = next((i for i in range(k, len(m)) if m[i][k]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            det = -det
+        det *= m[k][k]
+        for i in range(k + 1, len(m)):
+            f = m[i][k] / m[k][k]
+            for j in range(k, len(m)):
+                m[i][j] -= f * m[k][j]
+    return det
+
+
+small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 5), st.data())
+def test_iota_is_the_complementary_minor_matrix(n, data):
+    nu = n * (n - 1) // 2
+    word = distinguished_word(cartan("A", n - 1), 0)
+    params = data.draw(st.lists(small_rationals, min_size=nu, max_size=nu))
+    params2 = data.draw(st.lists(small_rationals, min_size=nu, max_size=nu))
+    torus = data.draw(st.lists(small_rationals.filter(bool),
+                               min_size=n - 1, max_size=n - 1))
+    g = chart_G(word, word, params, TorusPoint(tuple(
+        RatFunc.const((), c) for c in torus)), params2, "pm", n)
+    vals = [[e.const_value for e in row] for row in g.entries]
+    got = iota(g)
+    inv = g.inverse()
+    for i in range(n):
+        for j in range(n):
+            minor = [[vals[a][b] for b in range(n) if b != j]
+                     for a in range(n) if a != i]
+            assert got.entries[i][j] == _fraction_det(minor)
+            # iota(g) = h (g^T)^{-1} h^{-1} with h = diag(1, -1, 1, ...)
+            sign = 1 if (i + j) % 2 == 0 else -1
+            assert got.entries[i][j] == sign * inv.entries[j][i]
