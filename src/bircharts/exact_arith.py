@@ -32,13 +32,17 @@ graded-lex order, so no term is looked at twice.
 
 ``substitute`` has one evaluator, which sums c * prod(v_i ** e_i) over
 the terms with one power cache per variable, and picks its arithmetic
-from the values.  When every value has a constant denominator, each is
-divided by that constant and the sum is taken with polynomial arithmetic,
-then normalized once; otherwise it is taken with canonical ``RatFunc``
-arithmetic.  Both are needed: polynomial arithmetic on rational values
-clears ever larger common denominators (the test suite ran past ten
-minutes), and canonical arithmetic on polynomial values pays gcds at
-every step (dense pullbacks ran at under a quarter of the speed).
+from the values.  When every value has a single-term denominator
+c_i * x^m_i (a constant is the case m_i = 0), each is divided by c_i and
+the sum is taken with polynomial arithmetic: each term starts as the
+monomial that shifts it up to one common denominator x^top, so the shift
+costs no product of its own, and the quotient is normalized once.  When
+some denominator has two or more terms, the sum is taken with canonical
+``RatFunc`` arithmetic.  Both are needed: polynomial arithmetic on
+rational values clears ever larger common denominators (the test suite
+ran past ten minutes), and canonical arithmetic on polynomial values
+pays gcds at every step (dense pullbacks ran at under a quarter of the
+speed).
 
 Two values may be combined only when their universes agree; a constant is
 silently promoted into the other operand's universe (a constant mentions
@@ -797,6 +801,8 @@ def poly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
         return _primitive_positive(q)
     if q.is_zero:
         return _primitive_positive(p)
+    if p.is_const or q.is_const:
+        return MultiPoly.one(p.vars)
     mp = _monomial_content(p)
     mq = _monomial_content(q)
     shared = tuple(min(a, b) for a, b in zip(mp, mq))
@@ -855,7 +861,8 @@ class RatFunc:
 
     @classmethod
     def var(cls, vars: Sequence[str], name: str) -> "RatFunc":
-        return cls(MultiPoly.variable(vars, name))
+        p = MultiPoly.variable(vars, name)
+        return cls._raw(p, MultiPoly.one(p.vars))
 
     @property
     def universe(self) -> tuple:
@@ -1046,17 +1053,19 @@ def is_laurent_in(f: RatFunc, names: Iterable[str]) -> bool:
     return True
 
 
-def _evaluate(p: MultiPoly, values: list, const):
+def _evaluate(p: MultiPoly, values: list, const, start=None):
     """Sum of c * prod(values[i] ** e[i]) over the terms c * x^e of p.
 
     ``values`` are all MultiPoly or all RatFunc over one universe, and
     ``const(c)`` builds a constant of that type over it; each variable
-    keeps one cache of its powers.
+    keeps one cache of its powers.  ``start(c, e)``, when given, builds
+    the factor the term c * x^e starts from in place of ``const(c)``.
     """
     powers = [[const(1)] for _ in values]
     total = const(0)
     for e in sorted(p.terms, key=_grlex):
-        term = const(p.terms[e])
+        c = p.terms[e]
+        term = const(c) if start is None else start(c, e)
         for i, k in enumerate(e):
             if k:
                 cache = powers[i]
@@ -1096,14 +1105,35 @@ def substitute(f: RatFunc, assignment: Mapping[str, RatFunc]) -> RatFunc:
         tvars = values[0].universe if values else ()
     values = [val if val.universe == tvars
               else RatFunc.const(tvars, val.const_value) for val in values]
-    polynomial = all(val.den.is_const for val in values)
-    if polynomial:
-        values = [val.num.scale(1 / val.den.const_value) for val in values]
+    start = None
+    monomial = all(len(val.den.terms) == 1 for val in values)
+    if monomial:
+        # values[i] = P_i / (c_i * x^m_i): each term c * x^e of f.num and
+        # f.den evaluates to c * prod P_i^e_i over x^w(e), w(e) = sum
+        # e_i * m_i, and is shifted up to the common denominator x^top
+        dens = [next(iter(val.den.terms.items())) for val in values]
+        values = [val.num.scale(_div(1, c))
+                  for val, (_, c) in zip(values, dens)]
+        shifted = [(i, m) for i, (m, _) in enumerate(dens) if any(m)]
+        if shifted:
+            zero = (0,) * len(tvars)
+            weight = {}
+            for e in (*f.num.terms, *f.den.terms):
+                w = zero
+                for i, m in shifted:
+                    if e[i]:
+                        w = tuple(a + e[i] * b for a, b in zip(w, m))
+                weight[e] = w
+            top = tuple(map(max, zip(*weight.values())))
+
+            def start(c, e):
+                return MultiPoly._make(
+                    tvars, {tuple(map(_sub, top, weight[e])): c})
         const = partial(MultiPoly.const, tvars)
     else:
         const = partial(RatFunc.const, tvars)
-    num = _evaluate(f.num, values, const)
-    den = _evaluate(f.den, values, const)
+    num = _evaluate(f.num, values, const, start)
+    den = _evaluate(f.den, values, const, start)
     if den.is_zero:
         raise PoleError("pullback undefined: chart lies in pole locus")
-    return ratfunc_normalize(num, den) if polynomial else num / den
+    return ratfunc_normalize(num, den) if monomial else num / den

@@ -10,9 +10,13 @@ records the pullback itself so it can be re-checked independently.
 The chart matrices do not depend on the function being decided.  Each is
 built lazily, on first use, once per process per (space, n, word), and a
 decision is then a table lookup plus ``substitute``.  Certificates are the
-same as with a fresh build.  Held at once, the unipotent charts at sl3-sl7
-and the quotient and full-group charts at sl3-sl5 take about 1.6 MB
-(tracemalloc), of which the eight sl5 full-group charts take 0.77 MB.
+same as with a fresh build.  The chart entries are polynomials over
+monomials in the torus coordinates, so a pullback is summed with
+polynomial arithmetic over one common monomial and needs no per-step gcd,
+only its one final normalization.  Held at once, the unipotent charts at
+sl3-sl7 and the quotient and full-group charts at sl3-sl5 take about
+1.6 MB (tracemalloc), of which the eight sl5 full-group charts take
+0.77 MB.
 
 Chart inversion works for every n by one construction: factors are peeled
 off the left of the generic unitriangular matrix, each parameter a ratio of

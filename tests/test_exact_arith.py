@@ -7,8 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from bircharts import (MultiPoly, PoleError, RatFunc, UniverseError,
-                       exact_arith, is_laurent_in, is_polynomial,
+from bircharts import (MultiPoly, PoleError, RatFunc, UniverseError, cartan,
+                       distinguished_word, exact_arith, g_variables,
+                       is_laurent_in, is_polynomial, membership,
                        poly_exact_div, poly_gcd, ratfunc_normalize, substitute)
 
 from helpers import (divide_univariate, random_nonzero_poly, random_poly,
@@ -232,9 +233,9 @@ def test_substitute_pole_error():
 AB = ("a", "b")
 
 
-def _matches_reference(f, assignment):
+def _matches_reference(f, assignment, universe=AB):
     values = [assignment[v] for v in f.universe]
-    return substitute(f, assignment) == reference_substitute(f, values, AB)
+    return substitute(f, assignment) == reference_substitute(f, values, universe)
 
 
 def _ab():
@@ -272,8 +273,71 @@ def test_substitute_rational_values():
 def test_substitute_pole_error_with_rational_values():
     f = RatFunc(MultiPoly.one(XY), _x() - _y())
     a = RatFunc.var(("a",), "a")
-    with pytest.raises(PoleError):
-        substitute(f, {"x": 1 / a, "y": 1 / a})
+    # a monomial denominator, then a two-term one
+    for value in (1 / a, 1 / (a + 1)):
+        with pytest.raises(PoleError):
+            substitute(f, {"x": value, "y": value})
+
+
+def test_substitute_monomial_denominators():
+    a, b = _ab()
+    x, y = RatFunc(_x()), RatFunc(_y())
+    f = (x ** 3 * y - 3 * y + 1) / (x * y + 2 * y * y + 5)
+    for assignment in [{"x": (a + 1) / (2 * a), "y": b / (3 * a * a * b)},
+                       {"x": 1 / b, "y": (a * b - 1) / (6 * b ** 3)},
+                       {"x": (a - b) / (a * b), "y": Fraction(3, 4)}]:
+        assert _matches_reference(f, assignment)
+        assert _matches_reference(f.inv(), assignment)
+
+
+def _sl3_right_minor_functions():
+    """Products of right minors of the generic 3x3 matrix (minors on its
+    last columns, which are invariant under lower unitriangular factors on
+    the right) and reciprocals of right minors."""
+    names = g_variables(3)
+    g = {v: RatFunc.var(names, v) for v in names}
+    col3 = [g["g13"], g["g23"], g["g33"]]
+    cols23 = [g["g12"] * g["g23"] - g["g13"] * g["g22"],
+              g["g12"] * g["g33"] - g["g13"] * g["g32"],
+              g["g22"] * g["g33"] - g["g23"] * g["g32"]]
+    return [col3[0] * col3[1] - 2 * cols23[2], col3[2] * cols23[0] + 1,
+            cols23[0] * cols23[1], 3 / col3[1], Fraction(-1, 2) / cols23[1]]
+
+
+def _sl3_pullback(matrix):
+    """The assignment g_ij -> entry (i, j) of a 3x3 chart matrix."""
+    return {f"g{i}{j}": matrix.entry(i, j)
+            for i in range(1, 4) for j in range(1, 4)}
+
+
+def test_monomial_pullbacks_normalize_once(monkeypatch):
+    # the polynomial branch pays one gcd, in the final normalization; the
+    # RatFunc branch would pay gcds at every product and sum
+    calls = []
+    real_gcd = exact_arith.poly_gcd
+    monkeypatch.setattr(exact_arith, "poly_gcd",
+                        lambda p, q: calls.append(1) or real_gcd(p, q))
+    jj = distinguished_word(cartan("A", 2), 0)
+    matrix = membership._cached_chart_GmodU(jj, 0, "+", 3)
+    for phi in _sl3_right_minor_functions():
+        calls.clear()
+        substitute(phi, _sl3_pullback(matrix))
+        assert len(calls) == 1
+
+
+def test_substitute_through_sl3_quotient_and_group_charts():
+    # chart entries have monomial denominators in the torus coordinates
+    words = [distinguished_word(cartan("A", 2), eps) for eps in (0, 1)]
+    matrices = [membership._cached_chart_GmodU(jj, eps, sign, 3)
+                for eps, jj in enumerate(words) for sign in ("+", "-")]
+    matrices += [membership._cached_chart_G(jj, jj2, variant, 3)
+                 for jj in words for jj2 in words for variant in ("pm", "mp")]
+    assert len(matrices) == 12
+    for matrix in matrices:
+        assignment = _sl3_pullback(matrix)
+        universe = matrix.entry(1, 1).universe
+        for phi in _sl3_right_minor_functions():
+            assert _matches_reference(phi, assignment, universe)
 
 
 def test_is_polynomial_examples():

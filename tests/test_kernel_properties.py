@@ -35,6 +35,7 @@ SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
 coeffs = st.one_of(
     st.integers(-6, 6),
     st.fractions(min_value=-4, max_value=4, max_denominator=5))
+int_coeffs = st.integers(-6, 6)
 
 
 def polys(vars, max_deg=2, max_terms=4, cs=coeffs):
@@ -149,10 +150,20 @@ def test_substitute_composes(f, inner, outer):
     assert once == direct
 
 
+def single_terms(vars, coeff_strategy, max_deg=2):
+    """A single nonzero term c * x^e."""
+    exps = st.tuples(*[st.integers(0, max_deg) for _ in vars])
+    return st.builds(lambda e, c: MultiPoly(vars, {e: c}), exps,
+                     coeff_strategy.filter(bool))
+
+
 substituted = st.one_of(
     coeffs.map(lambda c: RatFunc.const(AB, c)),
     st.builds(lambda p, k: RatFunc(p) / k, polys(AB, max_deg=1, max_terms=3),
               st.integers(1, 6)),
+    # monomial denominators k * a^i * b^j
+    st.builds(RatFunc, polys(AB, max_deg=1, max_terms=3),
+              single_terms(AB, int_coeffs)),
     ratfuncs(AB, max_deg=1, max_terms=2))
 
 
@@ -167,6 +178,15 @@ def test_substitute_matches_term_by_term_reference(f, vals):
         return
     assert_canonical_ratfunc(got)
     assert got == reference_substitute(f, vals, AB)
+
+
+@SETTINGS
+@given(polys(XY), coeffs.filter(bool))
+def test_gcd_with_a_nonzero_constant_is_one(p, c):
+    const = MultiPoly.const(XY, c)
+    for g in (poly_gcd(p, const), poly_gcd(const, p)):
+        assert g.is_one
+        assert_canonical(g)
 
 
 @SETTINGS
@@ -212,16 +232,6 @@ def test_certified_coprime_agrees_with_gcd_core(p, q, common):
     coprime = exact_arith._gcd_core(a, b).is_const
     assert exact_arith._certified_coprime(a, b) == coprime
     assert poly_gcd(a, b).is_one == coprime
-
-
-int_coeffs = st.integers(-6, 6)
-
-
-def single_terms(vars, coeff_strategy, max_deg=2):
-    """A single nonzero term c * x^e."""
-    exps = st.tuples(*[st.integers(0, max_deg) for _ in vars])
-    return st.builds(lambda e, c: MultiPoly(vars, {e: c}), exps,
-                     coeff_strategy.filter(bool))
 
 
 def _divides_term(d: MultiPoly, r: MultiPoly) -> bool:
