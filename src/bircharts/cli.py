@@ -105,20 +105,20 @@ def _certificates_json(verdict):
 # -- subcommand handlers -------------------------------------------------
 
 
+# space -> (variable universe, decision); the decisions are looked up at
+# call time, so a wrapper put on their module-level names sees the call
+_SPACES = {
+    "u": (u_variables, lambda *a: decide_O_U(*a)),
+    "g-mod-u": (g_variables, lambda *a: decide_O_GmodU(*a)),
+    "g": (g_variables, lambda *a: decide_O_G(*a)),
+}
+
+
 def _cmd_membership(args, common):
     n = _parse_group(args.group)
     datum = _datum_for_group(n, common["labeling"])
-    if args.space == "u":
-        universe = u_variables(n)
-    else:
-        universe = g_variables(n)
-    phi = parse_expression(args.expr, universe)
-    if args.space == "u":
-        verdict = decide_O_U(phi, n, datum)
-    elif args.space == "g-mod-u":
-        verdict = decide_O_GmodU(phi, n, datum)
-    else:
-        verdict = decide_O_G(phi, n, datum)
+    variables, decide = _SPACES[args.space]
+    verdict = decide(parse_expression(args.expr, variables(n)), n, datum)
     report = {
         "group": f"sl{n}",
         "member": verdict.member,
@@ -296,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = subparser("membership", help="decide coordinate-ring membership")
-    p.add_argument("space", choices=["u", "g-mod-u", "g"])
+    p.add_argument("space", choices=list(_SPACES))
     p.add_argument("--group", required=False)
     p.add_argument("--expr", required=True)
 

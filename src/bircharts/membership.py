@@ -1,15 +1,19 @@
 """Coordinate-ring membership decision procedures.
 
-A rational function on the unipotent group (resp. the flag-type quotient,
-the full group) is regular if and only if its pullback along each of the
-two (resp. four, eight) distinguished bipartite charts is a polynomial
-(resp. a polynomial that is Laurent in the torus coordinates).  Each
-decision returns a verdict with one certificate per chart; a certificate
-records the pullback itself so it can be re-checked independently.
+A rational function on the unipotent group U (resp. the flag-type
+quotient G/U-, the full group G) is regular if and only if its pullback
+along each of the two (resp. four, eight) distinguished bipartite charts
+is a polynomial that is Laurent in the torus coordinates; U charts have
+none, so there the pullback must be a polynomial.  One table lists the
+charts of each space in certificate order, and one loop pulls the function
+back along each and returns a verdict with one certificate per chart; a
+certificate records the pullback itself so it can be re-checked
+independently.  The function must be given over the space's own
+variables, ``u_variables(n)`` or ``g_variables(n)``.
 
 The chart matrices do not depend on the function being decided.  Each is
-built lazily, on first use, once per process per (space, n, word), and a
-decision is then a table lookup plus ``substitute``.  Certificates are the
+built lazily, on first use, once per process per (chart, words, n), and a
+pullback is then a table lookup plus ``substitute``.  Certificates are the
 same as with a fresh build.  The chart entries are polynomials over
 monomials in the torus coordinates, so a pullback is summed with
 polynomial arithmetic over one common monomial and needs no per-step gcd,
@@ -34,7 +38,7 @@ from functools import lru_cache
 from math import isqrt
 from typing import Optional
 
-from .exact_arith import (PoleError, RatFunc, is_laurent_in, is_polynomial,
+from .exact_arith import (MultiPoly, PoleError, RatFunc, is_laurent_in,
                           substitute)
 from .root_data import CartanDatum, distinguished_word
 from .sl_realization import (GroupMatrix, TorusPoint, Unsupported, _datum_for,
@@ -83,27 +87,24 @@ class MembershipVerdict:
     failing_chart: Optional[ChartId]
 
 
-def _verdict(certs) -> MembershipVerdict:
-    certs = tuple(certs)
-    failing = next((c.chart for c in certs if not c.ok), None)
-    return MembershipVerdict(failing is None, certs, failing)
-
-
 # -- variable universes -------------------------------------------------
 
 
-def _idx(i: int, j: int) -> str:
-    return f"{i}{j}" if i < 10 and j < 10 else f"{i}_{j}"
+@lru_cache(maxsize=None)
+def _entries(stem: str, n: int) -> tuple:
+    """(name, i, j) for each matrix-entry variable, row by row: u_ij
+    strictly above the diagonal, g_ij everywhere (u1_10 past index 9)."""
+    return tuple((f"{stem}{i}{j}" if i < 10 and j < 10 else f"{stem}{i}_{j}", i, j)
+                 for i in range(1, n + 1)
+                 for j in range(i + 1 if stem == "u" else 1, n + 1))
 
 
 def u_variables(n: int) -> tuple:
-    return tuple(f"u{_idx(i, j)}" for i in range(1, n + 1)
-                 for j in range(i + 1, n + 1))
+    return tuple(name for name, _, _ in _entries("u", n))
 
 
 def g_variables(n: int) -> tuple:
-    return tuple(f"g{_idx(i, j)}" for i in range(1, n + 1)
-                 for j in range(1, n + 1))
+    return tuple(name for name, _, _ in _entries("g", n))
 
 
 def param_names(eps: int, nu: int) -> tuple:
@@ -115,11 +116,32 @@ def torus_names(n: int) -> tuple:
     return tuple(f"t{i}" for i in range(1, n))
 
 
-# -- chart tables -------------------------------------------------------
+def _require_universe(phi: RatFunc, stem: str, n: int) -> None:
+    if phi.universe != tuple(name for name, _, _ in _entries(stem, n)):
+        raise ValueError(f"expected a function of the {stem}_ij of sl{n}, "
+                         f"got one over {phi.universe}")
+
+
+def _pull_through_matrix(phi: RatFunc, stem: str, matrix) -> RatFunc:
+    """phi with each entry variable replaced by that entry of matrix, a
+    sequence of rows."""
+    return substitute(phi, {name: matrix[i - 1][j - 1]
+                            for name, i, j in _entries(stem, len(matrix))})
+
+
+# -- chart table --------------------------------------------------------
 #
-# Keyed by the words themselves rather than the datum, so a labeling
-# override gives other keys instead of a stale hit.  eps stays in the key
-# where it names the parameters (a... for 0, b... for 1).
+# The charts of each space in certificate order.  A chart matrix is cached
+# by its ChartId and the words themselves rather than the datum, so a
+# labeling override gives other keys instead of a stale hit.
+
+_CHARTS = {
+    "U": tuple(ChartId("U", eps) for eps in (0, 1)),
+    "GmodU": tuple(ChartId("GmodU", eps, sign=sign)
+                   for eps in (0, 1) for sign in ("+", "-")),
+    "G": tuple(ChartId("G", eps, eps2=eps2, variant=variant)
+               for eps in (0, 1) for eps2 in (0, 1) for variant in ("pm", "mp")),
+}
 
 
 def _datum(n: int, datum: Optional[CartanDatum]) -> CartanDatum:
@@ -127,90 +149,85 @@ def _datum(n: int, datum: Optional[CartanDatum]) -> CartanDatum:
 
 
 @lru_cache(maxsize=None)
-def _cached_chart_U(jj: tuple, eps: int, n: int) -> GroupMatrix:
-    universe = param_names(eps, len(jj))
-    params = [RatFunc.var(universe, v) for v in universe]
-    return chart_U(jj, params, n)
+def _chart(cid: ChartId, jj: tuple, jj2: Optional[tuple], n: int) -> GroupMatrix:
+    """The chart matrix over its parameters: those of jj (a... for eps 0,
+    b... for 1, a... in G), then the torus coordinates (not in U), then in
+    G the b-parameters of jj2."""
+    space = cid.space
+    blocks = (param_names(0 if space == "G" else cid.eps, len(jj)),
+              () if space == "U" else torus_names(n),
+              param_names(1, len(jj2)) if space == "G" else ())
+    universe = sum(blocks, ())
+    params, t, params2 = ([RatFunc.var(universe, v) for v in b] for b in blocks)
+    if space == "U":
+        return chart_U(jj, params, n)
+    if space == "GmodU":
+        return chart_GmodU(jj, params, TorusPoint(tuple(t)), cid.sign, n)
+    return chart_G(jj, jj2, params, TorusPoint(tuple(t)), params2, cid.variant, n)
 
 
-@lru_cache(maxsize=None)
-def _cached_chart_GmodU(jj: tuple, eps: int, sign: str, n: int) -> GroupMatrix:
-    names = param_names(eps, len(jj))
+def _pullback(phi: RatFunc, cid: ChartId, d: CartanDatum, n: int) -> RatFunc:
+    jj = distinguished_word(d, cid.eps)
+    jj2 = None if cid.eps2 is None else distinguished_word(d, cid.eps2)
+    return _pull_through_matrix(phi, "u" if cid.space == "U" else "g",
+                                _chart(cid, jj, jj2, n).entries)
+
+
+def _decide(phi: RatFunc, space: str, n: int,
+            datum: Optional[CartanDatum]) -> MembershipVerdict:
+    """One certificate per chart of the space, in table order: the
+    pullback, and whether it is a polynomial that is Laurent in the torus
+    coordinates (a U chart has none, so there it must be a polynomial)."""
+    _require_universe(phi, "u" if space == "U" else "g", n)
+    d = _datum(n, datum)
     tnames = torus_names(n)
-    universe = names + tnames
-    params = [RatFunc.var(universe, v) for v in names]
-    t = TorusPoint(tuple(RatFunc.var(universe, v) for v in tnames))
-    return chart_GmodU(jj, params, t, sign, n)
+    certs = []
+    for cid in _CHARTS[space]:
+        # U charts go through the public pullback_U, so that a wrapper on
+        # that name (perfbench/spans.py) sees the decision's pullbacks
+        pb = (pullback_U(phi, cid.eps, n, d) if space == "U"
+              else _pullback(phi, cid, d, n))
+        certs.append(Certificate(cid, pb, is_laurent_in(pb, tnames)))
+    failing = next((c.chart for c in certs if not c.ok), None)
+    return MembershipVerdict(failing is None, tuple(certs), failing)
 
 
-@lru_cache(maxsize=None)
-def _cached_chart_G(jj: tuple, jj2: tuple, variant: str, n: int) -> GroupMatrix:
-    anames = param_names(0, len(jj))
-    bnames = param_names(1, len(jj2))
-    tnames = torus_names(n)
-    universe = anames + tnames + bnames
-    aparams = [RatFunc.var(universe, v) for v in anames]
-    bparams = [RatFunc.var(universe, v) for v in bnames]
-    t = TorusPoint(tuple(RatFunc.var(universe, v) for v in tnames))
-    return chart_G(jj, jj2, aparams, t, bparams, variant, n)
-
-
-# -- unipotent group ----------------------------------------------------
+# -- the three spaces ---------------------------------------------------
 
 
 def pullback_U(phi: RatFunc, eps: int, n: int,
                datum: Optional[CartanDatum] = None) -> RatFunc:
     """Pullback along the bipartite unipotent chart for eps."""
-    jj = distinguished_word(_datum(n, datum), eps)
-    matrix = _cached_chart_U(jj, eps, n)
-    assignment = {}
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            assignment[f"u{_idx(i, j)}"] = matrix.entry(i, j)
-    return substitute(phi, assignment)
+    _require_universe(phi, "u", n)
+    return _pullback(phi, ChartId("U", eps), _datum(n, datum), n)
 
 
 def decide_O_U(phi: RatFunc, n: int,
                datum: Optional[CartanDatum] = None) -> MembershipVerdict:
     """Membership in the polynomial ring of the unipotent group."""
-    certs = []
-    for eps in (0, 1):
-        pb = pullback_U(phi, eps, n, datum)
-        certs.append(Certificate(ChartId("U", eps), pb, is_polynomial(pb)))
-    return _verdict(certs)
-
-
-# -- flag-type quotient and full group ----------------------------------
+    return _decide(phi, "U", n, datum)
 
 
 def check_invariance(phi: RatFunc) -> bool:
     """Whether phi(g y_j(s)) = phi(g) for every lower one-parameter subgroup."""
-    gvars = phi.universe
-    n2 = len(gvars)
-    n = isqrt(n2)
-    if n * n != n2:
+    n = isqrt(len(phi.universe))
+    if phi.universe != g_variables(n):
         raise ValueError("expected a full matrix-entry universe")
-    big = gvars + ("s",)
+    big = phi.universe + ("s",)
+    # phi over (g, s): a 0 appended to each exponent keeps the graded-lex
+    # order, so the padded form is canonical as it stands
+    num, den = (MultiPoly._make(big, {e + (0,): c for e, c in p.terms.items()})
+                for p in (phi.num, phi.den))
+    phi_big = RatFunc._raw(num, den)
     s = RatFunc.var(big, "s")
-    idmap = {v: RatFunc.var(big, v) for v in gvars}
-    phi_big = substitute(phi, idmap)
-    for j in range(1, n):
-        assignment = dict(idmap)
-        for k in range(1, n + 1):
-            assignment[f"g{_idx(k, j)}"] = (
-                idmap[f"g{_idx(k, j)}"] + s * idmap[f"g{_idx(k, j + 1)}"])
-        if substitute(phi, assignment) != phi_big:
+    g = [[RatFunc.var(big, v) for v in phi.universe[k:k + n]]
+         for k in range(0, n * n, n)]
+    for j in range(n - 1):
+        # g y_j(s): column j gains s times column j+1
+        moved = [row[:j] + [row[j] + s * row[j + 1]] + row[j + 1:] for row in g]
+        if _pull_through_matrix(phi, "g", moved) != phi_big:
             return False
     return True
-
-
-def _pull_through_matrix(phi: RatFunc, matrix: GroupMatrix) -> RatFunc:
-    n = matrix.n
-    assignment = {}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            assignment[f"g{_idx(i, j)}"] = matrix.entry(i, j)
-    return substitute(phi, assignment)
 
 
 def decide_O_GmodU(phi: RatFunc, n: int,
@@ -223,16 +240,7 @@ def decide_O_GmodU(phi: RatFunc, n: int,
     """
     if not check_invariance(phi):
         raise ValueError("not a function on G/U-: input is not right-invariant")
-    d = _datum(n, datum)
-    tnames = torus_names(n)
-    certs = []
-    for eps in (0, 1):
-        jj = distinguished_word(d, eps)
-        for sign in ("+", "-"):
-            pb = _pull_through_matrix(phi, _cached_chart_GmodU(jj, eps, sign, n))
-            certs.append(Certificate(ChartId("GmodU", eps, sign=sign), pb,
-                                     is_laurent_in(pb, tnames)))
-    return _verdict(certs)
+    return _decide(phi, "GmodU", n, datum)
 
 
 def decide_O_G(phi: RatFunc, n: int,
@@ -243,19 +251,7 @@ def decide_O_G(phi: RatFunc, n: int,
     eight chart pullbacks must be polynomial in both parameter blocks and
     Laurent in the torus coordinates.
     """
-    d = _datum(n, datum)
-    tnames = torus_names(n)
-    certs = []
-    for eps in (0, 1):
-        for eps2 in (0, 1):
-            jj = distinguished_word(d, eps)
-            jj2 = distinguished_word(d, eps2)
-            for variant in ("pm", "mp"):
-                pb = _pull_through_matrix(phi, _cached_chart_G(jj, jj2, variant, n))
-                certs.append(Certificate(
-                    ChartId("G", eps, eps2=eps2, variant=variant), pb,
-                    is_laurent_in(pb, tnames)))
-    return _verdict(certs)
+    return _decide(phi, "G", n, datum)
 
 
 # -- chart inversion ----------------------------------------------------
@@ -274,9 +270,9 @@ def _inversion_formulas(word: tuple, n: int) -> tuple:
     w <- w s_i.
     """
     uu = u_variables(n)
-    g = [[RatFunc.var(uu, f"u{_idx(i, j)}") if j > i
-          else RatFunc.const(uu, 1 if i == j else 0)
-          for j in range(1, n + 1)] for i in range(1, n + 1)]
+    g = [[RatFunc.const(uu, int(i == j)) for j in range(n)] for i in range(n)]
+    for name, i, j in _entries("u", n):
+        g[i - 1][j - 1] = RatFunc.var(uu, name)
     w = list(range(n, 0, -1))
     params = []
     for i in word:
@@ -308,11 +304,7 @@ def invert_chart(u: GroupMatrix, eps: int, n: int,
     d = _datum(n, datum)
     word = distinguished_word(d, eps)
     formulas = _inversion_formulas(word, n)
-    assignment = {}
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            assignment[f"u{_idx(i, j)}"] = u.entry(i, j)
     try:
-        return tuple(substitute(f, assignment) for f in formulas)
+        return tuple(_pull_through_matrix(f, "u", u.entries) for f in formulas)
     except (PoleError, ZeroDivisionError):
         raise ValueError("inverse undefined at this point") from None

@@ -410,40 +410,38 @@ def weight_sets(datum: CartanDatum, eps: int):
     return y_prime, y_dprime, y_eps
 
 
-def _descend_to_dominant(w: Weight, datum: CartanDatum):
+def _fundamental_descent(w: Weight, datum: CartanDatum):
+    """(u, i) with u of minimal length carrying the i-th fundamental weight
+    to w.
+
+    Found by repeatedly reflecting at a node that pairs negatively until
+    the weight is dominant; the recorded word is reduced.
+    """
     word: list = []
     cur = w
     while True:
         neg = next((j for j in range(1, datum.rank + 1) if cur.coords[j - 1] < 0), None)
         if neg is None:
-            return tuple(word), cur
+            break
         word.append(neg)
         cur = datum.reflect_weight(neg, cur)
-
-
-def fundamental_orbit_index(w: Weight, datum: CartanDatum) -> int:
-    """The i with w in the Weyl orbit of the i-th fundamental weight."""
-    _, dom = _descend_to_dominant(w, datum)
-    ones = [j + 1 for j, c in enumerate(dom.coords) if c == 1]
-    if len(ones) != 1 or sum(dom.coords) != 1:
-        raise ValueError(f"{w} is not in the orbit of a fundamental weight")
-    return ones[0]
-
-
-def minimal_coset_rep(w: Weight, datum: CartanDatum) -> WeylElement:
-    """Minimal-length Weyl element carrying a fundamental weight to w.
-
-    Found by repeatedly reflecting at a node that pairs negatively until
-    the weight is dominant; the recorded word is reduced.
-    """
-    word, dom = _descend_to_dominant(w, datum)
-    ones = [j + 1 for j, c in enumerate(dom.coords) if c == 1]
-    if len(ones) != 1 or sum(dom.coords) != 1:
+    ones = [j + 1 for j, c in enumerate(cur.coords) if c == 1]
+    if len(ones) != 1 or sum(cur.coords) != 1:
         raise ValueError(f"{w} is not in the orbit of a fundamental weight")
     elem = weyl_from_word(word, datum)
     if length(elem, datum) != len(word):
         raise AssertionError("descent word is not reduced")
-    return elem
+    return elem, ones[0]
+
+
+def fundamental_orbit_index(w: Weight, datum: CartanDatum) -> int:
+    """The i with w in the Weyl orbit of the i-th fundamental weight."""
+    return _fundamental_descent(w, datum)[1]
+
+
+def minimal_coset_rep(w: Weight, datum: CartanDatum) -> WeylElement:
+    """Minimal-length Weyl element carrying a fundamental weight to w."""
+    return _fundamental_descent(w, datum)[0]
 
 
 def simple_below(i: int, w: WeylElement, datum: CartanDatum) -> bool:

@@ -20,8 +20,8 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from .exact_arith import MultiPoly, RatFunc
-from .root_data import CartanDatum, Weight, cartan, distinguished_word, \
-    fundamental_orbit_index, is_reduced, minimal_coset_rep
+from .root_data import CartanDatum, Weight, _fundamental_descent, cartan, \
+    distinguished_word, is_reduced
 
 
 class Unsupported(Exception):
@@ -323,8 +323,8 @@ class MinorSpec:
 
 def minor_spec(weight: Weight, datum: CartanDatum) -> MinorSpec:
     """MinorSpec for a weight in the orbit of a fundamental weight."""
-    w = minimal_coset_rep(weight, datum)
-    return MinorSpec(fundamental_orbit_index(weight, datum), w.word)
+    w, i = _fundamental_descent(weight, datum)
+    return MinorSpec(i, w.word)
 
 
 def gen_minor(spec: MinorSpec, g: GroupMatrix) -> RatFunc:

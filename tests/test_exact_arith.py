@@ -7,8 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from bircharts import (MultiPoly, PoleError, RatFunc, UniverseError, cartan,
-                       distinguished_word, exact_arith, g_variables,
+from bircharts import (ChartId, MultiPoly, PoleError, RatFunc, UniverseError,
+                       cartan, distinguished_word, exact_arith, g_variables,
                        is_laurent_in, is_polynomial, membership,
                        poly_exact_div, poly_gcd, ratfunc_normalize, substitute)
 
@@ -318,7 +318,7 @@ def test_monomial_pullbacks_normalize_once(monkeypatch):
     monkeypatch.setattr(exact_arith, "poly_gcd",
                         lambda p, q: calls.append(1) or real_gcd(p, q))
     jj = distinguished_word(cartan("A", 2), 0)
-    matrix = membership._cached_chart_GmodU(jj, 0, "+", 3)
+    matrix = membership._chart(ChartId("GmodU", 0, sign="+"), jj, None, 3)
     for phi in _sl3_right_minor_functions():
         calls.clear()
         substitute(phi, _sl3_pullback(matrix))
@@ -328,10 +328,12 @@ def test_monomial_pullbacks_normalize_once(monkeypatch):
 def test_substitute_through_sl3_quotient_and_group_charts():
     # chart entries have monomial denominators in the torus coordinates
     words = [distinguished_word(cartan("A", 2), eps) for eps in (0, 1)]
-    matrices = [membership._cached_chart_GmodU(jj, eps, sign, 3)
+    matrices = [membership._chart(ChartId("GmodU", eps, sign=sign), jj, None, 3)
                 for eps, jj in enumerate(words) for sign in ("+", "-")]
-    matrices += [membership._cached_chart_G(jj, jj2, variant, 3)
-                 for jj in words for jj2 in words for variant in ("pm", "mp")]
+    matrices += [membership._chart(ChartId("G", eps, eps2=eps2, variant=variant),
+                                   jj, jj2, 3)
+                 for eps, jj in enumerate(words) for eps2, jj2 in enumerate(words)
+                 for variant in ("pm", "mp")]
     assert len(matrices) == 12
     for matrix in matrices:
         assignment = _sl3_pullback(matrix)

@@ -7,8 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from bircharts import (GroupMatrix, RatFunc, TorusPoint, Unsupported, cartan,
-                       check_invariance, chart_G, chart_GmodU, chart_U,
+from bircharts import (ChartId, GroupMatrix, RatFunc, TorusPoint, Unsupported,
+                       cartan, check_invariance, chart_G, chart_GmodU, chart_U,
                        decide_O_G, decide_O_GmodU, decide_O_U,
                        distinguished_word, g_variables, gen_minor,
                        invert_chart, is_polynomial, membership, minor_spec,
@@ -208,6 +208,20 @@ def test_decide_O_G_sl2():
     assert str(prod.certificates[0].pullback) == "(a1*b1)/(t1^2)"
 
 
+def test_decisions_reject_a_smaller_groups_universe():
+    # over sl3's variables, phi would be decided on a corner of sl4's charts
+    _, u = _uvars(3)
+    for call in (lambda: decide_O_U(u["u12"], 4), lambda: pullback_U(u["u12"], 0, 4)):
+        with pytest.raises(ValueError, match="u_ij of sl4"):
+            call()
+    _, g = _gvars(3)
+    for decide in (decide_O_G, decide_O_GmodU):
+        with pytest.raises(ValueError, match="g_ij of sl4"):
+            decide(g["g13"], 4)
+    with pytest.raises(ValueError, match="g_ij of sl3"):
+        decide_O_G(u["u12"], 3)
+
+
 def test_decide_O_G_accepts_entry_polynomials_sl3():
     rng = random.Random(13)
     names, _ = _gvars(3)
@@ -282,7 +296,8 @@ def test_cached_chart_U_equals_fresh(n):
     d = cartan("A", n - 1)
     for eps in (0, 1):
         jj = distinguished_word(d, eps)
-        assert membership._cached_chart_U(jj, eps, n) == _fresh_chart_U(jj, eps, n)
+        assert (membership._chart(ChartId("U", eps), jj, None, n)
+                == _fresh_chart_U(jj, eps, n))
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -291,11 +306,12 @@ def test_cached_charts_GmodU_and_G_equal_fresh(n):
     words = [distinguished_word(d, eps) for eps in (0, 1)]
     for eps, jj in enumerate(words):
         for sign in ("+", "-"):
-            assert (membership._cached_chart_GmodU(jj, eps, sign, n)
+            assert (membership._chart(ChartId("GmodU", eps, sign=sign), jj, None, n)
                     == _fresh_chart_GmodU(jj, eps, sign, n))
-        for jj2 in words:
+        for eps2, jj2 in enumerate(words):
             for variant in ("pm", "mp"):
-                assert (membership._cached_chart_G(jj, jj2, variant, n)
+                cid = ChartId("G", eps, eps2=eps2, variant=variant)
+                assert (membership._chart(cid, jj, jj2, n)
                         == _fresh_chart_G(jj, jj2, variant, n))
 
 
@@ -305,8 +321,9 @@ def test_cached_charts_are_shared_and_immutable():
     first = decide_O_G(phi, 3)
     assert decide_O_G(phi, 3) == first
     jj = distinguished_word(cartan("A", 2), 0)
-    matrix = membership._cached_chart_G(jj, jj, "pm", 3)
-    assert matrix is membership._cached_chart_G(jj, jj, "pm", 3)
+    cid = ChartId("G", 0, eps2=0, variant="pm")
+    matrix = membership._chart(cid, jj, jj, 3)
+    assert matrix is membership._chart(cid, jj, jj, 3)
     assert isinstance(matrix.entries, tuple)
     assert all(isinstance(row, tuple) for row in matrix.entries)
     with pytest.raises(TypeError):
@@ -321,13 +338,13 @@ def test_each_chart_is_built_once(monkeypatch):
         return chart_U(word, params, n)
 
     monkeypatch.setattr(membership, "chart_U", counting_chart_U)
-    membership._cached_chart_U.cache_clear()
+    membership._chart.cache_clear()
     try:
         names, u = _uvars(4)
         for phi in (u["u12"], u["u13"] + u["u24"], u["u14"].inv()):
             decide_O_U(phi, 4)
     finally:
-        membership._cached_chart_U.cache_clear()
+        membership._chart.cache_clear()
     assert sorted(built) == sorted((distinguished_word(cartan("A", 3), eps), 4)
                                    for eps in (0, 1))
 
