@@ -71,10 +71,6 @@ class TransitionMap:
     formulas: tuple
 
 
-def _commutes(datum: CartanDatum, i: int, j: int) -> bool:
-    return datum.cartan[i - 1][j - 1] == 0
-
-
 def _braid3_pair(datum: CartanDatum, i: int, j: int) -> bool:
     return (i != j and
             datum.cartan[i - 1][j - 1] * datum.cartan[j - 1][i - 1] == 1)
@@ -86,7 +82,7 @@ def _move_word(word: tuple, move: Move, datum: CartanDatum) -> tuple:
         if p < 0 or p + 1 >= len(word):
             raise ValueError("move position out of range")
         i, j = word[p], word[p + 1]
-        if i == j or not _commutes(datum, i, j):
+        if i == j or not datum.commuting(i, j):
             raise ValueError("commute move not applicable here")
         return word[:p] + (j, i) + word[p + 2:]
     if move.kind == "braid3":
@@ -128,7 +124,7 @@ def available_moves(word: tuple, datum: CartanDatum):
     moves = []
     for p in range(len(word) - 1):
         i, j = word[p], word[p + 1]
-        if i != j and _commutes(datum, i, j):
+        if i != j and datum.commuting(i, j):
             moves.append(Move(p, "commute"))
     for p in range(len(word) - 2):
         i, j = word[p], word[p + 1]

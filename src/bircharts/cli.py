@@ -133,12 +133,10 @@ def _cmd_membership(args, common):
 def _cmd_chart_eval(args, common):
     n = _parse_group(args.group)
     datum = _datum_for_group(n, common["labeling"])
-    if args.word == "custom":
-        if not args.letters:
-            raise UsageError("--word custom requires --letters")
-        word = tuple(int(x) for x in args.letters.split(","))
-    else:
-        word, _ = _word_arg(args.word, datum)
+    custom = args.word == "custom"
+    if custom and not args.letters:
+        raise UsageError("--word custom requires --letters")
+    word, _ = _word_arg(args.letters if custom else args.word, datum)
     stem = "b" if args.word == "jj1" else "a"
     universe = tuple(f"{stem}{k}" for k in range(1, len(word) + 1))
     if args.params:

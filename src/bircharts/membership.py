@@ -9,18 +9,18 @@ charts of each space in certificate order, and one loop pulls the function
 back along each and returns a verdict with one certificate per chart; a
 certificate records the pullback itself so it can be re-checked
 independently.  The function must be given over the space's own
-variables, ``u_variables(n)`` or ``g_variables(n)``.
+variables, ``u_variables(n)`` or ``g_variables(n)``; on G/U- it must also
+be right-invariant, which ``check_invariance`` tests by vector fields.
 
 The chart matrices do not depend on the function being decided.  Each is
 built lazily, on first use, once per process per (chart, words, n), and a
-pullback is then a table lookup plus ``substitute``.  Certificates are the
-same as with a fresh build.  The chart entries are polynomials over
-monomials in the torus coordinates, so a pullback is summed with
-polynomial arithmetic over one common monomial and needs no per-step gcd,
-only its one final normalization.  Held at once, the unipotent charts at
-sl3-sl7 and the quotient and full-group charts at sl3-sl5 take about
-1.6 MB (tracemalloc), of which the eight sl5 full-group charts take
-0.77 MB.
+pullback is then a table lookup plus ``substitute``.  The chart entries
+are polynomials over monomials in the torus coordinates, so a pullback is
+summed with polynomial arithmetic over one common monomial and needs no
+per-step gcd, only its one final normalization.  Held at once, the
+unipotent charts at sl3-sl7 and the quotient and full-group charts at
+sl3-sl5 take about 1.6 MB (tracemalloc), of which the eight sl5
+full-group charts take 0.77 MB.
 
 Chart inversion works for every n by one construction: factors are peeled
 off the left of the generic unitriangular matrix, each parameter a ratio of
@@ -38,7 +38,7 @@ from functools import lru_cache
 from math import isqrt
 from typing import Optional
 
-from .exact_arith import (MultiPoly, PoleError, RatFunc, is_laurent_in,
+from .exact_arith import (MultiPoly, PoleError, RatFunc, _canon, is_laurent_in,
                           substitute)
 from .root_data import CartanDatum, distinguished_word
 from .sl_realization import (GroupMatrix, TorusPoint, Unsupported, _datum_for,
@@ -208,26 +208,29 @@ def decide_O_U(phi: RatFunc, n: int,
     return _decide(phi, "U", n, datum)
 
 
+def _derivation(p: MultiPoly, sources) -> MultiPoly:
+    """D(p) for the vector field D = sum of x_{k+1} d/dx_k over k in
+    sources, acting on exponent tuples."""
+    terms: dict = {}
+    for e, c in p.terms.items():
+        for k in sources:
+            if e[k]:
+                f = e[:k] + (e[k] - 1, e[k + 1] + 1) + e[k + 2:]
+                terms[f] = terms.get(f, 0) + c * e[k]
+    return MultiPoly._make(p.vars, _canon(terms))
+
+
 def check_invariance(phi: RatFunc) -> bool:
-    """Whether phi(g y_j(s)) = phi(g) for every lower one-parameter subgroup."""
+    """Whether phi(g y_j(s)) = phi(g) for every lower one-parameter subgroup:
+    phi = p/q is invariant under the flow of y_j exactly when D(p) q = p D(q)
+    for its vector field D = sum_i g_{i,j+1} d/dg_{i,j} (characteristic 0)."""
     n = isqrt(len(phi.universe))
     if phi.universe != g_variables(n):
         raise ValueError("expected a full matrix-entry universe")
-    big = phi.universe + ("s",)
-    # phi over (g, s): a 0 appended to each exponent keeps the graded-lex
-    # order, so the padded form is canonical as it stands
-    num, den = (MultiPoly._make(big, {e + (0,): c for e, c in p.terms.items()})
-                for p in (phi.num, phi.den))
-    phi_big = RatFunc._raw(num, den)
-    s = RatFunc.var(big, "s")
-    g = [[RatFunc.var(big, v) for v in phi.universe[k:k + n]]
-         for k in range(0, n * n, n)]
-    for j in range(n - 1):
-        # g y_j(s): column j gains s times column j+1
-        moved = [row[:j] + [row[j] + s * row[j + 1]] + row[j + 1:] for row in g]
-        if _pull_through_matrix(phi, "g", moved) != phi_big:
-            return False
-    return True
+    p, q = phi.num, phi.den
+    # g_{i,j} is variable (i-1)n + j-1, so range(j, n*n, n) is column j+1
+    return all(_derivation(p, col) * q == p * _derivation(q, col)
+               for col in (range(j, n * n, n) for j in range(n - 1)))
 
 
 def decide_O_GmodU(phi: RatFunc, n: int,

@@ -6,6 +6,12 @@ and the full group, Weyl-group lifts, the automorphism swapping the two
 triangular subgroups, generalized minors, LDU (Gauss) decomposition, and
 the big-cell twist involution.
 
+Right multiplication by x_i(a), y_i(a) or the dot lift of s_i is a column
+operation on a list of rows, in place (``_act``); the x/y generators, the
+charts and the twist are built that way, the torus as column scaling and
+the w0 lift as signed swaps.  ``lift`` and ``gen_minor`` still multiply
+generator matrices.
+
 The torus is coordinatized so that the i-th fundamental character reads
 off the i-th coordinate: diag(t1, t2/t1, ..., t_{n-1}/t_{n-2}, 1/t_{n-1}).
 The swap automorphism is realized as g -> h (g^T)^{-1} h^{-1} with
@@ -16,7 +22,8 @@ identities in the test suite, not assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import mul
 from typing import Optional, Sequence
 
 from .exact_arith import MultiPoly, RatFunc
@@ -89,18 +96,14 @@ class GroupMatrix:
                 raise ValueError("matrix determinant is not 1")
 
     def det(self) -> RatFunc:
-        rows = [list(r) for r in self.entries]
+        rows = self.entries
         if _is_triangular(rows, True) or _is_triangular(rows, False):
-            d = RatFunc.const((), 1)
-            for i in range(self.n):
-                d = d * rows[i][i]
-            return d
+            return reduce(mul, (rows[i][i] for i in range(self.n)))
         return _det(rows)
 
     @classmethod
     def identity(cls, n: int) -> "GroupMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)],
-                   check=False)
+        return cls(_identity_rows(n), check=False)
 
     def __matmul__(self, other: "GroupMatrix") -> "GroupMatrix":
         if self.n != other.n:
@@ -182,14 +185,7 @@ class TorusPoint:
         return len(self.coords) + 1
 
     def matrix(self) -> GroupMatrix:
-        n = self.n
-        diag = [self.coords[0]]
-        for k in range(1, n - 1):
-            diag.append(self.coords[k] / self.coords[k - 1])
-        diag.append(self.coords[-1].inv())
-        return GroupMatrix(
-            [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)],
-            check=False)
+        return GroupMatrix(_scale(_identity_rows(self.n), self), check=False)
 
     def inverse(self) -> "TorusPoint":
         return TorusPoint(tuple(c.inv() for c in self.coords))
@@ -200,46 +196,58 @@ def torus_point(coords: Sequence[RatFunc]) -> GroupMatrix:
     return TorusPoint(tuple(_as_ratfunc(c) for c in coords)).matrix()
 
 
-def generator(kind: str, i: int, arg: Optional[RatFunc], n: int) -> GroupMatrix:
-    """Pinned generators: x/y one-parameter subgroups, sdot/sddot Weyl lifts."""
-    if not 1 <= i <= n - 1:
-        raise ValueError(f"index {i} out of range for SL_{n}")
-    if kind in ("x", "y"):
-        if arg is None:
-            raise ValueError(f"generator {kind!r} requires an argument")
-        a = _as_ratfunc(arg)
-        m = [[_as_ratfunc(1 if r == c else 0) for c in range(n)] for r in range(n)]
-        if kind == "x":
-            m[i - 1][i] = a
-        else:
-            m[i][i - 1] = a
-        return GroupMatrix(m)
-    if kind == "sdot":
-        one = RatFunc.const((), 1)
-        return (generator("x", i, one, n) @ generator("y", i, -one, n)
-                @ generator("x", i, one, n))
-    if kind == "sddot":
-        one = RatFunc.const((), 1)
-        return (generator("y", i, one, n) @ generator("x", i, -one, n)
-                @ generator("y", i, one, n))
-    raise ValueError(f"unknown generator kind {kind!r}")
+def _identity_rows(n: int) -> list:
+    return [[_as_ratfunc(1 if r == c else 0) for c in range(n)] for r in range(n)]
 
 
-def _product(kind: str, word: Sequence[int], params: Sequence, n: int) -> GroupMatrix:
+def _act(rows: list, kind: str, word: Sequence[int],
+         params: Optional[Sequence] = None) -> list:
+    """rows times the kind-letters along the word, in place: x_i(a) adds a
+    times column i to column i+1, y_i(a) adds a times column i+1 to column
+    i, and s_i (no parameter) moves column i+1, negated, to column i and
+    column i to column i+1.  Zero source entries are skipped."""
     word = tuple(word)
-    params = tuple(params)
+    params = (None,) * len(word) if params is None else tuple(map(_as_ratfunc, params))
     if len(word) != len(params):
         raise ValueError(
             f"length mismatch: word has {len(word)} letters, {len(params)} parameters")
-    out = GroupMatrix.identity(n)
     for i, a in zip(word, params):
-        out = out @ generator(kind, i, _as_ratfunc(a), n)
-    return out
+        if not 1 <= i < len(rows):
+            raise ValueError(f"index {i} out of range for SL_{len(rows)}")
+        p, q = (i, i - 1) if kind == "y" else (i - 1, i)
+        for row in rows:
+            if kind == "s":
+                row[p], row[q] = -row[q], row[p]
+            elif not row[p].is_zero:
+                row[q] = row[q] + a * row[p]
+    return rows
+
+
+def _scale(rows: list, t: TorusPoint) -> list:
+    """rows times the torus element t, in place, as column scaling."""
+    c = t.coords
+    diag = [c[0], *(c[k] / c[k - 1] for k in range(1, len(c))), c[-1].inv()]
+    for row in rows:
+        row[:] = [e * d for e, d in zip(row, diag)]
+    return rows
+
+
+def generator(kind: str, i: int, arg: Optional[RatFunc], n: int) -> GroupMatrix:
+    """Pinned generators: x/y one-parameter subgroups, sdot/sddot Weyl lifts."""
+    if kind in ("x", "y"):
+        if arg is None:
+            raise ValueError(f"generator {kind!r} requires an argument")
+        return GroupMatrix(_act(_identity_rows(n), kind, (i,), (arg,)))
+    if kind in ("sdot", "sddot"):
+        one = RatFunc.const((), 1)
+        a, b = ("x", "y") if kind == "sdot" else ("y", "x")
+        return generator(a, i, one, n) @ generator(b, i, -one, n) @ generator(a, i, one, n)
+    raise ValueError(f"unknown generator kind {kind!r}")
 
 
 def chart_U(word: Sequence[int], params: Sequence, n: int) -> GroupMatrix:
     """Product of upper one-parameter generators along the word."""
-    return _product("x", word, params, n)
+    return GroupMatrix(_act(_identity_rows(n), "x", word, params), check=False)
 
 
 @lru_cache(maxsize=None)
@@ -277,11 +285,10 @@ def chart_GmodU(word: Sequence[int], params: Sequence, t: TorusPoint,
     nu = n * (n - 1) // 2
     if len(tuple(params)) != nu:
         raise ValueError(f"length mismatch: expected {nu} parameters")
-    if sign == "+":
-        return _product("x", word, params, n) @ t.matrix()
-    if sign == "-":
-        return _product("y", word, params, n) @ t.matrix() @ lift(_w0_word(n), "dot", n)
-    raise ValueError(f"unknown sign {sign!r}")
+    if sign not in ("+", "-"):
+        raise ValueError(f"unknown sign {sign!r}")
+    rows = _scale(_act(_identity_rows(n), "x" if sign == "+" else "y", word, params), t)
+    return GroupMatrix(_act(rows, "s", _w0_word(n) if sign == "-" else ()), check=False)
 
 
 def chart_G(word: Sequence[int], word2: Sequence[int], params: Sequence,
@@ -291,12 +298,12 @@ def chart_G(word: Sequence[int], word2: Sequence[int], params: Sequence,
     nu = n * (n - 1) // 2
     if len(tuple(params)) != nu or len(tuple(params2)) != nu:
         raise ValueError(f"length mismatch: expected {nu} parameters per block")
-    if variant == "pm":
-        return _product("x", word, params, n) @ t.matrix() @ _product("y", word2, params2, n)
-    if variant == "mp":
-        return (_product("y", word, params, n) @ t.inverse().matrix()
-                @ _product("x", word2, params2, n))
-    raise ValueError(f"unknown variant {variant!r}")
+    if variant not in ("pm", "mp"):
+        raise ValueError(f"unknown variant {variant!r}")
+    first, second = ("x", "y") if variant == "pm" else ("y", "x")
+    rows = _scale(_act(_identity_rows(n), first, word, params),
+                  t if variant == "pm" else t.inverse())
+    return GroupMatrix(_act(rows, second, word2, params2), check=False)
 
 
 def iota(g: GroupMatrix) -> GroupMatrix:
@@ -346,7 +353,7 @@ def gauss_decompose(g: GroupMatrix):
     """
     n = g.n
     m = [list(row) for row in g.entries]
-    lower = [[_as_ratfunc(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    lower = _identity_rows(n)
     for k in range(n):
         pivot = m[k][k]
         if pivot.is_zero:
@@ -371,19 +378,14 @@ def twist(u: GroupMatrix) -> GroupMatrix:
     """Big-cell twist involution on the upper unitriangular group.
 
     Gauss-decompose u times the inverse w0-lift and push the lower factor
-    through the swap automorphism; defined exactly on the big cell.
+    through the swap automorphism; defined exactly on the big cell.  The
+    w0-lift itself is applied: it differs from its inverse by a diagonal
+    right factor, which changes D and U but not L.
     """
     if not u.is_upper_unitriangular:
         raise ValueError("twist is defined on upper unitriangular matrices")
-    # The inverse of the dot lift of w0 is the product of the inverses of
-    # its letters' lifts in reverse order; right multiplication by the
-    # inverse of sdot_i moves column i+1 to column i and column i, negated,
-    # to column i+1.
-    rows = [list(row) for row in u.entries]
-    for i in reversed(_w0_word(u.n)):
-        for row in rows:
-            row[i - 1], row[i] = row[i], -row[i - 1]
-    m = GroupMatrix(rows, check=False)
+    m = GroupMatrix(_act([list(row) for row in u.entries], "s", _w0_word(u.n)),
+                    check=False)
     try:
         L, _, _ = gauss_decompose(m)
     except ValueError:

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import isqrt
 
-from bircharts import MultiPoly, RatFunc
+from bircharts import (GroupMatrix, MultiPoly, RatFunc, cartan,
+                       distinguished_word, lift, substitute)
 
 
 def random_poly(rng: random.Random, vars, max_deg=2, max_terms=3,
@@ -164,3 +166,56 @@ def golden_sl4_transition():
         b["b1"] * b["b3"] * b["b5"] / p,
     )
     return names, formulas, (p, q, r)
+
+
+# Reference chart products: every letter a freshly built, determinant-checked
+# elementary matrix multiplied in with a full matmul, the torus as a diagonal
+# matrix and the w0 lift as a product of generator matrices.
+
+def reference_generator(kind, i, a, n):
+    """x_i(a) = I + a E_{i,i+1} or y_i(a) = I + a E_{i+1,i}."""
+    m = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
+    if kind == "x":
+        m[i - 1][i] = a
+    else:
+        m[i][i - 1] = a
+    return GroupMatrix(m)
+
+
+def reference_product(kind, word, params, n):
+    out = GroupMatrix.identity(n)
+    for i, a in zip(word, params):
+        out = out @ reference_generator(kind, i, a, n)
+    return out
+
+
+def reference_chart_GmodU(word, params, t, sign, n):
+    if sign == "+":
+        return reference_product("x", word, params, n) @ t.matrix()
+    w0 = distinguished_word(cartan("A", n - 1), 0)
+    return reference_product("y", word, params, n) @ t.matrix() @ lift(w0, "dot", n)
+
+
+def reference_chart_G(word, word2, params, t, params2, variant, n):
+    if variant == "pm":
+        return (reference_product("x", word, params, n) @ t.matrix()
+                @ reference_product("y", word2, params2, n))
+    return (reference_product("y", word, params, n) @ t.inverse().matrix()
+            @ reference_product("x", word2, params2, n))
+
+
+def reference_check_invariance(phi) -> bool:
+    """Right-invariance by substitution: phi(g y_j(s)) == phi(g) as rational
+    functions of the g_ij and a new variable s, for each j."""
+    n = isqrt(len(phi.universe))
+    big = phi.universe + ("s",)
+    phi_big = substitute(phi, {v: RatFunc.var(big, v) for v in phi.universe})
+    s = RatFunc.var(big, "s")
+    g = [[RatFunc.var(big, v) for v in phi.universe[k:k + n]]
+         for k in range(0, n * n, n)]
+    for j in range(n - 1):
+        # g y_j(s): column j gains s times column j+1
+        moved = [row[:j] + [row[j] + s * row[j + 1]] + row[j + 1:] for row in g]
+        if substitute(phi, dict(zip(phi.universe, sum(moved, [])))) != phi_big:
+            return False
+    return True

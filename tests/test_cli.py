@@ -147,6 +147,13 @@ def test_chart_eval_custom_word(capsys):
                                           ["0", "0", "1"]]
 
 
+def test_chart_eval_bad_letters_name_the_word(capsys):
+    code, _, err = run(capsys, "chart", "eval", "--group", "sl3",
+                       "--word", "custom", "--letters", "1,x")
+    assert code == 2
+    assert "invalid word '1,x'" in err
+
+
 def test_labeling_override_swaps_words(capsys):
     code, report, _ = run_json(capsys, "weights", "--type", "A3", "--eps", "0",
                                "--labeling", "i0=1,3")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -14,8 +15,10 @@ from bircharts import (ChartId, GroupMatrix, RatFunc, TorusPoint, Unsupported,
                        invert_chart, is_polynomial, membership, minor_spec,
                        param_names, pullback_U, substitute, torus_names,
                        transition, u_variables, weight_sets)
+from bircharts.sl_realization import _det
 
-from helpers import SL4_INVERSION_EXPRS, random_poly
+from helpers import (SL4_INVERSION_EXPRS, random_poly,
+                     reference_check_invariance)
 
 
 def _uvars(n):
@@ -134,6 +137,39 @@ def test_check_invariance_examples():
     names3, g3 = _gvars(3)
     det23 = g3["g12"] * g3["g23"] - g3["g13"] * g3["g22"]
     assert check_invariance(det23 / (RatFunc.const(names3, 1) + g3["g13"]))
+
+
+def _right_column_minors(n):
+    """The minors of the generic matrix on any k rows and the last k columns,
+    which right multiplication by the lower unitriangular group fixes."""
+    names, g = _gvars(n)
+    minors = []
+    for k in range(1, n + 1):
+        for rows in itertools.combinations(range(1, n + 1), k):
+            minors.append(_det([[g[f"g{i}{j}"] for j in range(n - k + 1, n + 1)]
+                                for i in rows]))
+    return names, g, minors
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_check_invariance_matches_substitution(n):
+    names, g, minors = _right_column_minors(n)
+    left = [g[f"g{i}{j}"] for i in range(1, n + 1) for j in range(1, n)]
+    rng = random.Random(f"invariance/{n}")
+    one = RatFunc.const(names, 1)
+    for _ in range(6):
+        m1, m2, m3 = (rng.choice(minors) for _ in range(3))
+        c1, c2 = rng.randint(1, 5), rng.randint(-5, -1)
+        invariant = (c1 * m1 + m2 * m3 + c2, m1 * m2 * m3,
+                     (m1 + c1 * one) / (m2 * m3 + c1 * one))
+        e = rng.choice(left)
+        non_invariant = (invariant[0] + e, invariant[1] * e,
+                         invariant[0] / (m2 + e), e / (m1 + c1 * one))
+        for phi in invariant:
+            assert check_invariance(phi) and reference_check_invariance(phi)
+        for phi in non_invariant:
+            assert not check_invariance(phi)
+            assert not reference_check_invariance(phi)
 
 
 def test_check_invariance_rejects_non_square_universe():

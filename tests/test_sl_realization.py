@@ -10,10 +10,13 @@ import pytest
 from bircharts import (GroupMatrix, RatFunc, TorusPoint, cartan,
                        chart_G, chart_GmodU, chart_U, chart_weights,
                        distinguished_word, gauss_decompose, gen_minor,
-                       generator, iota, lift, minor_spec, torus_point, twist,
-                       weight_sets, weyl_apply)
+                       generator, iota, is_reduced, lift, minor_spec,
+                       sl_realization, torus_point, twist, weight_sets,
+                       weyl_apply)
 
-from helpers import all_reduced_words, enumerate_weyl_group
+from helpers import (all_reduced_words, enumerate_weyl_group,
+                     reference_chart_G, reference_chart_GmodU,
+                     reference_product)
 
 
 def _sym(names):
@@ -362,3 +365,55 @@ def test_twist_column_swaps_match_lift_inverse(n):
     names = tuple(f"a{k}" for k in range(1, d.nu + 1))
     u = chart_U(distinguished_word(d, n % 2), [RatFunc.var(names, v) for v in names], n)
     assert twist(u) == _twist_by_lift_inverse(u)
+
+
+def _chart_arguments(n):
+    """Parameters a, torus point t and parameters b: symbolic up to sl4,
+    seeded positive rationals above."""
+    nu = n * (n - 1) // 2
+    names = ([f"a{k}" for k in range(1, nu + 1)] + [f"t{i}" for i in range(1, n)]
+             + [f"b{k}" for k in range(1, nu + 1)])
+    if n <= 4:
+        values = [RatFunc.var(tuple(names), v) for v in names]
+    else:
+        rng = random.Random(f"charts/{n}")
+        values = [RatFunc.const((), Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+                  for _ in names]
+    return values[:nu], TorusPoint(tuple(values[nu:nu + n - 1])), values[nu + n - 1:]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_charts_equal_generator_products(n):
+    d = cartan("A", n - 1)
+    words = [distinguished_word(d, eps) for eps in (0, 1)]
+    a, t, b = _chart_arguments(n)
+    for jj in words:
+        assert chart_U(jj, a, n) == reference_product("x", jj, a, n)
+        for sign in ("+", "-"):
+            assert (chart_GmodU(jj, a, t, sign, n)
+                    == reference_chart_GmodU(jj, a, t, sign, n))
+        for jj2 in words:
+            for variant in ("pm", "mp"):
+                assert (chart_G(jj, jj2, a, t, b, variant, n)
+                        == reference_chart_G(jj, jj2, a, t, b, variant, n))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+def test_s_swaps_match_dot_lift(n):
+    d = cartan("A", n - 1)
+    rng = random.Random(f"swaps/{n}")
+    word = ()
+    for _ in range(2 * n):
+        i = rng.randint(1, n - 1)
+        if is_reduced(word + (i,), d):
+            word += (i,)
+    for w in (distinguished_word(d, 0), distinguished_word(d, 1), word):
+        rows = [list(row) for row in GroupMatrix.identity(n).entries]
+        assert GroupMatrix(sl_realization._act(rows, "s", w)) == lift(w, "dot", n)
+
+
+def test_column_operations_reject_an_index_out_of_range():
+    with pytest.raises(ValueError, match="out of range"):
+        chart_U((1, 3), [1, 2], 3)
+    with pytest.raises(ValueError, match="out of range"):
+        chart_U((0,), [1], 3)
