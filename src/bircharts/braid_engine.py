@@ -1,38 +1,35 @@
 """Transition maps between chart parametrizations, and the braid moves
-they fall back on.
+of the other Cartan types.
 
 ``transition`` changes the parameters of the unipotent chart along one
-reduced word into those along another.  In type A it uses the Chamber
-Ansatz (Berenstein-Fomin-Zelevinsky 1996, Thm 1.4).  The source chart is
-twisted once, z = twist(chart_U(word1, params)), and the k-th target
-parameter is a ratio of four chamber minors of z around the k-th crossing
-of word2:
+reduced word into those along another.  In type A it follows
+Berenstein-Zelevinsky (1997) and Fomin-Zelevinsky (1999): for x the source
+chart along a word for w, the twist z = twist(x, word) (eta_w: the lower
+factor L of x times the lift of w^-1, pushed through the swap
+automorphism) holds the target parameters as ratios of chamber minors
+(Berenstein-Fomin-Zelevinsky 1996, Thm 1.4).  The k-th target parameter
+is
 
     t_k = D(w[:i+1]) D(w[:i-1]) / (D(w[:i]) D((w s_i)[:i]))
 
 where i is the k-th letter of word2, w = s_{i_1} ... s_{i_{k-1}} in
 one-line notation, and D(J) is the minor of z on rows 1..|J| and the
 sorted columns J (D of no columns or of all n columns is 1).  Each
-distinct minor is computed once.  Most gcds taken in reducing the ratio
-are of coprime polynomials, which the certificate in ``poly_gcd`` settles
-before its heuristic runs.
+distinct minor is computed once.  This works for every w, so no word is
+completed to w0 and no word is cut into runs.  Most gcds taken in reducing
+the ratio are of coprime polynomials, which the certificate in
+``poly_gcd`` settles before its heuristic runs.  The cost grows with the
+longest run of adjacent letters, so a run of more than 27 letters is
+refused as ``Unsupported`` before any symbolic work.
 
-Generators of different runs of adjacent letters commute, so each run a
-word uses is transformed on its own, as a word of the smallest SL_n that
-holds it; a short word costs the same in every group.  Two reduced words
-of an element shorter than w0 are completed by a common suffix to words
-for w0.  The suffix parameters are set to 1 and must come back unchanged,
-which is checked.
-
-Runs beyond SL_7, where the chamber formulas outgrow memory, and the other
-Cartan types compose braid moves: ``word_path`` finds a move sequence by
-breadth-first search of the word graph, and ``apply_move`` applies the
-commuting rule or the order-3 parameter rule
+The other Cartan types compose braid moves: ``word_path`` finds a move
+sequence by breadth-first search of the word graph, and ``apply_move``
+applies the commuting rule or the order-3 parameter rule
 
     x_i(a) x_j(b) x_i(c) = x_j(bc/(a+c)) x_i(a+c) x_j(ab/(a+c)),
 
 which is certified against the symbolic matrix identity in the test
-suite, where the moves also check the chamber route.  ``transition``
+suite, where the moves also check the type-A route.  There ``transition``
 raises ``Unsupported`` when the search exceeds its budget or the words
 need an order-4 or order-6 move.  Nothing bounds the arithmetic along the
 path: D4 jj1 -> jj0 finds its 31 moves in 0.02 s, then composes past 100 s.
@@ -45,7 +42,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .exact_arith import RatFunc
-from .root_data import CartanDatum, cartan, is_reduced, weyl_from_word
+from .root_data import CartanDatum, is_reduced, weyl_from_word
 from .sl_realization import Unsupported, _det, chart_U, twist
 
 @dataclass(frozen=True)
@@ -170,27 +167,11 @@ def word_path(word1: Sequence[int], word2: Sequence[int], datum: CartanDatum,
         "connecting these words requires a braid move of order 4 or 6 (unsupported)")
 
 
-def _completion(word: tuple, n: int) -> tuple:
-    """Letters that extend a reduced word of SL_n to a reduced word for w0."""
-    w = list(range(1, n + 1))
-    for i in word:
-        w[i - 1], w[i] = w[i], w[i - 1]
-    suffix = []
-    i = 1
-    while i < n:
-        if w[i - 1] < w[i]:
-            w[i - 1], w[i] = w[i], w[i - 1]
-            suffix.append(i)
-            i = 1
-        else:
-            i += 1
-    return tuple(suffix)
-
-
-def _chamber_parameters(source: tuple, target: tuple, params: tuple,
+def _chamber_parameters(word1: tuple, word2: tuple, params: tuple,
                         n: int) -> tuple:
-    """Parameters along ``target`` (a word for w0) of chart_U(source, params)."""
-    z = twist(chart_U(source, params, n)).entries
+    """Parameters along word2 of chart_U(word1, params, n), by the twist
+    eta_w and the chamber minors of its prefixes (module docstring)."""
+    z = twist(chart_U(word1, params, n), word1).entries
     one = RatFunc.const(params[0].universe, 1)
     minors: dict = {}
 
@@ -205,29 +186,13 @@ def _chamber_parameters(source: tuple, target: tuple, params: tuple,
 
     w = list(range(1, n + 1))
     out = []
-    for i in target:
+    for i in word2:
         ws = list(w)
         ws[i - 1], ws[i] = w[i], w[i - 1]
         out.append(minor(w[:i + 1]) * minor(w[:i - 1])
                    / (minor(w[:i]) * minor(ws[:i])))
         w = ws
     return tuple(out)
-
-
-def _chamber_transition(word1: tuple, word2: tuple, params: tuple,
-                        n: int) -> tuple:
-    """Parameters along word2 of chart_U(word1, params, n)."""
-    if word1 == word2:
-        return params
-    suffix = _completion(word1, n)
-    # The target parameters do not depend on the suffix parameters (the
-    # suffix factor cancels on the right), so those are set to 1; the
-    # chamber minors stay nonzero there, being positive at positive points.
-    ones = (RatFunc.const(params[0].universe, 1),) * len(suffix)
-    out = _chamber_parameters(word1 + suffix, word2 + suffix, params + ones, n)
-    if out[len(word1):] != ones:
-        raise AssertionError("the completing suffix changed its parameters")
-    return out[:len(word1)]
 
 
 def _runs(word: tuple) -> list:
@@ -239,21 +204,6 @@ def _runs(word: tuple) -> list:
         else:
             runs.append([i])
     return runs
-
-
-def _restricted(word1: tuple, word2: tuple, run: list):
-    """Both words cut down to the letters of ``run``, shifted to start at 1,
-    with the positions the letters came from.
-
-    Generators of different runs commute, so each chart is the product of
-    its runs' charts, and the two words' cuts spell one element of SL_n,
-    n = len(run) + 1.
-    """
-    at1 = [k for k, i in enumerate(word1) if i in run]
-    at2 = [k for k, i in enumerate(word2) if i in run]
-    lo = run[0] - 1
-    return (tuple(word1[k] - lo for k in at1), tuple(word2[k] - lo for k in at2),
-            at1, at2)
 
 
 def _compose_moves(word1: tuple, word2: tuple, params: tuple,
@@ -269,10 +219,10 @@ def _compose_moves(word1: tuple, word2: tuple, params: tuple,
     return params
 
 
-# The chamber construction grows with the run, not with the words: w0 of
-# SL_7 takes seconds, w0 of SL_8 exhausts gigabytes, and 21 letters on 21
-# adjacent generators run for minutes.  Longer runs compose braid moves.
-_CHAMBER_MAX_N = 7
+# The twist grows with the longest run of adjacent letters, not with the
+# group: pairs with 27 letters in one run took 0.3-6.8 s and under 50 MB at
+# sl8-sl12, while w0 of SL_8 (28 letters) did not finish in 250 s.
+_MAX_RUN_LETTERS = 27
 
 
 def transition(word1: Sequence[int], word2: Sequence[int], datum: CartanDatum,
@@ -281,10 +231,11 @@ def transition(word1: Sequence[int], word2: Sequence[int], datum: CartanDatum,
 
     word1 and word2 must be reduced words of one Weyl group element;
     ``formulas[k]`` is the k-th parameter along word2 as a canonical
-    rational function of ``param_names`` (a1, a2, ... by default).  Runs of
-    adjacent generators within SL_7 use the Chamber Ansatz; longer runs and
-    other types compose braid moves, and raise ``Unsupported`` where the
-    move search exceeds its budget or needs a move of order 4 or 6.
+    rational function of ``param_names`` (a1, a2, ... by default).  Type A
+    twists the source chart once by eta_w and reads the chamber minors; a
+    run of more than 27 adjacent letters raises ``Unsupported``.  Other
+    types compose braid moves, and raise ``Unsupported`` where the move
+    search exceeds its budget or needs a move of order 4 or 6.
     """
     w1, w2 = tuple(word1), tuple(word2)
     if param_names is None:
@@ -301,15 +252,10 @@ def transition(word1: Sequence[int], word2: Sequence[int], datum: CartanDatum,
         return TransitionMap(w1, w2, params)
     if datum.type_label != "A":
         return TransitionMap(w1, w2, _compose_moves(w1, w2, params, datum))
-    formulas = [None] * len(w2)
-    for run in _runs(w1):
-        s1, s2, at1, at2 = _restricted(w1, w2, run)
-        sub = tuple(params[k] for k in at1)
-        n = len(run) + 1
-        if n <= _CHAMBER_MAX_N:
-            out = _chamber_transition(s1, s2, sub, n)
-        else:
-            out = _compose_moves(s1, s2, sub, cartan("A", n - 1))
-        for k, f in zip(at2, out):
-            formulas[k] = f
-    return TransitionMap(w1, w2, tuple(formulas))
+    longest = max(sum(i in run for i in w1) for run in _runs(w1))
+    if longest > _MAX_RUN_LETTERS:
+        raise Unsupported(
+            f"a run of adjacent generators holds {longest} letters; "
+            f"transitions are implemented up to {_MAX_RUN_LETTERS}")
+    return TransitionMap(w1, w2, _chamber_parameters(w1, w2, params,
+                                                     datum.rank + 1))

@@ -181,12 +181,18 @@ def _decide(phi: RatFunc, space: str, n: int,
     _require_universe(phi, "u" if space == "U" else "g", n)
     d = _datum(n, datum)
     tnames = torus_names(n)
+    where = "U" if space == "U" else f"SL_{n}"
     certs = []
     for cid in _CHARTS[space]:
         # U charts go through the public pullback_U, so that a wrapper on
         # that name (perfbench/spans.py) sees the decision's pullbacks
-        pb = (pullback_U(phi, cid.eps, n, d) if space == "U"
-              else _pullback(phi, cid, d, n))
+        try:
+            pb = (pullback_U(phi, cid.eps, n, d) if space == "U"
+                  else _pullback(phi, cid, d, n))
+        except PoleError:
+            raise ValueError(
+                f"the input's denominator vanishes on {where}: it is zero "
+                f"along the chart {cid.label}, whose image is dense") from None
         certs.append(Certificate(cid, pb, is_laurent_in(pb, tnames)))
     failing = next((c.chart for c in certs if not c.ok), None)
     return MembershipVerdict(failing is None, tuple(certs), failing)

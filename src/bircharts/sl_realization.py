@@ -4,13 +4,16 @@ Pinned generators x_i(a) = I + a E_{i,i+1} and y_i(a) = I + a E_{i+1,i},
 birational chart products for the unipotent group, the flag-type quotient
 and the full group, Weyl-group lifts, the automorphism swapping the two
 triangular subgroups, generalized minors, LDU (Gauss) decomposition, and
-the big-cell twist involution.
+the twist eta_w of a unipotent matrix, which for w0 is the big-cell twist
+involution.
 
 Right multiplication by x_i(a), y_i(a) or the dot lift of s_i is a column
 operation on a list of rows, in place (``_act``); the x/y generators, the
 charts and the twist are built that way, the torus as column scaling and
-the w0 lift as signed swaps.  ``lift`` and ``gen_minor`` still multiply
-generator matrices.
+Weyl lifts as signed swaps.  The twist takes the swap automorphism of its
+lower unitriangular factor L from L^-1 by forward substitution; ``iota``
+of a general matrix takes complementary minors.  ``lift`` and
+``gen_minor`` still multiply generator matrices.
 
 The torus is coordinatized so that the i-th fundamental character reads
 off the i-th coordinate: diag(t1, t2/t1, ..., t_{n-1}/t_{n-2}, 1/t_{n-1}).
@@ -374,20 +377,46 @@ def gauss_decompose(g: GroupMatrix):
     return L, D, U
 
 
-def twist(u: GroupMatrix) -> GroupMatrix:
-    """Big-cell twist involution on the upper unitriangular group.
+def _iota_of_lower(lower: list) -> list:
+    """iota(L) for a lower unitriangular L, as rows: entry (i, j) is
+    (-1)^(i+j) times entry (j, i) of L^-1, which forward substitution gives
+    without a division because the diagonal of L is 1."""
+    n = len(lower)
+    zero = _as_ratfunc(0)
+    inv = _identity_rows(n)
+    for i in range(n):
+        for j in range(i):
+            acc = zero
+            for k in range(j, i):
+                if not (lower[i][k].is_zero or inv[k][j].is_zero):
+                    acc = acc + lower[i][k] * inv[k][j]
+            inv[i][j] = -acc
+    return [[inv[j][i] if (i + j) % 2 == 0 else -inv[j][i] for j in range(n)]
+            for i in range(n)]
 
-    Gauss-decompose u times the inverse w0-lift and push the lower factor
-    through the swap automorphism; defined exactly on the big cell.  The
-    w0-lift itself is applied: it differs from its inverse by a diagonal
-    right factor, which changes D and U but not L.
+
+def twist(u: GroupMatrix, word: Optional[Sequence[int]] = None) -> GroupMatrix:
+    """The twist eta_w of an upper unitriangular matrix, for w the element
+    of a reduced word (w0 by default, the big-cell twist involution).
+
+    Gauss-decompose u times the dot lift of w^-1 (s-swaps along the reversed
+    word) as L D U and push L through the swap automorphism.  That lift
+    differs from the inverse lift of w by a diagonal right factor, which
+    changes D and U but not L.  Defined exactly where the leading principal
+    minors of u times the lift are nonzero; for u = chart_U(word, params)
+    with positive parameters they are.
     """
     if not u.is_upper_unitriangular:
         raise ValueError("twist is defined on upper unitriangular matrices")
-    m = GroupMatrix(_act([list(row) for row in u.entries], "s", _w0_word(u.n)),
+    n = u.n
+    if word is None:
+        word = _w0_word(n)
+    elif not is_reduced(word, _datum_for(n)):
+        raise ValueError("word is not reduced")
+    m = GroupMatrix(_act([list(row) for row in u.entries], "s", tuple(word)[::-1]),
                     check=False)
     try:
         L, _, _ = gauss_decompose(m)
     except ValueError:
-        raise ValueError("twist undefined: matrix outside the big cell") from None
-    return iota(L)
+        raise ValueError("twist undefined: a leading principal minor vanishes") from None
+    return GroupMatrix(_iota_of_lower(L.entries), check=False)

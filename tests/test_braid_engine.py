@@ -1,5 +1,5 @@
 """Move rules, reduced-word graph search, and transition maps by the
-Chamber Ansatz, checked against move composition."""
+twist eta_w and chamber minors, checked against move composition."""
 
 from __future__ import annotations
 
@@ -10,8 +10,8 @@ from fractions import Fraction
 import pytest
 
 from bircharts import (Move, RatFunc, Unsupported, apply_move, available_moves,
-                       cartan, chart_U, distinguished_word, substitute,
-                       transition, word_path)
+                       braid_engine, cartan, chart_U, distinguished_word,
+                       substitute, transition, word_path)
 
 from helpers import golden_sl4_transition
 
@@ -252,13 +252,13 @@ def test_transition_sl6_reproduces_the_source_chart():
 
 
 def test_transition_of_short_words_in_a_large_group():
-    # each run of adjacent letters is completed on its own, so a short word
-    # costs the same at sl10 as at sl3
+    # the twist eta_w grows with the word, not with w0, so a short word
+    # costs about the same at sl10 as at sl3
     d = cartan("A", 9)
     rng = random.Random("short/10")
     pairs = [((1, 2, 1), (2, 1, 2)), ((8, 9, 8), (9, 8, 9)), ((1, 9), (9, 1)),
              ((3, 4, 3, 7), (7, 4, 3, 4)),
-             ((1, 3, 5, 7, 2, 4, 6), (7, 5, 3, 1, 6, 4, 2))]  # spans SL_8: moves
+             ((1, 3, 5, 7, 2, 4, 6), (7, 5, 3, 1, 6, 4, 2))]  # a run of 7 letters
     for _ in range(4):
         w1 = tuple(i + 4 for i in _random_word(5, rng, rng.randint(3, 6)))
         pairs.append((w1, _moved(w1, d, rng)))
@@ -270,10 +270,74 @@ def test_transition_of_short_words_in_a_large_group():
     assert time.monotonic() - started < 10  # about 0.1 s; minutes if w0 of sl10 is built
 
 
+def test_transition_of_separated_blocks_is_the_blocks_transitions():
+    # jj1 -> jj0 of SL_4 on letters 1-3 and again on 6-8 of sl10: generators
+    # of the two blocks commute, so each block transforms as in sl4
+    d4, d10 = cartan("A", 3), cartan("A", 9)
+    jj1, jj0 = distinguished_word(d4, 1), distinguished_word(d4, 0)
+    w1 = jj1 + tuple(i + 5 for i in jj1)
+    w2 = tuple(i + 5 for i in jj0) + jj0
+    names = tuple(f"c{k}" for k in range(1, 13))
+    t = transition(w1, w2, d10, param_names=names)
+    full = {v: RatFunc.var(names, v) for v in names}
+    blocks = [transition(jj1, jj0, d4, param_names=names[6:]).formulas,
+              transition(jj1, jj0, d4, param_names=names[:6]).formulas]
+    assert t.formulas == tuple(substitute(f, full) for f in sum(blocks, ()))
+
+
+def test_transition_in_type_A_searches_no_word_graph(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("word_path called in type A")
+
+    monkeypatch.setattr(braid_engine, "word_path", refuse)
+    d = cartan("A", 4)
+    assert transition(distinguished_word(d, 1), distinguished_word(d, 0), d)
+
+
+def _canonical_word(word, n):
+    """The reduced word of the element of ``word`` that removes the largest
+    right descent first, read backwards; far from ``word`` in the word graph."""
+    w = list(range(1, n + 1))
+    for i in word:
+        w[i - 1], w[i] = w[i], w[i - 1]
+    out = []
+    while True:
+        descents = [i for i in range(1, n) if w[i - 1] > w[i]]
+        if not descents:
+            return tuple(reversed(out))
+        i = max(descents)
+        w[i - 1], w[i] = w[i], w[i - 1]
+        out.append(i)
+
+
+def _reproduces_the_source_chart(w1, w2, n, seed):
+    t = transition(w1, w2, cartan("A", n - 1))
+    rng = random.Random(seed)
+    point = {v: RatFunc.const((), Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+             for v in t.formulas[0].universe}
+    target = [substitute(f, point) for f in t.formulas]
+    return chart_U(w2, target, n) == chart_U(w1, list(point.values()), n)
+
+
+def test_transition_of_a_long_run_far_apart_in_the_word_graph():
+    # 21 letters on 21 adjacent generators of sl22: odd letters then even
+    # ones, against each odd letter followed by the even one below it
+    w1 = tuple(range(1, 22, 2)) + tuple(range(2, 21, 2))
+    w2 = (1,) + sum(((i, i - 1) for i in range(3, 22, 2)), ())
+    assert _reproduces_the_source_chart(w1, w2, 22, "sl22")
+    # and a word of length 18 at sl8 against the element's canonical word
+    w1 = _random_word(8, random.Random("sl8/0"), 18)
+    w2 = _canonical_word(w1, 8)
+    assert len(w1) == 18 and w1 != w2
+    assert _reproduces_the_source_chart(w1, w2, 8, "sl8")
+
+
 def test_transition_beyond_the_chamber_range_gives_up_as_unsupported():
     d = cartan("A", 7)
-    with pytest.raises(Unsupported, match="budget"):
+    started = time.monotonic()
+    with pytest.raises(Unsupported, match="holds 28 letters"):
         transition(distinguished_word(d, 1), distinguished_word(d, 0), d)
+    assert time.monotonic() - started < 1
 
 
 def test_transition_in_other_simply_laced_types():

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from bircharts.cli import main
 
 from helpers import golden_sl4_transition
@@ -48,6 +50,16 @@ def test_membership_g_mod_u(capsys):
     code, report, _ = run_json(capsys, "membership", "g", "--group", "sl2",
                                "--expr", "1/g(1,1)")
     assert code == 1 and report["member"] is False
+
+
+@pytest.mark.parametrize("space,expr", [
+    ("g", "1/(g(1,1)*g(2,2)-g(1,2)*g(2,1)-1)"),
+    ("g-mod-u", "1/(g(1,2)*g(2,1)-g(1,1)*g(2,2)+1)")], ids=["g", "g-mod-u"])
+def test_membership_denominator_vanishing_on_the_group_exit_two(capsys, space, expr):
+    code, out, err = run(capsys, "membership", space, "--group", "sl2",
+                         "--expr", expr)
+    assert code == 2 and out == ""
+    assert "denominator vanishes on SL_2" in err
 
 
 def test_transition_reproduces_golden_formulas(capsys):

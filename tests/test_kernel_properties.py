@@ -4,8 +4,10 @@ Kernel arithmetic builds its results with the trusted ``MultiPoly._make``,
 which checks nothing.  These properties re-validate every result through
 the public constructor, so a producer that emits a zero coefficient, an
 exponent vector of the wrong width, an integral Fraction or a float fails
-here.  The last property checks ``iota``, which is built from the kernel's
-determinants, against independent Fraction arithmetic.
+here.  A property checks ``iota``, which is built from the kernel's
+determinants, against independent Fraction arithmetic.  The last one takes
+Theorem 0.3 as an oracle: U is an affine space, so a canonical p/q is in
+its coordinate ring exactly when q is a constant.
 """
 
 from __future__ import annotations
@@ -19,9 +21,9 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from bircharts import (MultiPoly, PoleError, RatFunc, TorusPoint,  # noqa: E402
-                       cartan, chart_G, distinguished_word, exact_arith,
-                       iota, poly_exact_div, poly_gcd, ratfunc_normalize,
-                       substitute)
+                       cartan, chart_G, decide_O_U, distinguished_word,
+                       exact_arith, iota, poly_exact_div, poly_gcd,
+                       ratfunc_normalize, substitute, u_variables)
 
 from helpers import reference_substitute  # noqa: E402
 
@@ -339,3 +341,35 @@ def test_iota_is_the_complementary_minor_matrix(n, data):
             # iota(g) = h (g^T)^{-1} h^{-1} with h = diag(1, -1, 1, ...)
             sign = 1 if (i + j) % 2 == 0 else -1
             assert got.entries[i][j] == sign * inv.entries[j][i]
+
+
+@st.composite
+def u_functions(draw):
+    """(n, phi, the one failing chart or None): a canonical rational function
+    of the u_ij at sl3-sl5, a polynomial over a constant, over a small
+    polynomial or times and over one, or at sl4 a polynomial plus a multiple
+    of the criterion-04 witness, which fails on u:jj1 alone."""
+    kind = draw(st.sampled_from(["const", "poly", "cancel", "witness"]))
+    n = 4 if kind == "witness" else draw(st.sampled_from([5, 4, 3]))
+    uv = u_variables(n)
+    num = RatFunc(draw(polys(uv, max_deg=2, max_terms=3, cs=int_coeffs)))
+    if kind == "const":
+        return n, num / draw(st.integers(1, 6)), None
+    if kind != "witness":
+        den = RatFunc(draw(polys(uv, max_deg=1, max_terms=2, cs=int_coeffs)
+                           .filter(lambda p: not p.is_const)))
+        return n, (num / den if kind == "poly" else num * den / den), None
+    u = {v: RatFunc.var(uv, v) for v in uv}
+    witness = u["u12"] - (u["u13"] * u["u34"] - u["u14"]) / (
+        u["u23"] * u["u34"] - u["u24"])
+    return n, num + draw(st.integers(1, 6)) * witness, "u:jj1"
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(u_functions())
+def test_unipotent_membership_is_a_constant_denominator(case):
+    n, phi, failing = case
+    verdict = decide_O_U(phi, n)
+    assert verdict.member == phi.den.is_const
+    if failing is not None:
+        assert [c.chart.label for c in verdict.certificates if not c.ok] == [failing]

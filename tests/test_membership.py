@@ -258,6 +258,22 @@ def test_decisions_reject_a_smaller_groups_universe():
         decide_O_G(u["u12"], 3)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("form", [
+    lambda g, det: g["g11"] + (det - 1) / g["g12"],
+    lambda g, det: det.inv(),
+    lambda g, det: (det - 1) / (g["g12"] * g["g21"] + 7),
+    lambda g, det: (det + 1).inv()],
+    ids=["g11+(det-1)/g12", "1/det", "(det-1)/(g12*g21+7)", "1/(det+1)"])
+def test_decide_O_G_accepts_functions_regular_only_modulo_det_minus_one(n, form):
+    # each denominator vanishes somewhere on the matrices, but not on SL_n
+    _, g = _gvars(n)
+    det = _det([[g[f"g{i}{j}"] for j in range(1, n + 1)] for i in range(1, n + 1)])
+    phi = form(g, det)
+    assert not phi.den.is_const
+    assert decide_O_G(phi, n).member
+
+
 def test_decide_O_G_accepts_entry_polynomials_sl3():
     rng = random.Random(13)
     names, _ = _gvars(3)

@@ -309,6 +309,19 @@ def test_twist_golden_and_involution():
         twist(GroupMatrix.identity(3))
 
 
+def test_twist_along_a_word():
+    d = cartan("A", 3)
+    jj0, jj1 = distinguished_word(d, 0), distinguished_word(d, 1)
+    u = chart_U(jj0, [1, 2, 3, 4, 5, 6], 4)
+    assert twist(u, jj1) == twist(u)  # two reduced words of w0
+    with pytest.raises(ValueError, match="not reduced"):
+        twist(u, (1, 1))
+    # eta_w for w = s1 s2 sends x_1(a) x_2(b) to x_2(1/b) x_1(1/a)
+    a, b = (RatFunc.var(("a", "b"), v) for v in ("a", "b"))
+    assert twist(chart_U((1, 2), [a, b], 3), (1, 2)) == \
+        chart_U((2, 1), [b.inv(), a.inv()], 3)
+
+
 def test_twist_involution_symbolic_sl3():
     d = cartan("A", 2)
     names = ("a1", "a2", "a3")
