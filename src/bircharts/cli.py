@@ -207,16 +207,18 @@ def _cmd_transition(args, common):
     }
 
 
-def _check_rank_budget(datum, budget):
-    if datum.rank > budget:
+def _type_datum(label, common):
+    """The datum of a type label; the type and the rank budget are checked
+    on the label, before anything is built."""
+    letter, rank = parse_type(label)
+    if rank > common["rank_budget"]:
         raise UsageError(
-            f"rank {datum.rank} exceeds the rank budget {budget}")
+            f"rank {rank} exceeds the rank budget {common['rank_budget']}")
+    return cartan(letter, rank, i0=common["labeling"])
 
 
 def _cmd_weights(args, common):
-    letter, rank = parse_type(args.type)
-    datum = cartan(letter, rank, i0=common["labeling"])
-    _check_rank_budget(datum, common["rank_budget"])
+    datum = _type_datum(args.type, common)
     cw = chart_weights(datum, args.eps)
     y_prime, y_dprime, y_eps = weight_sets(datum, args.eps)
     return {
@@ -246,9 +248,7 @@ def _cmd_verify(args, common):
     results = {}
     ok = True
     for label in labels:
-        letter, rank = parse_type(label)
-        datum = cartan(letter, rank, i0=common["labeling"])
-        _check_rank_budget(datum, common["rank_budget"])
+        datum = _type_datum(label, common)
         report = verify_lemmas(datum)
         ok = ok and report.all_passed
         results[label] = [

@@ -27,6 +27,14 @@ from typing import Sequence
 from .exact_arith import RatFunc
 
 
+def indexed_name(stem: str, indices: Sequence[int]) -> str:
+    """Canonical name of an indexed variable: u(1,2) is u12, and once an
+    index passes 9 the indices are joined by underscores, u(1,10) is u1_10."""
+    if all(k < 10 for k in indices):
+        return stem + "".join(str(k) for k in indices)
+    return stem + "_".join(str(k) for k in indices)
+
+
 class ParseError(ValueError):
     def __init__(self, message: str, pos: int):
         super().__init__(f"{message} (at position {pos})")
@@ -162,10 +170,7 @@ class _Parser:
                 self.advance()
                 indices.append(int(self.expect("int")[1]))
             self.expect(")")
-            if all(k < 10 for k in indices):
-                canonical = name + "".join(str(k) for k in indices)
-            else:
-                canonical = name + "_".join(str(k) for k in indices)
+            canonical = indexed_name(name, indices)
         else:
             canonical = name
         if canonical in self.universe:

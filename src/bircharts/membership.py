@@ -40,6 +40,7 @@ from typing import Optional
 
 from .exact_arith import (MultiPoly, PoleError, RatFunc, _canon, is_laurent_in,
                           substitute)
+from .exprparse import indexed_name
 from .root_data import CartanDatum, distinguished_word
 from .sl_realization import (GroupMatrix, TorusPoint, Unsupported, _datum_for,
                              _det, chart_G, chart_GmodU, chart_U)
@@ -93,8 +94,9 @@ class MembershipVerdict:
 @lru_cache(maxsize=None)
 def _entries(stem: str, n: int) -> tuple:
     """(name, i, j) for each matrix-entry variable, row by row: u_ij
-    strictly above the diagonal, g_ij everywhere (u1_10 past index 9)."""
-    return tuple((f"{stem}{i}{j}" if i < 10 and j < 10 else f"{stem}{i}_{j}", i, j)
+    strictly above the diagonal, g_ij everywhere, named as the parser
+    names u(i,j) and g(i,j)."""
+    return tuple((indexed_name(stem, (i, j)), i, j)
                  for i in range(1, n + 1)
                  for j in range(i + 1 if stem == "u" else 1, n + 1))
 

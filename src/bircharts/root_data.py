@@ -7,7 +7,11 @@ vectors rather than assumed:
   storage, 1-indexed node labels following Bourbaki numbering).
 * A Weyl element is identified with its integer action matrix on the
   weight lattice in fundamental-weight coordinates; reduced words are
-  witnesses, not identities.
+  witnesses, not identities.  Right multiplication by s_i is a column
+  operation: column i loses the alpha_i-combination of the columns.
+* Lengths come from one descent loop, ``_descend``.  rho = (1, ..., 1) is
+  regular, so l(w) counts the reflections that bring w(rho) back to rho,
+  and nu those that bring -rho = w0(rho) there.  No root is enumerated.
 * ``weyl_apply((i1, ..., ik), w)`` computes s_{i1}(s_{i2}(... s_{ik}(w))),
   i.e. the rightmost letter acts first.  The suffix-product weights below
   are therefore computed by passing suffixes reversed.
@@ -29,6 +33,12 @@ _VALID_RANKS = {
     "F": lambda n: n == 4,
     "G": lambda n: n == 2,
 }
+
+
+def _check_finite_type(type_label: str, rank: int) -> None:
+    check = _VALID_RANKS.get(type_label)
+    if check is None or not check(rank):
+        raise ValueError(f"invalid finite type {type_label}{rank}")
 
 
 def _cartan_matrix(type_label: str, rank: int):
@@ -124,59 +134,30 @@ class WeylElement:
 class CartanDatum:
     """Root-system data for a finite type, with a fixed bipartition.
 
-    The bipartition (I0, I1) 2-colors the Dynkin diagram; the default
-    labeling puts node 1 in I1 and may be overridden with an explicit I0.
+    Holds the Cartan matrix, each simple root alpha_i in fundamental-weight
+    coordinates as its nonzero entries, nu (the number of positive roots,
+    counted as the descent steps from -rho) and the Coxeter number
+    h = 2 nu / r.  The bipartition (I0, I1) 2-colors the Dynkin diagram;
+    the default labeling puts node 1 in I1 and may be overridden with an
+    explicit I0.
     """
 
     def __init__(self, type_label: str, rank: int, i0: Optional[Iterable[int]] = None):
-        check = _VALID_RANKS.get(type_label)
-        if check is None or not check(rank):
-            raise ValueError(f"invalid finite type {type_label}{rank}")
+        _check_finite_type(type_label, rank)
         self.type_label = type_label
         self.rank = rank
         self.cartan = _cartan_matrix(type_label, rank)
-        self.positive_roots = self._enumerate_positive_roots()
-        self.nu = len(self.positive_roots)
+        self._alpha = tuple(tuple((j, a) for j, a in enumerate(self.alpha_omega(i)) if a)
+                            for i in range(1, rank + 1))
+        self.nu = len(_descend(self, Weight((-1,) * rank))[0])
         if (2 * self.nu) % rank:
             raise AssertionError("Coxeter number 2*nu/r is not an integer")
         self.h = 2 * self.nu // rank
         self.i0, self.i1 = self._bipartition(i0)
-        self._simple_cache: dict = {}
         self._word_cache: dict = {}
         self._w0: Optional[WeylElement] = None
-        # omega-coordinate vectors of the positive roots, for length counting
-        self._pos_omega = tuple(self._root_to_omega(c) for c in self.positive_roots)
-        self._pos_omega_set = frozenset(self._pos_omega)
 
     # -- construction helpers ------------------------------------------
-
-    def _reflect_root(self, i: int, c: tuple) -> tuple:
-        # s_i on root coordinates: c_i -> c_i - sum_j a[i][j] c_j
-        pairing = sum(self.cartan[i][j] * c[j] for j in range(self.rank))
-        out = list(c)
-        out[i] -= pairing
-        return tuple(out)
-
-    def _enumerate_positive_roots(self):
-        simple = []
-        for i in range(self.rank):
-            e = [0] * self.rank
-            e[i] = 1
-            simple.append(tuple(e))
-        seen = set(simple)
-        frontier = set(simple)
-        while frontier:
-            new = set()
-            for c in frontier:
-                for i in range(self.rank):
-                    img = self._reflect_root(i, c)
-                    if img not in seen:
-                        new.add(img)
-            seen |= new
-            frontier = new
-        pos = [c for c in seen if all(x >= 0 for x in c)]
-        pos.sort(key=lambda c: (sum(c), c))
-        return tuple(pos)
 
     def _bipartition(self, i0_override):
         adj = {i: [] for i in range(1, self.rank + 1)}
@@ -210,10 +191,6 @@ class CartanDatum:
         i1 = tuple(sorted(i for i, c in color.items() if c == 1))
         return i0, i1
 
-    def _root_to_omega(self, c: tuple) -> tuple:
-        return tuple(sum(self.cartan[j][i] * c[i] for i in range(self.rank))
-                     for j in range(self.rank))
-
     # -- basic data -----------------------------------------------------
 
     def class_nodes(self, parity: int) -> tuple:
@@ -233,27 +210,16 @@ class CartanDatum:
         return tuple(self.cartan[j][i - 1] for j in range(self.rank))
 
     def reflect_weight(self, i: int, w: Weight) -> Weight:
-        k = w.coords[i - 1]
-        if k == 0:
-            return w
-        alpha = self.alpha_omega(i)
-        return Weight(tuple(c - k * a for c, a in zip(w.coords, alpha)))
+        c, k = list(w.coords), w.coords[i - 1]
+        for j, a in self._alpha[i - 1]:
+            c[j] -= k * a
+        return Weight(tuple(c))
 
     def simple(self, i: int) -> WeylElement:
-        if i not in self._simple_cache:
-            if not 1 <= i <= self.rank:
-                raise ValueError(f"node {i} out of range")
-            alpha = self.alpha_omega(i)
-            m = [[1 if a == b else 0 for b in range(self.rank)]
-                 for a in range(self.rank)]
-            for j in range(self.rank):
-                m[j][i - 1] -= alpha[j]
-            self._simple_cache[i] = WeylElement(m, (i,))
-        return self._simple_cache[i]
+        return weyl_from_word((i,), self)
 
     def identity(self) -> WeylElement:
-        return WeylElement(
-            [[1 if a == b else 0 for b in range(self.rank)] for a in range(self.rank)])
+        return weyl_from_word((), self)
 
     def __repr__(self):
         return f"CartanDatum({self.type_label}{self.rank}, I0={self.i0}, I1={self.i1})"
@@ -265,10 +231,12 @@ def cartan(type_label: str, rank: int, i0: Optional[Iterable[int]] = None) -> Ca
 
 
 def parse_type(label: str):
-    """Split a label like "A3" or "G2" into (letter, rank)."""
+    """Split a label like "A3" or "G2" into (letter, rank) of a finite type,
+    checked without building its datum."""
     label = label.strip()
     if len(label) < 2 or label[0] not in _VALID_RANKS or not label[1:].isdigit():
         raise ValueError(f"invalid type label {label!r}")
+    _check_finite_type(label[0], int(label[1:]))
     return label[0], int(label[1:])
 
 
@@ -278,10 +246,17 @@ def parse_type(label: str):
 
 
 def weyl_from_word(word: Sequence[int], datum: CartanDatum) -> WeylElement:
-    out = datum.identity()
+    """s_{i1} ... s_{ik}, one column operation per letter."""
+    word = tuple(word)
+    r = datum.rank
+    rows = [[int(a == b) for b in range(r)] for a in range(r)]
     for i in word:
-        out = out * datum.simple(i)
-    return WeylElement(out.matrix, tuple(word))
+        if not 1 <= i <= r:
+            raise ValueError(f"node {i} out of range")
+        alpha = datum._alpha[i - 1]
+        for row in rows:
+            row[i - 1] -= sum(a * row[j] for j, a in alpha)
+    return WeylElement(rows, word)
 
 
 def weyl_apply(word: Sequence[int], w: Weight, datum: CartanDatum) -> Weight:
@@ -291,16 +266,23 @@ def weyl_apply(word: Sequence[int], w: Weight, datum: CartanDatum) -> Weight:
     return w
 
 
+def _descend(datum: CartanDatum, weight: Weight):
+    """(word, dominant weight): reflect at the first negative coordinate
+    until there is none.  The dominant weight is carried to ``weight`` by
+    weyl_from_word(word), and each step shortens that element by one, so
+    the word is reduced."""
+    word: list = []
+    while True:
+        i = next((j for j, c in enumerate(weight.coords, 1) if c < 0), None)
+        if i is None:
+            return tuple(word), weight
+        word.append(i)
+        weight = datum.reflect_weight(i, weight)
+
+
 def length(w: WeylElement, datum: CartanDatum) -> int:
-    """Number of positive roots sent to negative roots."""
-    count = 0
-    m = w.matrix
-    r = datum.rank
-    for omega in datum._pos_omega:
-        img = tuple(sum(m[a][b] * omega[b] for b in range(r)) for a in range(r))
-        if tuple(-x for x in img) in datum._pos_omega_set:
-            count += 1
-    return count
+    """Descent steps from w(rho) back to rho, rho = (1, ..., 1) regular."""
+    return len(_descend(datum, w.apply(Weight((1,) * datum.rank)))[0])
 
 
 def is_reduced(word: Sequence[int], datum: CartanDatum) -> bool:
@@ -414,24 +396,14 @@ def _fundamental_descent(w: Weight, datum: CartanDatum):
     """(u, i) with u of minimal length carrying the i-th fundamental weight
     to w.
 
-    Found by repeatedly reflecting at a node that pairs negatively until
-    the weight is dominant; the recorded word is reduced.
+    Found by descending to the dominant weight; the descent word is
+    reduced, hence of minimal length.
     """
-    word: list = []
-    cur = w
-    while True:
-        neg = next((j for j in range(1, datum.rank + 1) if cur.coords[j - 1] < 0), None)
-        if neg is None:
-            break
-        word.append(neg)
-        cur = datum.reflect_weight(neg, cur)
+    word, cur = _descend(datum, w)
     ones = [j + 1 for j, c in enumerate(cur.coords) if c == 1]
     if len(ones) != 1 or sum(cur.coords) != 1:
         raise ValueError(f"{w} is not in the orbit of a fundamental weight")
-    elem = weyl_from_word(word, datum)
-    if length(elem, datum) != len(word):
-        raise AssertionError("descent word is not reduced")
-    return elem, ones[0]
+    return weyl_from_word(word, datum), ones[0]
 
 
 def fundamental_orbit_index(w: Weight, datum: CartanDatum) -> int:

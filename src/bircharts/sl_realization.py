@@ -127,21 +127,12 @@ class GroupMatrix:
         return GroupMatrix(prod, check=False)
 
     def inverse(self) -> "GroupMatrix":
-        # adjugate; valid because det = 1
-        n = self.n
-        rows = self.entries
-        if n == 1:
-            return GroupMatrix([[rows[0][0].inv()]], check=False)
-        inv = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                minor = [[rows[a][b] for b in range(n) if b != i]
-                         for a in range(n) if a != j]
-                c = _det(minor)
-                row.append(c if (i + j) % 2 == 0 else -c)
-            inv.append(row)
-        return GroupMatrix(inv, check=False)
+        # the adjugate, valid because det = 1: iota's complementary minors,
+        # transposed and signed
+        m = iota(self).entries
+        return GroupMatrix([[m[j][i] if (i + j) % 2 == 0 else -m[j][i]
+                             for j in range(self.n)] for i in range(self.n)],
+                           check=False)
 
     @property
     def is_upper_unitriangular(self) -> bool:

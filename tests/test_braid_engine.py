@@ -340,6 +340,17 @@ def test_transition_beyond_the_chamber_range_gives_up_as_unsupported():
     assert time.monotonic() - started < 1
 
 
+@pytest.mark.parametrize("n,seconds", [(40, 2), (60, 5)])
+def test_long_words_are_checked_and_refused_fast(n, seconds):
+    # 780 and 1770 letters: reducedness and the element are settled by
+    # column operations and descent before the run is refused
+    started = time.monotonic()
+    d = cartan("A", n - 1)
+    with pytest.raises(Unsupported, match=f"holds {d.nu} letters"):
+        transition(distinguished_word(d, 1), distinguished_word(d, 0), d)
+    assert time.monotonic() - started < seconds
+
+
 def test_transition_in_other_simply_laced_types():
     d4 = cartan("D", 4)
     w1 = (2, 1, 3, 4, 2, 1, 3, 4, 2, 1)

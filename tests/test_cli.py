@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -140,6 +141,16 @@ def test_verify_all_small_types(capsys):
     assert code == 0
     assert set(report["values"]["checks"]) == {
         "A1", "A2", "A3", "A4", "A5", "B2", "B3", "C3", "D4", "G2"}
+
+
+@pytest.mark.parametrize("command", ["weights", "verify-lemmas"])
+def test_type_and_rank_budget_are_checked_before_the_datum_is_built(capsys, command):
+    started = time.monotonic()
+    code, _, err = run(capsys, command, "--type", "A100000")
+    assert code == 2 and "rank 100000 exceeds the rank budget 6" in err
+    assert time.monotonic() - started < 1
+    code, _, err = run(capsys, command, "--type", "E9", "--rank-budget", "10")
+    assert code == 2 and "invalid finite type E9" in err
 
 
 def test_usage_errors_exit_two(capsys):

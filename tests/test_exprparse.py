@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from bircharts import (ParseError, RatFunc, parse_expression, u_variables)
+from bircharts import (ParseError, RatFunc, g_variables, parse_expression,
+                       u_variables)
 from bircharts.exprparse import MAX_EXPONENT, MAX_LITERAL_DIGITS
 
 from helpers import random_nonzero_poly, random_poly
@@ -144,3 +145,13 @@ def test_long_index_rejected_with_position():
 def test_literal_at_the_digit_limit_parses():
     digits = "7" * MAX_LITERAL_DIGITS
     assert parse_expression(digits, ()) == RatFunc.const((), int(digits))
+
+
+def test_two_digit_indices_round_trip_at_sl11():
+    # the parser and the membership universes share one naming rule
+    phi = parse_expression("u(1,10)*u(10,11)", u_variables(11))
+    assert str(phi) == "u1_10*u10_11"
+    assert parse_expression(str(phi), u_variables(11)) == phi
+    g = parse_expression("g(10,11)", g_variables(11))
+    assert str(g) == "g10_11"
+    assert parse_expression(str(g), g_variables(11)) == g

@@ -5,14 +5,17 @@ which checks nothing.  These properties re-validate every result through
 the public constructor, so a producer that emits a zero coefficient, an
 exponent vector of the wrong width, an integral Fraction or a float fails
 here.  A property checks ``iota``, which is built from the kernel's
-determinants, against independent Fraction arithmetic.  The last one takes
-Theorem 0.3 as an oracle: U is an affine space, so a canonical p/q is in
-its coordinate ring exactly when q is a constant.
+determinants, against independent Fraction arithmetic.  Another checks
+the Weyl-group words of ``root_data`` (products by column operations,
+lengths by descent) against a breadth-first enumeration of the group.  The
+last one takes Theorem 0.3 as an oracle: U is an affine space, so a
+canonical p/q is in its coordinate ring exactly when q is a constant.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache, reduce
 from math import gcd
 
 import pytest
@@ -22,10 +25,11 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from bircharts import (MultiPoly, PoleError, RatFunc, TorusPoint,  # noqa: E402
                        cartan, chart_G, decide_O_U, distinguished_word,
-                       exact_arith, iota, poly_exact_div, poly_gcd,
-                       ratfunc_normalize, substitute, u_variables)
+                       exact_arith, iota, is_reduced, length, poly_exact_div,
+                       poly_gcd, ratfunc_normalize, substitute, u_variables,
+                       weyl_apply, weyl_from_word)
 
-from helpers import reference_substitute  # noqa: E402
+from helpers import enumerate_weyl_group, reference_substitute  # noqa: E402
 
 XY = ("x", "y")
 AB = ("a", "b")
@@ -316,6 +320,38 @@ def _fraction_det(rows):
     return det
 
 
+@lru_cache(maxsize=None)
+def _weyl_oracle(label, rank):
+    d = cartan(label, rank)
+    return d, enumerate_weyl_group(d)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2),
+                        ("B", 3), ("C", 3), ("D", 4), ("G", 2)]), st.data())
+def test_weyl_words_agree_with_the_group_enumeration(type_, data):
+    d, dist = _weyl_oracle(*type_)
+    letters = st.integers(1, d.rank)
+    word = tuple(data.draw(st.lists(letters, max_size=d.nu + 2)))
+    if data.draw(st.booleans()):
+        # the same element: a cancelling pair s_i s_i put in anywhere
+        cut, i = data.draw(st.integers(0, len(word))), data.draw(letters)
+        other = word[:cut] + (i, i) + word[cut:]
+    else:
+        other = tuple(data.draw(st.lists(letters, max_size=d.nu + 2)))
+    w, w_other = weyl_from_word(word, d), weyl_from_word(other, d)
+    # the oracle multiplies simple-reflection matrices one product at a time
+    by_products = [reduce(lambda acc, i: acc * d.simple(i), x, d.identity())
+                   for x in (word, other)]
+    assert w == by_products[0] and w_other == by_products[1]
+    assert (w == w_other) == (by_products[0] == by_products[1])
+    assert length(w, d) == dist[w]
+    assert is_reduced(word, d) == (dist[w] == len(word))
+    for j in range(1, d.rank + 1):
+        om = d.fundamental_weight(j)
+        assert w.apply(om) == weyl_apply(word, om, d)
+
+
 small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
 
@@ -341,6 +377,9 @@ def test_iota_is_the_complementary_minor_matrix(n, data):
             # iota(g) = h (g^T)^{-1} h^{-1} with h = diag(1, -1, 1, ...)
             sign = 1 if (i + j) % 2 == 0 else -1
             assert got.entries[i][j] == sign * inv.entries[j][i]
+            # and the inverse read off iota is the inverse
+            assert sum(vals[i][k] * inv.entries[k][j].const_value
+                       for k in range(n)) == (1 if i == j else 0)
 
 
 @st.composite

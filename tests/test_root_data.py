@@ -31,10 +31,15 @@ def test_cartan_a1():
     assert distinguished_word(d, 0) == (1,) == distinguished_word(d, 1)
 
 
-def test_cartan_g2():
-    # six positive roots, found by reflection closure
-    d = cartan("G", 2)
-    assert (d.nu, d.h) == (6, 6)
+# nu is counted as the descent steps from -rho = w0(rho)
+@pytest.mark.parametrize("label,rank,nu,h", [
+    ("A", 1, 1, 2), ("A", 2, 3, 3), ("A", 3, 6, 4), ("A", 4, 10, 5),
+    ("A", 5, 15, 6), ("B", 2, 4, 4), ("B", 3, 9, 6), ("B", 4, 16, 8),
+    ("C", 3, 9, 6), ("D", 4, 12, 6), ("D", 5, 20, 8), ("E", 6, 36, 12),
+    ("E", 7, 63, 18), ("E", 8, 120, 30), ("F", 4, 24, 12), ("G", 2, 6, 6)])
+def test_number_of_positive_roots_and_coxeter_number(label, rank, nu, h):
+    d = cartan(label, rank)
+    assert (d.nu, d.h) == (nu, h)
 
 
 def test_cartan_invalid_types():
@@ -49,6 +54,8 @@ def test_parse_type():
     assert parse_type("G2") == ("G", 2)
     with pytest.raises(ValueError):
         parse_type("H4")
+    with pytest.raises(ValueError, match="invalid finite type E9"):
+        parse_type("E9")
 
 
 def test_weyl_apply_examples():
