@@ -42,7 +42,10 @@ some denominator has two or more terms, the sum is taken with canonical
 rational values clears ever larger common denominators (the test suite
 ran past ten minutes), and canonical arithmetic on polynomial values
 pays gcds at every step (dense pullbacks ran at under a quarter of the
-speed).
+speed).  What depends only on the values (their universe, each numerator
+divided by c_i, the shifts m_i) is prepared once by
+``prepare_substitution``: ``substitute`` takes such a ``Substitution``
+as well as a mapping, which it prepares on every call.
 
 Two values may be combined only when their universes agree; a constant is
 silently promoted into the other operand's universe (a constant mentions
@@ -58,7 +61,7 @@ from functools import lru_cache, partial
 from heapq import heapify, heappop, heappush
 from math import gcd as _igcd, lcm as _ilcm
 from operator import add as _add, neg as _neg, sub as _sub
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 
 class UniverseError(ValueError):
@@ -1030,7 +1033,11 @@ def ratfunc_normalize(num: MultiPoly, den: MultiPoly) -> RatFunc:
         raise ZeroDivisionError("division by zero polynomial")
     if not (num.is_const or den.is_const):
         g = poly_gcd(num, den)
-        if not g.is_one:
+        if g.is_monomial:
+            # g is primitive, so it is x^m: shift m out of both
+            m = next(iter(g.terms))
+            num, den = _shift_down(num, m), _shift_down(den, m)
+        else:
             num = poly_exact_div(num, g)
             den = poly_exact_div(den, g)
     return _canonical_scale(num, den)
@@ -1053,7 +1060,7 @@ def is_laurent_in(f: RatFunc, names: Iterable[str]) -> bool:
     return True
 
 
-def _evaluate(p: MultiPoly, values: list, const, start=None):
+def _evaluate(p: MultiPoly, values: Sequence, const, start=None):
     """Sum of c * prod(values[i] ** e[i]) over the terms c * x^e of p.
 
     ``values`` are all MultiPoly or all RatFunc over one universe, and
@@ -1061,7 +1068,8 @@ def _evaluate(p: MultiPoly, values: list, const, start=None):
     keeps one cache of its powers.  ``start(c, e)``, when given, builds
     the factor the term c * x^e starts from in place of ``const(c)``.
     """
-    powers = [[const(1)] for _ in values]
+    one = const(1)
+    powers = [[one] for _ in values]
     total = const(0)
     for e in sorted(p.terms, key=_grlex):
         c = p.terms[e]
@@ -1076,45 +1084,62 @@ def _evaluate(p: MultiPoly, values: list, const, start=None):
     return total
 
 
-def substitute(f: RatFunc, assignment: Mapping[str, RatFunc]) -> RatFunc:
-    """Composite f(assignment); every universe variable of f must be assigned.
+class Substitution(NamedTuple):
+    """An assignment prepared for ``substitute``: one value per variable
+    of the ``source`` universe, over the ``target`` universe.  ``shifts``
+    is None when some value's denominator has two or more terms; otherwise
+    each value is its numerator divided by c_i, and ``shifts`` lists (i,
+    m_i) for the values whose denominator c_i * x^m_i is not a constant."""
+
+    source: tuple
+    target: tuple
+    values: tuple
+    shifts: Optional[tuple]
+
+
+def prepare_substitution(universe: Sequence[str],
+                         assignment: Mapping[str, RatFunc]) -> Substitution:
+    """The assignment of every variable of the universe, prepared once."""
+    missing = [v for v in universe if v not in assignment]
+    if missing:
+        raise ValueError(f"unassigned variables: {missing}")
+    values = [RatFunc.const((), val) if isinstance(val, (int, Fraction))
+              else RatFunc(val) for val in map(assignment.__getitem__, universe)]
+    targets = {val.universe for val in values if not val.is_const}
+    if len(targets) > 1:
+        raise UniverseError("assignment values live in different universes")
+    tvars = targets.pop() if targets else values[0].universe if values else ()
+    values = [val if val.universe == tvars
+              else RatFunc.const(tvars, val.const_value) for val in values]
+    if any(len(val.den.terms) != 1 for val in values):
+        return Substitution(tuple(universe), tvars, tuple(values), None)
+    dens = [next(iter(val.den.terms.items())) for val in values]
+    return Substitution(
+        tuple(universe), tvars,
+        tuple(val.num.scale(_div(1, c)) for val, (_, c) in zip(values, dens)),
+        tuple((i, m) for i, (m, _) in enumerate(dens) if any(m)))
+
+
+def substitute(f: RatFunc,
+               assignment: Mapping[str, RatFunc] | Substitution) -> RatFunc:
+    """Composite f(assignment); every universe variable of f must be
+    assigned, by a mapping or by a ``Substitution`` prepared over f's
+    universe.
 
     Raises PoleError when the denominator of f vanishes identically under
     the assignment.
     """
-    missing = [v for v in f.universe if v not in assignment]
-    if missing:
-        raise ValueError(f"unassigned variables: {missing}")
-    values = []
-    for v in f.universe:
-        val = assignment[v]
-        if isinstance(val, (int, Fraction)):
-            val = RatFunc.const((), val)
-        elif isinstance(val, MultiPoly):
-            val = RatFunc(val)
-        values.append(val)
-    tvars = None
-    for val in values:
-        if not val.is_const:
-            if tvars is None:
-                tvars = val.universe
-            elif val.universe != tvars:
-                raise UniverseError(
-                    "assignment values live in different universes")
-    if tvars is None:
-        tvars = values[0].universe if values else ()
-    values = [val if val.universe == tvars
-              else RatFunc.const(tvars, val.const_value) for val in values]
+    sub = (assignment if isinstance(assignment, Substitution)
+           else prepare_substitution(f.universe, assignment))
+    if sub.source != f.universe:
+        raise ValueError(f"substitution prepared for {sub.source}, "
+                         f"not for {f.universe}")
+    _, tvars, values, shifted = sub
     start = None
-    monomial = all(len(val.den.terms) == 1 for val in values)
-    if monomial:
+    if shifted is not None:
         # values[i] = P_i / (c_i * x^m_i): each term c * x^e of f.num and
         # f.den evaluates to c * prod P_i^e_i over x^w(e), w(e) = sum
         # e_i * m_i, and is shifted up to the common denominator x^top
-        dens = [next(iter(val.den.terms.items())) for val in values]
-        values = [val.num.scale(_div(1, c))
-                  for val, (_, c) in zip(values, dens)]
-        shifted = [(i, m) for i, (m, _) in enumerate(dens) if any(m)]
         if shifted:
             zero = (0,) * len(tvars)
             weight = {}
@@ -1136,4 +1161,4 @@ def substitute(f: RatFunc, assignment: Mapping[str, RatFunc]) -> RatFunc:
     den = _evaluate(f.den, values, const, start)
     if den.is_zero:
         raise PoleError("pullback undefined: chart lies in pole locus")
-    return ratfunc_normalize(num, den) if monomial else num / den
+    return ratfunc_normalize(num, den) if shifted is not None else num / den

@@ -13,6 +13,11 @@ Indexed variables like u(1,2) map onto canonical universe names ("u12");
 a bare name is accepted when it is itself a universe variable, so printed
 canonical forms parse back to themselves.
 
+A subexpression stays a ``MultiPoly`` while it is a polynomial, and a
+division by a nonzero constant scales it.  It becomes a canonical
+``RatFunc`` only at a division by a non-constant or a negative power, and
+combines canonically from then on, so polynomial input pays no gcd.
+
 An exponent whose absolute value exceeds ``MAX_EXPONENT`` is rejected
 before any power is computed, so a hostile input such as
 ``(u(1,2)+1)^100000`` fails at once instead of expanding.  An integer
@@ -22,9 +27,10 @@ literal (a constant, an index or an exponent) longer than
 
 from __future__ import annotations
 
+import re
 from typing import Sequence
 
-from .exact_arith import RatFunc
+from .exact_arith import MultiPoly, RatFunc
 
 
 def indexed_name(stem: str, indices: Sequence[int]) -> str:
@@ -41,43 +47,30 @@ class ParseError(ValueError):
         self.pos = pos
 
 
-_SYMBOLS = "+-*/^(),"
-
 MAX_EXPONENT = 1000
 MAX_LITERAL_DIGITS = 1000
+
+# an integer, a name, a symbol, or any other non-space character (an error)
+_TOKEN = re.compile(r"(\d+)|([^\W\d]\w*)|([-+*/^(),])|(\S)")
 
 
 def _tokenize(text: str):
     tokens = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in _SYMBOLS:
-            tokens.append((c, c, i))
-            i += 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            if j - i > MAX_LITERAL_DIGITS:
+    for m in _TOKEN.finditer(text):
+        digits, name, symbol, _ = m.groups()
+        i = m.start()
+        if digits is not None:
+            if len(digits) > MAX_LITERAL_DIGITS:
                 raise ParseError(
-                    f"integer literal of {j - i} digits exceeds the limit "
+                    f"integer literal of {len(digits)} digits exceeds the limit "
                     f"of {MAX_LITERAL_DIGITS} digits", i)
-            tokens.append(("int", text[i:j], i))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("name", text[i:j], i))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {c!r}", i)
+            tokens.append(("int", digits, i))
+        elif symbol is not None:
+            tokens.append((symbol, symbol, i))
+        elif name is not None and (name[0].isalpha() or name[0] == "_"):
+            tokens.append(("name", name, i))
+        else:
+            raise ParseError(f"unexpected character {m.group()[0]!r}", i)
     tokens.append(("end", "", len(text)))
     return tokens
 
@@ -110,9 +103,9 @@ class _Parser:
         tok = self.peek()
         if tok[0] != "end":
             raise ParseError(f"unexpected trailing input {tok[1]!r}", tok[2])
-        return value
+        return RatFunc(value)
 
-    def expr(self) -> RatFunc:
+    def expr(self) -> MultiPoly | RatFunc:
         value = self.term()
         while self.peek()[0] in ("+", "-"):
             op = self.advance()[0]
@@ -120,15 +113,21 @@ class _Parser:
             value = value + rhs if op == "+" else value - rhs
         return value
 
-    def term(self) -> RatFunc:
+    def term(self) -> MultiPoly | RatFunc:
         value = self.factor()
         while self.peek()[0] in ("*", "/"):
             op = self.advance()[0]
             rhs = self.factor()
-            value = value * rhs if op == "*" else value / rhs
+            if op == "*":
+                value = value * rhs
+            elif (type(value) is MultiPoly and type(rhs) is MultiPoly
+                    and rhs.is_const and not rhs.is_zero):
+                value = value.scale(1 / rhs.const_value)
+            else:
+                value = RatFunc(value) / rhs
         return value
 
-    def factor(self) -> RatFunc:
+    def factor(self) -> MultiPoly | RatFunc:
         if self.peek()[0] == "-":
             self.advance()
             return -self.factor()
@@ -146,13 +145,13 @@ class _Parser:
                     or int(digits or "0") > MAX_EXPONENT):
                 raise ParseError(
                     f"exponent {tok[1]} exceeds the limit {MAX_EXPONENT}", tok[2])
-            value = value ** (sign * int(tok[1]))
+            value = (value if sign > 0 else RatFunc(value)) ** (sign * int(tok[1]))
         return value
 
-    def atom(self) -> RatFunc:
+    def atom(self) -> MultiPoly | RatFunc:
         tok = self.advance()
         if tok[0] == "int":
-            return RatFunc.const(self.universe, int(tok[1]))
+            return MultiPoly.const(self.universe, int(tok[1]))
         if tok[0] == "(":
             value = self.expr()
             self.expect(")")
@@ -161,7 +160,7 @@ class _Parser:
             return self.variable(tok)
         raise ParseError(f"unexpected token {tok[1]!r}", tok[2])
 
-    def variable(self, tok) -> RatFunc:
+    def variable(self, tok) -> MultiPoly:
         name, pos = tok[1], tok[2]
         if self.peek()[0] == "(":
             self.advance()
@@ -174,7 +173,7 @@ class _Parser:
         else:
             canonical = name
         if canonical in self.universe:
-            return RatFunc.var(self.universe, canonical)
+            return MultiPoly.variable(self.universe, canonical)
         if any(v.rstrip("0123456789_") == name for v in self.universe):
             raise ParseError(f"index out of bounds for {name!r}", pos)
         raise ParseError(f"unknown variable {canonical!r}", pos)

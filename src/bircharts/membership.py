@@ -13,8 +13,9 @@ variables, ``u_variables(n)`` or ``g_variables(n)``; on G/U- it must also
 be right-invariant, which ``check_invariance`` tests by vector fields.
 
 The chart matrices do not depend on the function being decided.  Each is
-built lazily, on first use, once per process per (chart, words, n), and a
-pullback is then a table lookup plus ``substitute``.  The chart entries
+built lazily, on first use, once per process per (chart, words, n), and so
+is its prepared substitution (see ``exact_arith``); a pullback is then a
+table lookup plus ``substitute``.  The chart entries
 are polynomials over monomials in the torus coordinates, so a pullback is
 summed with polynomial arithmetic over one common monomial and needs no
 per-step gcd, only its one final normalization.  Held at once, the
@@ -38,8 +39,8 @@ from functools import lru_cache
 from math import isqrt
 from typing import Optional
 
-from .exact_arith import (MultiPoly, PoleError, RatFunc, _canon, is_laurent_in,
-                          substitute)
+from .exact_arith import (MultiPoly, PoleError, RatFunc, Substitution, _canon,
+                          is_laurent_in, prepare_substitution, substitute)
 from .exprparse import indexed_name
 from .root_data import CartanDatum, distinguished_word
 from .sl_realization import (GroupMatrix, TorusPoint, Unsupported, _datum_for,
@@ -124,11 +125,12 @@ def _require_universe(phi: RatFunc, stem: str, n: int) -> None:
                          f"got one over {phi.universe}")
 
 
-def _pull_through_matrix(phi: RatFunc, stem: str, matrix) -> RatFunc:
-    """phi with each entry variable replaced by that entry of matrix, a
-    sequence of rows."""
-    return substitute(phi, {name: matrix[i - 1][j - 1]
-                            for name, i, j in _entries(stem, len(matrix))})
+def _substitution(stem: str, matrix) -> Substitution:
+    """Each entry variable replaced by that entry of matrix, a sequence of
+    rows, prepared for ``substitute``."""
+    entries = _entries(stem, len(matrix))
+    return prepare_substitution(tuple(name for name, _, _ in entries),
+                                {name: matrix[i - 1][j - 1] for name, i, j in entries})
 
 
 # -- chart table --------------------------------------------------------
@@ -168,11 +170,18 @@ def _chart(cid: ChartId, jj: tuple, jj2: Optional[tuple], n: int) -> GroupMatrix
     return chart_G(jj, jj2, params, TorusPoint(tuple(t)), params2, cid.variant, n)
 
 
+@lru_cache(maxsize=None)
+def _chart_substitution(cid: ChartId, jj: tuple, jj2: Optional[tuple],
+                        n: int) -> Substitution:
+    """The chart's entries for the space's entry variables, prepared once."""
+    return _substitution("u" if cid.space == "U" else "g",
+                         _chart(cid, jj, jj2, n).entries)
+
+
 def _pullback(phi: RatFunc, cid: ChartId, d: CartanDatum, n: int) -> RatFunc:
     jj = distinguished_word(d, cid.eps)
     jj2 = None if cid.eps2 is None else distinguished_word(d, cid.eps2)
-    return _pull_through_matrix(phi, "u" if cid.space == "U" else "g",
-                                _chart(cid, jj, jj2, n).entries)
+    return substitute(phi, _chart_substitution(cid, jj, jj2, n))
 
 
 def _decide(phi: RatFunc, space: str, n: int,
@@ -316,6 +325,7 @@ def invert_chart(u: GroupMatrix, eps: int, n: int,
     word = distinguished_word(d, eps)
     formulas = _inversion_formulas(word, n)
     try:
-        return tuple(_pull_through_matrix(f, "u", u.entries) for f in formulas)
+        sub = _substitution("u", u.entries)
+        return tuple(substitute(f, sub) for f in formulas)
     except (PoleError, ZeroDivisionError):
         raise ValueError("inverse undefined at this point") from None

@@ -37,6 +37,14 @@ def test_normalize_cancels_common_factor():
     assert f.den.is_one
 
 
+def test_normalize_shifts_out_a_monomial_gcd(monkeypatch):
+    # gcd x*y: divided out by an exponent shift, not by the heap division
+    monkeypatch.setattr(exact_arith, "poly_exact_div", None)
+    x, y = _x(), _y()
+    f = ratfunc_normalize(3 * x * x * y + 6 * x * y, 9 * x * y * y)
+    assert f.num == x + 2 and f.den == 3 * y
+
+
 def test_normalize_zero_numerator():
     f = ratfunc_normalize(MultiPoly.zero(XY), _x())
     assert f.num.is_zero and f.den.is_one
@@ -288,6 +296,23 @@ def test_substitute_monomial_denominators():
                        {"x": (a - b) / (a * b), "y": Fraction(3, 4)}]:
         assert _matches_reference(f, assignment)
         assert _matches_reference(f.inv(), assignment)
+
+
+def test_prepared_substitution_matches_a_plain_mapping():
+    a, b = _ab()
+    x, y = RatFunc(_x()), RatFunc(_y())
+    functions = [x * y - 3, (x ** 2 + y) / (x - 2 * y), 1 / y]
+    # single-term denominators, a constant, and a two-term denominator
+    for assignment in [{"x": (a + 1) / (2 * a), "y": b / (3 * a * b * b)},
+                       {"x": a - b, "y": Fraction(3, 4)},
+                       {"x": a / (a + b), "y": b + 1}]:
+        prepared = exact_arith.prepare_substitution(XY, assignment)
+        for f in functions:
+            assert substitute(f, prepared) == substitute(f, assignment)
+    with pytest.raises(ValueError, match="prepared for"):
+        substitute(RatFunc.var(AB, "a"), prepared)
+    with pytest.raises(ValueError, match="unassigned"):
+        exact_arith.prepare_substitution(XY, {"x": a})
 
 
 def _sl3_right_minor_functions():

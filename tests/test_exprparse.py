@@ -8,6 +8,7 @@ import pytest
 
 from bircharts import (ParseError, RatFunc, g_variables, parse_expression,
                        u_variables)
+from bircharts import exact_arith
 from bircharts.exprparse import MAX_EXPONENT, MAX_LITERAL_DIGITS
 
 from helpers import random_nonzero_poly, random_poly
@@ -155,3 +156,35 @@ def test_two_digit_indices_round_trip_at_sl11():
     g = parse_expression("g(10,11)", g_variables(11))
     assert str(g) == "g10_11"
     assert parse_expression(str(g), g_variables(11)) == g
+
+
+def test_zero_divisor_is_the_zero_function():
+    for text in ("1/(u(1,2)-u(1,2))", "(u(1,2)-u(1,2))^-1"):
+        with pytest.raises(ZeroDivisionError,
+                           match="^division by the zero function$"):
+            parse_expression(text, UV)
+
+
+def test_polynomial_input_pays_no_gcd(monkeypatch):
+    calls = []
+    real_gcd = exact_arith.poly_gcd
+    monkeypatch.setattr(exact_arith, "poly_gcd",
+                        lambda p, q: calls.append(1) or real_gcd(p, q))
+    phi = parse_expression("(u(1,2)+2)^3*u(3,4)/6 - u(1,3)*u(2,4)/4", UV)
+    assert calls == []
+    assert phi.den == RatFunc.const(UV, 12).num
+    # c/(polynomial) is one canonical division
+    parse_expression("5/(u(1,2)*u(3,4)+1)", UV)
+    assert len(calls) <= 2
+
+
+def test_characters_outside_the_grammar_keep_their_positions():
+    with pytest.raises(ParseError, match=r"unexpected character '\$'") as err:
+        parse_expression("u(1,2) $ 3", UV)
+    assert err.value.pos == 7
+    with pytest.raises(ParseError, match="unexpected character '½'") as err:
+        parse_expression("1 + ½", UV)
+    assert err.value.pos == 4
+    with pytest.raises(ParseError, match="unknown variable 'é'") as err:
+        parse_expression(" é", UV)
+    assert err.value.pos == 1

@@ -391,14 +391,62 @@ def test_each_chart_is_built_once(monkeypatch):
 
     monkeypatch.setattr(membership, "chart_U", counting_chart_U)
     membership._chart.cache_clear()
+    membership._chart_substitution.cache_clear()
     try:
         names, u = _uvars(4)
         for phi in (u["u12"], u["u13"] + u["u24"], u["u14"].inv()):
             decide_O_U(phi, 4)
     finally:
         membership._chart.cache_clear()
+        membership._chart_substitution.cache_clear()
     assert sorted(built) == sorted((distinguished_word(cartan("A", 3), eps), 4)
                                    for eps in (0, 1))
+
+
+@pytest.mark.parametrize("space,count", [("U", 2), ("GmodU", 4), ("G", 8)])
+def test_prepared_chart_substitution_matches_a_plain_dict(space, count):
+    stem = "u" if space == "U" else "g"
+    _, x = _uvars(3) if stem == "u" else _gvars(3)
+    # the last column of g: no entry of it vanishes on a G/U- chart
+    a, b, c = (x[v] for v in (("u12", "u13", "u23") if stem == "u"
+                              else ("g13", "g23", "g33")))
+    # a member, a pole, and a denominator of two terms
+    inputs = [a * c - 2 * b + 1, 3 / b, (a - c) / (a * b + 2 * c)]
+    d = cartan("A", 2)
+    assert len(membership._CHARTS[space]) == count
+    for cid in membership._CHARTS[space]:
+        jj = distinguished_word(d, cid.eps)
+        jj2 = None if cid.eps2 is None else distinguished_word(d, cid.eps2)
+        matrix = membership._chart(cid, jj, jj2, 3)
+        plain = {name: matrix.entry(i, j)
+                 for name, i, j in membership._entries(stem, 3)}
+        prepared = membership._chart_substitution(cid, jj, jj2, 3)
+        for phi in inputs:
+            assert substitute(phi, prepared) == substitute(phi, plain)
+
+
+def test_a_second_decision_prepares_nothing(monkeypatch):
+    prepared = []
+    real = membership.prepare_substitution
+
+    def counting(*args):
+        prepared.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(membership, "prepare_substitution", counting)
+    membership._chart_substitution.cache_clear()
+    names, g = _gvars(3)
+    decide_O_G(g["g11"] * g["g22"] - g["g31"], 3)
+    assert len(prepared) == 8
+    decide_O_G(1 / g["g12"], 3)
+    assert len(prepared) == 8
+    # an inversion prepares its point once for all of its formulas
+    prepared.clear()
+    d = cartan("A", 2)
+    params = [RatFunc.const((), k) for k in (2, 3, 5)]
+    u = chart_U(distinguished_word(d, 0), params, 3)
+    assert list(invert_chart(u, 0, 3)) == params
+    assert prepared == [u_variables(3)]
 
 
 @pytest.mark.parametrize("n,eps", [(2, 0), (2, 1), (3, 0), (3, 1), (4, 0), (4, 1)])
