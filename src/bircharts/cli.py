@@ -2,10 +2,12 @@
 
 Subcommands: membership (u | g-mod-u | g), chart (eval | invert),
 transition, weights, verify-lemmas.  Reports print human-readable by
-default and as stable JSON with --json.
+default and as stable JSON with --json.  A word is jj0, jj1 or letters.
 
 Exit codes: 0 success / member, 1 valid run with a negative verdict,
-2 usage error, 3 unsupported request or internal invariant failure.
+2 usage error, 3 unsupported request (such as a group above a membership
+or inversion bound, refused before the input is read) or internal
+invariant failure.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from .braid_engine import transition
 from .exact_arith import RatFunc
 from .exprparse import ParseError, parse_expression
 from .membership import (DEFAULT_SEED, decide_O_G, decide_O_GmodU, decide_O_U,
-                         g_variables, invert_chart, require_invertible,
-                         u_variables)
+                         g_variables, invert_chart, require_decidable,
+                         require_invertible, u_variables)
 from .root_data import (cartan, chart_weights, distinguished_word, parse_type,
                         verify_lemmas, weight_sets)
 from .sl_realization import GroupMatrix, Unsupported, chart_U
@@ -50,19 +52,7 @@ def _parse_group(text: str) -> int:
     return n
 
 
-def _parse_labeling(text):
-    if text is None:
-        return None
-    text = text.strip()
-    if not text.startswith("i0="):
-        raise UsageError("labeling must look like i0=2 or i0=1,3")
-    try:
-        return {int(x) for x in text[3:].split(",") if x}
-    except ValueError:
-        raise UsageError("labeling must list integer nodes") from None
-
-
-_CONFIG_KEYS = ("group", "labeling", "seed", "rank-budget")
+_CONFIG_KEYS = ("group", "seed", "rank-budget")
 
 
 def _read_config(path):
@@ -80,10 +70,6 @@ def _read_config(path):
                                  + ", ".join(_CONFIG_KEYS))
             values[key] = val
     return values
-
-
-def _datum_for_group(n: int, labeling):
-    return cartan("A", n - 1, i0=labeling)
 
 
 def _word_arg(text: str, datum):
@@ -105,20 +91,20 @@ def _certificates_json(verdict):
 # -- subcommand handlers -------------------------------------------------
 
 
-# space -> (variable universe, decision); the decisions are looked up at
-# call time, so a wrapper put on their module-level names sees the call
+# space -> (chart table, variable universe, decision); the decisions are
+# looked up at call time, so a wrapper put on their names sees the call
 _SPACES = {
-    "u": (u_variables, lambda *a: decide_O_U(*a)),
-    "g-mod-u": (g_variables, lambda *a: decide_O_GmodU(*a)),
-    "g": (g_variables, lambda *a: decide_O_G(*a)),
+    "u": ("U", u_variables, lambda *a: decide_O_U(*a)),
+    "g-mod-u": ("GmodU", g_variables, lambda *a: decide_O_GmodU(*a)),
+    "g": ("G", g_variables, lambda *a: decide_O_G(*a)),
 }
 
 
 def _cmd_membership(args, common):
     n = _parse_group(args.group)
-    datum = _datum_for_group(n, common["labeling"])
-    variables, decide = _SPACES[args.space]
-    verdict = decide(parse_expression(args.expr, variables(n)), n, datum)
+    space, variables, decide = _SPACES[args.space]
+    require_decidable(space, n)
+    verdict = decide(parse_expression(args.expr, variables(n)), n)
     report = {
         "group": f"sl{n}",
         "member": verdict.member,
@@ -132,12 +118,8 @@ def _cmd_membership(args, common):
 
 def _cmd_chart_eval(args, common):
     n = _parse_group(args.group)
-    datum = _datum_for_group(n, common["labeling"])
-    custom = args.word == "custom"
-    if custom and not args.letters:
-        raise UsageError("--word custom requires --letters")
-    word, _ = _word_arg(args.letters if custom else args.word, datum)
-    stem = "b" if args.word == "jj1" else "a"
+    word, tag = _word_arg(args.word, cartan("A", n - 1))
+    stem = "b" if tag == "jj1" else "a"
     universe = tuple(f"{stem}{k}" for k in range(1, len(word) + 1))
     if args.params:
         texts = args.params.split(",")
@@ -160,7 +142,6 @@ def _cmd_chart_eval(args, common):
 def _cmd_chart_invert(args, common):
     n = _parse_group(args.group)
     require_invertible(n)
-    datum = _datum_for_group(n, common["labeling"])
     with open(args.matrix) as fh:
         raw = json.load(fh)
     if (not isinstance(raw, list) or len(raw) != n
@@ -172,7 +153,7 @@ def _cmd_chart_invert(args, common):
     if not matrix.is_upper_unitriangular:
         raise UsageError("chart inversion expects an upper unitriangular matrix")
     try:
-        params = invert_chart(matrix, args.eps, n, datum)
+        params = invert_chart(matrix, args.eps, n)
     except ValueError as exc:
         raise NegativeVerdict({"group": f"sl{n}", "error": str(exc)}) from None
     return {
@@ -186,7 +167,7 @@ def _cmd_chart_invert(args, common):
 
 def _cmd_transition(args, common):
     n = _parse_group(args.group)
-    datum = _datum_for_group(n, common["labeling"])
+    datum = cartan("A", n - 1)
     word1, tag1 = _word_arg(args.from_word, datum)
     word2, tag2 = _word_arg(args.to_word, datum)
     stems = {"jj0": "a", "jj1": "b", "custom": "c"}
@@ -214,7 +195,7 @@ def _type_datum(label, common):
     if rank > common["rank_budget"]:
         raise UsageError(
             f"rank {rank} exceeds the rank budget {common['rank_budget']}")
-    return cartan(letter, rank, i0=common["labeling"])
+    return cartan(letter, rank)
 
 
 def _cmd_weights(args, common):
@@ -273,8 +254,6 @@ def _add_common(parser, root: bool):
     d = (lambda v: v) if root else (lambda v: argparse.SUPPRESS)
     parser.add_argument("--seed", type=int, default=d(None))
     parser.add_argument("--json", action="store_true", default=d(False))
-    parser.add_argument("--labeling", default=d(None),
-                        help="bipartition override, e.g. i0=2 or i0=1,3")
     parser.add_argument("--config", default=d(None),
                         help="key = value file with defaults ("
                         + ", ".join(_CONFIG_KEYS) + ")")
@@ -308,8 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pe = chart_sub("eval")
     pe.add_argument("--group", required=False)
-    pe.add_argument("--word", choices=["jj0", "jj1", "custom"], default="jj0")
-    pe.add_argument("--letters", default=None)
+    pe.add_argument("--word", default="jj0", help="jj0, jj1 or letters, e.g. 1,2,1")
     pe.add_argument("--params", default=None)
     pi = chart_sub("invert")
     pi.add_argument("--group", required=False)
@@ -357,9 +335,6 @@ def run_command(argv, args) -> tuple:
     try:
         config = _read_config(args.config) if args.config else {}
         common = {
-            "labeling": _parse_labeling(
-                args.labeling if args.labeling is not None
-                else config.get("labeling")),
             "seed": args.seed if args.seed is not None
             else int(config.get("seed", DEFAULT_SEED)),
             "rank_budget": args.rank_budget if args.rank_budget is not None

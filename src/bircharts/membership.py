@@ -12,16 +12,18 @@ independently.  The function must be given over the space's own
 variables, ``u_variables(n)`` or ``g_variables(n)``; on G/U- it must also
 be right-invariant, which ``check_invariance`` tests by vector fields.
 
-The chart matrices do not depend on the function being decided.  Each is
-built lazily, on first use, once per process per (chart, words, n), and so
-is its prepared substitution (see ``exact_arith``); a pullback is then a
-table lookup plus ``substitute``.  The chart entries
-are polynomials over monomials in the torus coordinates, so a pullback is
-summed with polynomial arithmetic over one common monomial and needs no
-per-step gcd, only its one final normalization.  Held at once, the
-unipotent charts at sl3-sl7 and the quotient and full-group charts at
-sl3-sl5 take about 1.6 MB (tracemalloc), of which the eight sl5
-full-group charts take 0.77 MB.
+The chart matrices do not depend on the function being decided.  Each
+chart is built lazily, on first use, once per process per (chart, n), from
+the distinguished words of sl_n, and only its prepared substitution (see
+``exact_arith``) is kept; a pullback is then a table lookup plus
+``substitute``.  The chart entries are polynomials over monomials in the
+torus coordinates, so a pullback is summed with polynomial arithmetic over
+one common monomial and needs no per-step gcd, only its one final
+normalization.  Held at once, the unipotent charts at sl3-sl7 and the
+quotient and full-group charts at sl3-sl5 take about 1.1 MB
+(tracemalloc), of which the eight sl5 full-group charts take 0.61 MB.
+Above a measured size bound per space (``_MAX_N``) a decision raises
+``Unsupported`` before any chart is built.
 
 Chart inversion works for every n by one construction: factors are peeled
 off the left of the generic unitriangular matrix, each parameter a ratio of
@@ -42,7 +44,7 @@ from typing import Optional
 from .exact_arith import (MultiPoly, PoleError, RatFunc, Substitution, _canon,
                           is_laurent_in, prepare_substitution, substitute)
 from .exprparse import indexed_name
-from .root_data import CartanDatum, distinguished_word
+from .root_data import distinguished_word
 from .sl_realization import (GroupMatrix, TorusPoint, Unsupported, _datum_for,
                              _det, chart_G, chart_GmodU, chart_U)
 
@@ -135,9 +137,7 @@ def _substitution(stem: str, matrix) -> Substitution:
 
 # -- chart table --------------------------------------------------------
 #
-# The charts of each space in certificate order.  A chart matrix is cached
-# by its ChartId and the words themselves rather than the datum, so a
-# labeling override gives other keys instead of a stale hit.
+# The charts of each space in certificate order.
 
 _CHARTS = {
     "U": tuple(ChartId("U", eps) for eps in (0, 1)),
@@ -148,16 +148,14 @@ _CHARTS = {
 }
 
 
-def _datum(n: int, datum: Optional[CartanDatum]) -> CartanDatum:
-    return datum if datum is not None else _datum_for(n)
-
-
-@lru_cache(maxsize=None)
-def _chart(cid: ChartId, jj: tuple, jj2: Optional[tuple], n: int) -> GroupMatrix:
+def _chart(cid: ChartId, n: int) -> GroupMatrix:
     """The chart matrix over its parameters: those of jj (a... for eps 0,
     b... for 1, a... in G), then the torus coordinates (not in U), then in
-    G the b-parameters of jj2."""
-    space = cid.space
+    G the b-parameters of jj2; jj and jj2 are the words of sl_n for eps
+    and eps2."""
+    space, d = cid.space, _datum_for(n)
+    jj = distinguished_word(d, cid.eps)
+    jj2 = None if cid.eps2 is None else distinguished_word(d, cid.eps2)
     blocks = (param_names(0 if space == "G" else cid.eps, len(jj)),
               () if space == "U" else torus_names(n),
               param_names(1, len(jj2)) if space == "G" else ())
@@ -171,26 +169,29 @@ def _chart(cid: ChartId, jj: tuple, jj2: Optional[tuple], n: int) -> GroupMatrix
 
 
 @lru_cache(maxsize=None)
-def _chart_substitution(cid: ChartId, jj: tuple, jj2: Optional[tuple],
-                        n: int) -> Substitution:
+def _chart_substitution(cid: ChartId, n: int) -> Substitution:
     """The chart's entries for the space's entry variables, prepared once."""
-    return _substitution("u" if cid.space == "U" else "g",
-                         _chart(cid, jj, jj2, n).entries)
+    return _substitution("u" if cid.space == "U" else "g", _chart(cid, n).entries)
 
 
-def _pullback(phi: RatFunc, cid: ChartId, d: CartanDatum, n: int) -> RatFunc:
-    jj = distinguished_word(d, cid.eps)
-    jj2 = None if cid.eps2 is None else distinguished_word(d, cid.eps2)
-    return substitute(phi, _chart_substitution(cid, jj, jj2, n))
+# The largest n measured to decide cold within 10 s (CLI, one run each):
+# U at sl20 in 9.2 s and 509 MB, G/U- at sl16 in 5.3 s (sl17: 11 s), G at
+# sl8 in 2.9 s (sl9: 12 s).  sl22 on U held 1.45 GB when stopped at 20 s.
+_MAX_N = {"U": 20, "GmodU": 16, "G": 8}
 
 
-def _decide(phi: RatFunc, space: str, n: int,
-            datum: Optional[CartanDatum]) -> MembershipVerdict:
+def require_decidable(space: str, n: int) -> None:
+    if n > _MAX_N[space]:
+        raise Unsupported(f"{space} membership is decided up to "
+                          f"sl{_MAX_N[space]}, not sl{n}")
+
+
+def _decide(phi: RatFunc, space: str, n: int) -> MembershipVerdict:
     """One certificate per chart of the space, in table order: the
     pullback, and whether it is a polynomial that is Laurent in the torus
     coordinates (a U chart has none, so there it must be a polynomial)."""
+    require_decidable(space, n)
     _require_universe(phi, "u" if space == "U" else "g", n)
-    d = _datum(n, datum)
     tnames = torus_names(n)
     where = "U" if space == "U" else f"SL_{n}"
     certs = []
@@ -198,8 +199,8 @@ def _decide(phi: RatFunc, space: str, n: int,
         # U charts go through the public pullback_U, so that a wrapper on
         # that name (perfbench/spans.py) sees the decision's pullbacks
         try:
-            pb = (pullback_U(phi, cid.eps, n, d) if space == "U"
-                  else _pullback(phi, cid, d, n))
+            pb = (pullback_U(phi, cid.eps, n) if space == "U"
+                  else substitute(phi, _chart_substitution(cid, n)))
         except PoleError:
             raise ValueError(
                 f"the input's denominator vanishes on {where}: it is zero "
@@ -212,17 +213,15 @@ def _decide(phi: RatFunc, space: str, n: int,
 # -- the three spaces ---------------------------------------------------
 
 
-def pullback_U(phi: RatFunc, eps: int, n: int,
-               datum: Optional[CartanDatum] = None) -> RatFunc:
+def pullback_U(phi: RatFunc, eps: int, n: int) -> RatFunc:
     """Pullback along the bipartite unipotent chart for eps."""
     _require_universe(phi, "u", n)
-    return _pullback(phi, ChartId("U", eps), _datum(n, datum), n)
+    return substitute(phi, _chart_substitution(ChartId("U", eps), n))
 
 
-def decide_O_U(phi: RatFunc, n: int,
-               datum: Optional[CartanDatum] = None) -> MembershipVerdict:
+def decide_O_U(phi: RatFunc, n: int) -> MembershipVerdict:
     """Membership in the polynomial ring of the unipotent group."""
-    return _decide(phi, "U", n, datum)
+    return _decide(phi, "U", n)
 
 
 def _derivation(p: MultiPoly, sources) -> MultiPoly:
@@ -250,8 +249,7 @@ def check_invariance(phi: RatFunc) -> bool:
                for col in (range(j, n * n, n) for j in range(n - 1)))
 
 
-def decide_O_GmodU(phi: RatFunc, n: int,
-                   datum: Optional[CartanDatum] = None) -> MembershipVerdict:
+def decide_O_GmodU(phi: RatFunc, n: int) -> MembershipVerdict:
     """Membership in the coordinate ring of the flag-type quotient.
 
     The input must be a right-invariant rational function of the matrix
@@ -260,18 +258,17 @@ def decide_O_GmodU(phi: RatFunc, n: int,
     """
     if not check_invariance(phi):
         raise ValueError("not a function on G/U-: input is not right-invariant")
-    return _decide(phi, "GmodU", n, datum)
+    return _decide(phi, "GmodU", n)
 
 
-def decide_O_G(phi: RatFunc, n: int,
-               datum: Optional[CartanDatum] = None) -> MembershipVerdict:
+def decide_O_G(phi: RatFunc, n: int) -> MembershipVerdict:
     """Membership in the coordinate ring of the full group.
 
     Any rational representative in the matrix entries is accepted; all
     eight chart pullbacks must be polynomial in both parameter blocks and
     Laurent in the torus coordinates.
     """
-    return _decide(phi, "G", n, datum)
+    return _decide(phi, "G", n)
 
 
 # -- chart inversion ----------------------------------------------------
@@ -313,17 +310,14 @@ def require_invertible(n: int) -> None:
         raise Unsupported(f"chart inversion is implemented up to sl6, not sl{n}")
 
 
-def invert_chart(u: GroupMatrix, eps: int, n: int,
-                 datum: Optional[CartanDatum] = None) -> tuple:
+def invert_chart(u: GroupMatrix, eps: int, n: int) -> tuple:
     """Chart parameters reproducing an upper unitriangular matrix."""
     require_invertible(n)
     if u.n != n:
         raise ValueError("matrix size does not match n")
     if not u.is_upper_unitriangular:
         raise ValueError("chart inversion expects an upper unitriangular matrix")
-    d = _datum(n, datum)
-    word = distinguished_word(d, eps)
-    formulas = _inversion_formulas(word, n)
+    formulas = _inversion_formulas(distinguished_word(_datum_for(n), eps), n)
     try:
         sub = _substitution("u", u.entries)
         return tuple(substitute(f, sub) for f in formulas)

@@ -20,7 +20,7 @@ vectors rather than assumed:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 Word = tuple  # tuple[int, ...], letters are node labels 1..r
 
@@ -137,12 +137,13 @@ class CartanDatum:
     Holds the Cartan matrix, each simple root alpha_i in fundamental-weight
     coordinates as its nonzero entries, nu (the number of positive roots,
     counted as the descent steps from -rho) and the Coxeter number
-    h = 2 nu / r.  The bipartition (I0, I1) 2-colors the Dynkin diagram;
-    the default labeling puts node 1 in I1 and may be overridden with an
-    explicit I0.
+    h = 2 nu / r.  The bipartition (I0, I1) 2-colors the Dynkin diagram
+    with node 1 in I1.  A connected diagram has only this 2-coloring and
+    its swap, and the swap exchanges the words for eps = 0 and 1, so the
+    charts of both words cover every labeling.
     """
 
-    def __init__(self, type_label: str, rank: int, i0: Optional[Iterable[int]] = None):
+    def __init__(self, type_label: str, rank: int):
         _check_finite_type(type_label, rank)
         self.type_label = type_label
         self.rank = rank
@@ -153,43 +154,24 @@ class CartanDatum:
         if (2 * self.nu) % rank:
             raise AssertionError("Coxeter number 2*nu/r is not an integer")
         self.h = 2 * self.nu // rank
-        self.i0, self.i1 = self._bipartition(i0)
+        self.i0, self.i1 = self._bipartition()
         self._word_cache: dict = {}
         self._w0: Optional[WeylElement] = None
 
     # -- construction helpers ------------------------------------------
 
-    def _bipartition(self, i0_override):
-        adj = {i: [] for i in range(1, self.rank + 1)}
-        for i in range(self.rank):
-            for j in range(self.rank):
-                if i != j and self.cartan[i][j] != 0:
-                    adj[i + 1].append(j + 1)
-        if i0_override is not None:
-            i0 = frozenset(int(x) for x in i0_override)
-            if not i0 <= set(adj):
-                raise ValueError("labeling override mentions unknown nodes")
-            i1 = frozenset(set(adj) - i0)
-            for cls in (i0, i1):
-                for i in cls:
-                    for j in cls:
-                        if i != j and self.cartan[i - 1][j - 1] != 0:
-                            raise ValueError(
-                                "labeling override is not a valid two-coloring")
-            return tuple(sorted(i0)), tuple(sorted(i1))
+    def _bipartition(self):
         color = {1: 1}
         stack = [1]
         while stack:
             v = stack.pop()
-            for u in adj[v]:
-                if u not in color:
+            for u in range(1, self.rank + 1):
+                if u not in color and self.cartan[v - 1][u - 1]:
                     color[u] = 1 - color[v]
                     stack.append(u)
         if len(color) != self.rank:
             raise AssertionError("Dynkin diagram is not connected")
-        i0 = tuple(sorted(i for i, c in color.items() if c == 0))
-        i1 = tuple(sorted(i for i, c in color.items() if c == 1))
-        return i0, i1
+        return tuple(tuple(i for i in sorted(color) if color[i] == c) for c in (0, 1))
 
     # -- basic data -----------------------------------------------------
 
@@ -225,9 +207,9 @@ class CartanDatum:
         return f"CartanDatum({self.type_label}{self.rank}, I0={self.i0}, I1={self.i1})"
 
 
-def cartan(type_label: str, rank: int, i0: Optional[Iterable[int]] = None) -> CartanDatum:
+def cartan(type_label: str, rank: int) -> CartanDatum:
     """Fully populated datum for a valid finite type."""
-    return CartanDatum(type_label, rank, i0)
+    return CartanDatum(type_label, rank)
 
 
 def parse_type(label: str):

@@ -163,8 +163,7 @@ def test_usage_errors_exit_two(capsys):
 
 def test_chart_eval_custom_word(capsys):
     code, report, _ = run_json(capsys, "chart", "eval", "--group", "sl3",
-                               "--word", "custom", "--letters", "1,2",
-                               "--params", "2,3")
+                               "--word", "1,2", "--params", "2,3")
     assert code == 0
     assert report["values"]["matrix"] == [["1", "2", "6"], ["0", "1", "3"],
                                           ["0", "0", "1"]]
@@ -172,16 +171,28 @@ def test_chart_eval_custom_word(capsys):
 
 def test_chart_eval_bad_letters_name_the_word(capsys):
     code, _, err = run(capsys, "chart", "eval", "--group", "sl3",
-                       "--word", "custom", "--letters", "1,x")
+                       "--word", "1,x")
     assert code == 2
     assert "invalid word '1,x'" in err
+    # letters are the word itself; the custom choice and --letters are gone
+    code, _, err = run(capsys, "chart", "eval", "--group", "sl3",
+                       "--word", "custom")
+    assert code == 2
+    assert "invalid word 'custom'" in err
+    code, _, err = run(capsys, "chart", "eval", "--group", "sl3",
+                       "--word", "1,2", "--letters", "1,2")
+    assert code == 2
+    assert "unrecognized arguments: --letters" in err
 
 
 def test_labeling_override_swaps_words(capsys):
-    code, report, _ = run_json(capsys, "weights", "--type", "A3", "--eps", "0",
-                               "--labeling", "i0=1,3")
+    # what the override I0 = {1, 3} gave at eps 0 is the default at eps 1
+    code, report, _ = run_json(capsys, "weights", "--type", "A3", "--eps", "1")
     assert code == 0
     assert report["values"]["word"] == [1, 3, 2, 1, 3, 2]
+    code, _, err = run(capsys, "weights", "--type", "A3", "--labeling", "i0=1,3")
+    assert code == 2
+    assert "unrecognized arguments: --labeling" in err
 
 
 def test_json_reports_stable(capsys):
@@ -197,24 +208,24 @@ def test_json_reports_stable(capsys):
 
 def test_config_file_defaults(tmp_path, capsys):
     cfg = tmp_path / "cfg"
-    cfg.write_text("group = sl3\nseed = 99\n# comment\nlabeling = i0=1\n")
+    cfg.write_text("group = sl3\nseed = 99\n# comment\n")
     code, report, _ = run_json(capsys, "--config", str(cfg), "chart", "eval",
-                               "--word", "jj0")
+                               "--word", "jj1")
     assert code == 0
     assert report["group"] == "sl3"
     assert report["seed"] == 99
-    # labeling i0={1} makes jj0 start with letter 1
     assert report["values"]["word"][0] == 1
 
 
 def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     cfg = tmp_path / "cfg"
-    for line in ("bfs-budget = 5", "rank_budget = 5", "foo = 1"):
+    for line in ("bfs-budget = 5", "rank_budget = 5", "foo = 1",
+                 "labeling = i0=1"):
         cfg.write_text(f"group = sl3\n{line}\n")
         code, out, err = run(capsys, "--config", str(cfg), "chart", "eval")
         assert code == 2 and out == ""
         assert f"unknown config key {line.split()[0]!r}" in err
-    cfg.write_text("group = sl3\nlabeling = i0=1\nseed = 5\nrank-budget = 2\n")
+    cfg.write_text("group = sl3\nseed = 5\nrank-budget = 2\n")
     assert run(capsys, "--config", str(cfg), "chart", "eval")[0] == 0
 
 
@@ -241,3 +252,23 @@ def test_unsupported_requests_exit_three(tmp_path, capsys):
     # the search budget is gone with the search
     assert run(capsys, "transition", "--group", "sl3", "--from", "jj1", "--to",
                "jj0", "--bfs-budget", "5")[0] == 2
+
+
+@pytest.mark.parametrize("space,stem,bound", [("u", "u", 20), ("g-mod-u", "g", 16),
+                                              ("g", "g", 8)])
+def test_membership_above_its_bound_exits_three_before_parsing(capsys, space,
+                                                               stem, bound):
+    # at the bound the expression is parsed: an entry outside the group is
+    # a usage error
+    code, _, err = run(capsys, "membership", space, "--group", f"sl{bound}",
+                       "--expr", f"{stem}(1,{bound + 1})")
+    assert code == 2 and "out of bounds" in err
+    # above it nothing is parsed, so the same input is refused as unsupported
+    for n in (bound + 1, 3000):
+        started = time.monotonic()
+        code, out, err = run(capsys, "membership", space, "--group", f"sl{n}",
+                             "--expr", f"{stem}(1,{bound + 1})")
+        assert code == 3 and out == ""
+        assert err.startswith("error: unsupported: ")
+        assert f"up to sl{bound}, not sl{n}" in err
+        assert time.monotonic() - started < 1

@@ -8,9 +8,9 @@ from fractions import Fraction
 import pytest
 
 from bircharts import (ChartId, MultiPoly, PoleError, RatFunc, UniverseError,
-                       cartan, distinguished_word, exact_arith, g_variables,
-                       is_laurent_in, is_polynomial, membership,
-                       poly_exact_div, poly_gcd, ratfunc_normalize, substitute)
+                       exact_arith, g_variables, is_laurent_in, is_polynomial,
+                       membership, poly_exact_div, poly_gcd, ratfunc_normalize,
+                       substitute)
 
 from helpers import (divide_univariate, random_nonzero_poly, random_poly,
                      reference_substitute)
@@ -342,8 +342,7 @@ def test_monomial_pullbacks_normalize_once(monkeypatch):
     real_gcd = exact_arith.poly_gcd
     monkeypatch.setattr(exact_arith, "poly_gcd",
                         lambda p, q: calls.append(1) or real_gcd(p, q))
-    jj = distinguished_word(cartan("A", 2), 0)
-    matrix = membership._chart(ChartId("GmodU", 0, sign="+"), jj, None, 3)
+    matrix = membership._chart(ChartId("GmodU", 0, sign="+"), 3)
     for phi in _sl3_right_minor_functions():
         calls.clear()
         substitute(phi, _sl3_pullback(matrix))
@@ -352,13 +351,8 @@ def test_monomial_pullbacks_normalize_once(monkeypatch):
 
 def test_substitute_through_sl3_quotient_and_group_charts():
     # chart entries have monomial denominators in the torus coordinates
-    words = [distinguished_word(cartan("A", 2), eps) for eps in (0, 1)]
-    matrices = [membership._chart(ChartId("GmodU", eps, sign=sign), jj, None, 3)
-                for eps, jj in enumerate(words) for sign in ("+", "-")]
-    matrices += [membership._chart(ChartId("G", eps, eps2=eps2, variant=variant),
-                                   jj, jj2, 3)
-                 for eps, jj in enumerate(words) for eps2, jj2 in enumerate(words)
-                 for variant in ("pm", "mp")]
+    matrices = [membership._chart(cid, 3) for space in ("GmodU", "G")
+                for cid in membership._CHARTS[space]]
     assert len(matrices) == 12
     for matrix in matrices:
         assignment = _sl3_pullback(matrix)

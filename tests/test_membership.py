@@ -321,26 +321,25 @@ def _pull_g(phi, matrix):
 
 
 def test_chart_tables_key_by_word_and_eps():
-    # warm the tables with the default labeling, whose jj1 is the override's jj0
-    names, u = _uvars(4)
-    gnames, g = _gvars(4)
-    phi_u = u["u12"] * u["u34"] + u["u14"]
-    phi_g = g["g14"] * g["g24"] + g["g34"]
-    decide_O_U(phi_u, 4)
-    decide_O_GmodU(phi_g, 4)
-
-    datum = cartan("A", 3, i0={1, 3})
-    assert distinguished_word(datum, 0) == distinguished_word(cartan("A", 3), 1)
-    for cert in decide_O_U(phi_u, 4, datum=datum).certificates:
-        eps = cert.chart.eps
-        fresh = _fresh_chart_U(distinguished_word(datum, eps), eps, 4)
-        assert cert.pullback == substitute(phi_u, {
-            f"u{i}{j}": fresh.entry(i, j)
-            for i in range(1, 5) for j in range(i + 1, 5)})
-    for cert in decide_O_GmodU(phi_g, 4, datum=datum).certificates:
-        eps, sign = cert.chart.eps, cert.chart.sign
-        fresh = _fresh_chart_GmodU(distinguished_word(datum, eps), eps, sign, 4)
-        assert cert.pullback == _pull_g(phi_g, fresh)
+    # the tables are keyed by (chart, n) and the word is that of eps at n:
+    # after sl3 is warmed, each sl4 certificate is the pullback along a
+    # fresh chart of its own word
+    for n in (3, 4):
+        names, u = _uvars(n)
+        gnames, g = _gvars(n)
+        phi_u = u["u12"] * u[f"u{n - 1}{n}"] + u[f"u1{n}"]
+        phi_g = g[f"g1{n}"] * g[f"g2{n}"] + g[f"g3{n}"]
+        d = cartan("A", n - 1)
+        for cert in decide_O_U(phi_u, n).certificates:
+            eps = cert.chart.eps
+            fresh = _fresh_chart_U(distinguished_word(d, eps), eps, n)
+            assert cert.pullback == substitute(phi_u, {
+                f"u{i}{j}": fresh.entry(i, j)
+                for i in range(1, n + 1) for j in range(i + 1, n + 1)})
+        for cert in decide_O_GmodU(phi_g, n).certificates:
+            eps, sign = cert.chart.eps, cert.chart.sign
+            fresh = _fresh_chart_GmodU(distinguished_word(d, eps), eps, sign, n)
+            assert cert.pullback == _pull_g(phi_g, fresh)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -348,8 +347,7 @@ def test_cached_chart_U_equals_fresh(n):
     d = cartan("A", n - 1)
     for eps in (0, 1):
         jj = distinguished_word(d, eps)
-        assert (membership._chart(ChartId("U", eps), jj, None, n)
-                == _fresh_chart_U(jj, eps, n))
+        assert membership._chart(ChartId("U", eps), n) == _fresh_chart_U(jj, eps, n)
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -358,13 +356,12 @@ def test_cached_charts_GmodU_and_G_equal_fresh(n):
     words = [distinguished_word(d, eps) for eps in (0, 1)]
     for eps, jj in enumerate(words):
         for sign in ("+", "-"):
-            assert (membership._chart(ChartId("GmodU", eps, sign=sign), jj, None, n)
+            assert (membership._chart(ChartId("GmodU", eps, sign=sign), n)
                     == _fresh_chart_GmodU(jj, eps, sign, n))
         for eps2, jj2 in enumerate(words):
             for variant in ("pm", "mp"):
                 cid = ChartId("G", eps, eps2=eps2, variant=variant)
-                assert (membership._chart(cid, jj, jj2, n)
-                        == _fresh_chart_G(jj, jj2, variant, n))
+                assert membership._chart(cid, n) == _fresh_chart_G(jj, jj2, variant, n)
 
 
 def test_cached_charts_are_shared_and_immutable():
@@ -372,10 +369,10 @@ def test_cached_charts_are_shared_and_immutable():
     phi = g["g11"] * g["g23"] - g["g32"] + 2
     first = decide_O_G(phi, 3)
     assert decide_O_G(phi, 3) == first
-    jj = distinguished_word(cartan("A", 2), 0)
     cid = ChartId("G", 0, eps2=0, variant="pm")
-    matrix = membership._chart(cid, jj, jj, 3)
-    assert matrix is membership._chart(cid, jj, jj, 3)
+    assert (membership._chart_substitution(cid, 3)
+            is membership._chart_substitution(cid, 3))
+    matrix = membership._chart(cid, 3)
     assert isinstance(matrix.entries, tuple)
     assert all(isinstance(row, tuple) for row in matrix.entries)
     with pytest.raises(TypeError):
@@ -390,14 +387,12 @@ def test_each_chart_is_built_once(monkeypatch):
         return chart_U(word, params, n)
 
     monkeypatch.setattr(membership, "chart_U", counting_chart_U)
-    membership._chart.cache_clear()
     membership._chart_substitution.cache_clear()
     try:
         names, u = _uvars(4)
         for phi in (u["u12"], u["u13"] + u["u24"], u["u14"].inv()):
             decide_O_U(phi, 4)
     finally:
-        membership._chart.cache_clear()
         membership._chart_substitution.cache_clear()
     assert sorted(built) == sorted((distinguished_word(cartan("A", 3), eps), 4)
                                    for eps in (0, 1))
@@ -412,15 +407,12 @@ def test_prepared_chart_substitution_matches_a_plain_dict(space, count):
                               else ("g13", "g23", "g33")))
     # a member, a pole, and a denominator of two terms
     inputs = [a * c - 2 * b + 1, 3 / b, (a - c) / (a * b + 2 * c)]
-    d = cartan("A", 2)
     assert len(membership._CHARTS[space]) == count
     for cid in membership._CHARTS[space]:
-        jj = distinguished_word(d, cid.eps)
-        jj2 = None if cid.eps2 is None else distinguished_word(d, cid.eps2)
-        matrix = membership._chart(cid, jj, jj2, 3)
+        matrix = membership._chart(cid, 3)
         plain = {name: matrix.entry(i, j)
                  for name, i, j in membership._entries(stem, 3)}
-        prepared = membership._chart_substitution(cid, jj, jj2, 3)
+        prepared = membership._chart_substitution(cid, 3)
         for phi in inputs:
             assert substitute(phi, prepared) == substitute(phi, plain)
 
@@ -495,15 +487,12 @@ def test_invert_chart_sl3_closed_forms():
                            u["u13"] / u["u12"])
 
 
-@pytest.mark.parametrize("i0", [None, {1, 3}, {2, 4}],
-                         ids=["default", "i0=1,3", "i0=2,4"])
 @pytest.mark.parametrize("eps", [0, 1])
-def test_invert_chart_generic_round_trip_sl5(eps, i0):
+def test_invert_chart_generic_round_trip_sl5(eps):
     # the chart at the inverted parameters gives back the generic matrix
     usym = _generic_u(5)
-    d = cartan("A", 4, i0=i0)
-    params = invert_chart(usym, eps, 5, d)
-    assert chart_U(distinguished_word(d, eps), params, 5) == usym
+    params = invert_chart(usym, eps, 5)
+    assert chart_U(distinguished_word(cartan("A", 4), eps), params, 5) == usym
 
 
 def test_invert_chart_sl4_second_word_matches_transition():
@@ -536,6 +525,19 @@ def test_invert_chart_errors():
         invert_chart(GroupMatrix.identity(4), 0, 4)
     with pytest.raises(ValueError, match="unitriangular"):
         invert_chart(GroupMatrix([[0, 1], [-1, 0]]), 0, 2)
+
+
+@pytest.mark.parametrize("decide,universe,bound", [
+    (decide_O_U, u_variables, 20), (decide_O_GmodU, g_variables, 16),
+    (decide_O_G, g_variables, 8)])
+def test_decisions_above_their_bound_are_unsupported(decide, universe, bound):
+    # at the bound the universe is checked: a function of sl(bound+1)'s
+    # entries is an input error, not an unsupported size
+    phi = RatFunc.const(universe(bound + 1), 1)
+    with pytest.raises(ValueError, match=f"sl{bound}"):
+        decide(phi, bound)
+    with pytest.raises(Unsupported, match=f"up to sl{bound}, not sl{bound + 1}"):
+        decide(phi, bound + 1)
 
 
 def test_invert_chart_above_sl6_is_unsupported():

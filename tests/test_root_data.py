@@ -117,13 +117,46 @@ def test_distinguished_word_reduced_and_longest(label, rank):
 
 
 def test_distinguished_word_labeling_override():
-    d = cartan("A", 2, i0={1})
-    assert distinguished_word(d, 0) == (1, 2, 1)
+    # the labeling I0 = {1} is the swap of the default, so its eps = 0
+    # word is the default's eps = 1 word
     default = cartan("A", 2)
     assert default.i0 == (2,)
     assert distinguished_word(default, 0) == (2, 1, 2)
-    with pytest.raises(ValueError):
-        cartan("A", 2, i0={1, 2})
+    assert distinguished_word(default, 1) == (1, 2, 1)
+
+
+ALL_TYPES_UP_TO_RANK_8 = ([("A", r) for r in range(1, 9)]
+                          + [("B", r) for r in range(2, 9)]
+                          + [("C", r) for r in range(3, 9)]
+                          + [("D", r) for r in range(4, 9)]
+                          + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)])
+
+
+def _bipartite_word(classes, h):
+    """The classes alternating h times, each in ascending order."""
+    return sum((tuple(sorted(classes[l % 2])) for l in range(h)), ())
+
+
+@pytest.mark.parametrize("label,rank", ALL_TYPES_UP_TO_RANK_8)
+def test_the_only_labelings_are_the_default_and_its_swap(label, rank):
+    # every node set S with S and its complement independent in the Dynkin
+    # diagram, by brute force over all 2^rank subsets
+    d = cartan(label, rank)
+    nodes = range(1, rank + 1)
+
+    def independent(cls):
+        return all(d.commuting(i, j) for i in cls for j in cls)
+
+    labelings = set()
+    for mask in range(2 ** rank):
+        s = frozenset(i for i in nodes if mask >> (i - 1) & 1)
+        if independent(s) and independent(set(nodes) - s):
+            labelings.add(s)
+    assert labelings == {frozenset(d.i0), frozenset(d.i1)}
+    # the swapped labeling's words for eps = 0 and 1 are the default's
+    # words for eps = 1 and 0
+    assert _bipartite_word((d.i1, d.i0), d.h) == distinguished_word(d, 1)
+    assert _bipartite_word((d.i0, d.i1), d.h) == distinguished_word(d, 0)
 
 
 @pytest.mark.parametrize("label,rank", [("A", 2), ("B", 2)])
@@ -242,7 +275,5 @@ def test_distinguished_word_is_memoised_per_datum():
     first = distinguished_word(d, 1)
     assert distinguished_word(d, 1) is first
     assert first == distinguished_word(cartan("A", 4), 1)
-    override = cartan("A", 4, i0={1, 3})
-    assert distinguished_word(override, 0) == first
     assert distinguished_word(d, 0) != first
 
