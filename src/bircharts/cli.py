@@ -1,12 +1,14 @@
 """Command-line front end.
 
 Subcommands: membership (u | g-mod-u | g), chart (eval | invert),
-transition, weights, verify-lemmas.  Reports print human-readable by
-default and as stable JSON with --json.  A word is jj0, jj1 or letters.
+transition, weights, verify-lemmas.  --json and --rank-budget go before
+or after the subcommand; every other setting is a flag of the subcommand.
+Reports print human-readable by default and as stable JSON with --json.
+A word is jj0, jj1 or letters.
 
 Exit codes: 0 success / member, 1 valid run with a negative verdict,
-2 usage error, 3 unsupported request (such as a group above a membership
-or inversion bound, refused before the input is read) or internal
+2 usage error, 3 unsupported request (such as a group above a membership,
+inversion or chart bound, refused before the input is read) or internal
 invariant failure.
 """
 
@@ -21,9 +23,9 @@ from . import __version__
 from .braid_engine import transition
 from .exact_arith import RatFunc
 from .exprparse import ParseError, parse_expression
-from .membership import (DEFAULT_SEED, decide_O_G, decide_O_GmodU, decide_O_U,
-                         g_variables, invert_chart, require_decidable,
-                         require_invertible, u_variables)
+from .membership import (decide_O_G, decide_O_GmodU, decide_O_U, g_variables,
+                         invert_chart, require_decidable, require_invertible,
+                         u_variables)
 from .root_data import (cartan, chart_weights, distinguished_word, parse_type,
                         verify_lemmas, weight_sets)
 from .sl_realization import GroupMatrix, Unsupported, chart_U
@@ -50,26 +52,6 @@ def _parse_group(text: str) -> int:
     if n < 2:
         raise UsageError("group size must be at least 2")
     return n
-
-
-_CONFIG_KEYS = ("group", "seed", "rank-budget")
-
-
-def _read_config(path):
-    values = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise UsageError(f"bad config line {line!r}")
-            key, val = (part.strip() for part in line.split("=", 1))
-            if key not in _CONFIG_KEYS:
-                raise UsageError(f"unknown config key {key!r}; expected one of "
-                                 + ", ".join(_CONFIG_KEYS))
-            values[key] = val
-    return values
 
 
 def _word_arg(text: str, datum):
@@ -100,7 +82,7 @@ _SPACES = {
 }
 
 
-def _cmd_membership(args, common):
+def _cmd_membership(args):
     n = _parse_group(args.group)
     space, variables, decide = _SPACES[args.space]
     require_decidable(space, n)
@@ -116,9 +98,26 @@ def _cmd_membership(args, common):
     return report
 
 
-def _cmd_chart_eval(args, common):
+# The largest n whose slowest chart eval or transition input finished cold
+# within 10 s (CLI, Python 3.11): eval of jj0 or jj1 with every parameter 1
+# took 9.5-10.0 s at sl50, 11.8-14.0 s at sl55; transition jj1 -> jj0 is
+# refused on its run length in 0.8 s at sl50.
+_MAX_CHART_N = 50
+
+
+def _sl_datum(n: int):
+    if n > _MAX_CHART_N:
+        raise Unsupported(f"charts and transitions are built up to "
+                          f"sl{_MAX_CHART_N}, not sl{n}")
+    return cartan("A", n - 1)
+
+
+def _cmd_chart_eval(args):
     n = _parse_group(args.group)
-    word, tag = _word_arg(args.word, cartan("A", n - 1))
+    if not args.params:
+        # the symbolic chart is the one a U membership decision builds
+        require_decidable("U", n)
+    word, tag = _word_arg(args.word, _sl_datum(n))
     stem = "b" if tag == "jj1" else "a"
     universe = tuple(f"{stem}{k}" for k in range(1, len(word) + 1))
     if args.params:
@@ -139,7 +138,7 @@ def _cmd_chart_eval(args, common):
     }
 
 
-def _cmd_chart_invert(args, common):
+def _cmd_chart_invert(args):
     n = _parse_group(args.group)
     require_invertible(n)
     with open(args.matrix) as fh:
@@ -165,9 +164,9 @@ def _cmd_chart_invert(args, common):
     }
 
 
-def _cmd_transition(args, common):
+def _cmd_transition(args):
     n = _parse_group(args.group)
-    datum = cartan("A", n - 1)
+    datum = _sl_datum(n)
     word1, tag1 = _word_arg(args.from_word, datum)
     word2, tag2 = _word_arg(args.to_word, datum)
     stems = {"jj0": "a", "jj1": "b", "custom": "c"}
@@ -188,18 +187,17 @@ def _cmd_transition(args, common):
     }
 
 
-def _type_datum(label, common):
+def _type_datum(label, budget):
     """The datum of a type label; the type and the rank budget are checked
     on the label, before anything is built."""
     letter, rank = parse_type(label)
-    if rank > common["rank_budget"]:
-        raise UsageError(
-            f"rank {rank} exceeds the rank budget {common['rank_budget']}")
+    if rank > budget:
+        raise UsageError(f"rank {rank} exceeds the rank budget {budget}")
     return cartan(letter, rank)
 
 
-def _cmd_weights(args, common):
-    datum = _type_datum(args.type, common)
+def _cmd_weights(args):
+    datum = _type_datum(args.type, args.rank_budget)
     cw = chart_weights(datum, args.eps)
     y_prime, y_dprime, y_eps = weight_sets(datum, args.eps)
     return {
@@ -222,14 +220,12 @@ def _cmd_weights(args, common):
 _SMALL_TYPES = ("A1", "A2", "A3", "A4", "A5", "B2", "B3", "C3", "D4", "G2")
 
 
-def _cmd_verify(args, common):
+def _cmd_verify(args):
     labels = _SMALL_TYPES if args.all_small_types else (args.type,)
-    if labels == (None,):
-        raise UsageError("verify-lemmas needs --type or --all-small-types")
     results = {}
     ok = True
     for label in labels:
-        datum = _type_datum(label, common)
+        datum = _type_datum(label, args.rank_budget)
         report = verify_lemmas(datum)
         ok = ok and report.all_passed
         results[label] = [
@@ -252,12 +248,8 @@ def _add_common(parser, root: bool):
     # with SUPPRESS defaults, so the flags work in either position without
     # the subparser clobbering values parsed at the root.
     d = (lambda v: v) if root else (lambda v: argparse.SUPPRESS)
-    parser.add_argument("--seed", type=int, default=d(None))
     parser.add_argument("--json", action="store_true", default=d(False))
-    parser.add_argument("--config", default=d(None),
-                        help="key = value file with defaults ("
-                        + ", ".join(_CONFIG_KEYS) + ")")
-    parser.add_argument("--rank-budget", type=int, default=d(None))
+    parser.add_argument("--rank-budget", type=int, default=d(DEFAULT_RANK_BUDGET))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -267,46 +259,47 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(parser, root=True)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def subparser(name, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    def subparser(parent, name, handler=None, **kwargs):
+        p = parent.add_parser(name, **kwargs)
         _add_common(p, root=False)
+        if handler is not None:
+            p.set_defaults(handler=handler)
         return p
 
-    p = subparser("membership", help="decide coordinate-ring membership")
+    p = subparser(sub, "membership", _cmd_membership,
+                  help="decide coordinate-ring membership")
     p.add_argument("space", choices=list(_SPACES))
-    p.add_argument("--group", required=False)
+    p.add_argument("--group", default="sl4")
     p.add_argument("--expr", required=True)
 
-    p = subparser("chart", help="evaluate or invert a unipotent chart")
+    p = subparser(sub, "chart", help="evaluate or invert a unipotent chart")
     charts = p.add_subparsers(dest="chart_command", required=True)
-
-    def chart_sub(name):
-        q = charts.add_parser(name)
-        _add_common(q, root=False)
-        return q
-
-    pe = chart_sub("eval")
-    pe.add_argument("--group", required=False)
+    pe = subparser(charts, "eval", _cmd_chart_eval)
+    pe.add_argument("--group", default="sl4")
     pe.add_argument("--word", default="jj0", help="jj0, jj1 or letters, e.g. 1,2,1")
     pe.add_argument("--params", default=None)
-    pi = chart_sub("invert")
-    pi.add_argument("--group", required=False)
+    pi = subparser(charts, "invert", _cmd_chart_invert)
+    pi.add_argument("--group", default="sl4")
     pi.add_argument("--eps", type=int, choices=[0, 1], required=True)
     pi.add_argument("--matrix", required=True,
                     help="JSON file with an n x n array of expression strings")
 
-    p = subparser("transition", help="parameter transform between reduced words")
-    p.add_argument("--group", required=False)
+    p = subparser(sub, "transition", _cmd_transition,
+                  help="parameter transform between reduced words")
+    p.add_argument("--group", default="sl4")
     p.add_argument("--from", dest="from_word", required=True)
     p.add_argument("--to", dest="to_word", required=True)
 
-    p = subparser("weights", help="weight families of a bipartite word")
+    p = subparser(sub, "weights", _cmd_weights,
+                  help="weight families of a bipartite word")
     p.add_argument("--type", required=True)
     p.add_argument("--eps", type=int, choices=[0, 1], default=0)
 
-    p = subparser("verify-lemmas", help="run the combinatorial check suite")
-    p.add_argument("--type", default=None)
-    p.add_argument("--all-small-types", action="store_true")
+    p = subparser(sub, "verify-lemmas", _cmd_verify,
+                  help="run the combinatorial check suite")
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--type")
+    which.add_argument("--all-small-types", action="store_true")
 
     return parser
 
@@ -329,30 +322,11 @@ def run_command(argv, args) -> tuple:
     """Execute a parsed invocation; returns (exit_code, report or None, error).
 
     The report carries the command echo, group descriptor, verdicts or
-    values, the effective seed, timing, and the package version.
+    values, timing, and the package version.
     """
     started = time.monotonic()
     try:
-        config = _read_config(args.config) if args.config else {}
-        common = {
-            "seed": args.seed if args.seed is not None
-            else int(config.get("seed", DEFAULT_SEED)),
-            "rank_budget": args.rank_budget if args.rank_budget is not None
-            else int(config.get("rank-budget", DEFAULT_RANK_BUDGET)),
-        }
-        if getattr(args, "group", None) is None and hasattr(args, "group"):
-            args.group = config.get("group", "sl4")
-        if getattr(args, "chart_command", None) is not None:
-            handler = (_cmd_chart_eval if args.chart_command == "eval"
-                       else _cmd_chart_invert)
-        else:
-            handler = {
-                "membership": _cmd_membership,
-                "transition": _cmd_transition,
-                "weights": _cmd_weights,
-                "verify-lemmas": _cmd_verify,
-            }[args.command]
-        code, report = 0, handler(args, common)
+        code, report = 0, args.handler(args)
     except NegativeVerdict as verdict:
         code, report = 1, dict(verdict.report)
     except Unsupported as exc:
@@ -363,7 +337,6 @@ def run_command(argv, args) -> tuple:
     except Exception as exc:  # internal invariant failure
         return 3, None, f"internal error: {type(exc).__name__}: {exc}"
     report["command"] = " ".join(argv)
-    report["seed"] = common["seed"]
     report["version"] = __version__
     report["elapsed_ms"] = int((time.monotonic() - started) * 1000)
     return code, report, None

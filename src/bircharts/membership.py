@@ -48,9 +48,6 @@ from .root_data import distinguished_word
 from .sl_realization import (GroupMatrix, TorusPoint, Unsupported, _datum_for,
                              _det, chart_G, chart_GmodU, chart_U)
 
-DEFAULT_SEED = 20250801
-
-
 @dataclass(frozen=True)
 class ChartId:
     """Identifier of one distinguished chart.

@@ -143,6 +143,14 @@ def test_verify_all_small_types(capsys):
         "A1", "A2", "A3", "A4", "A5", "B2", "B3", "C3", "D4", "G2"}
 
 
+@pytest.mark.parametrize("flags", [(), ("--type", "A3", "--all-small-types")],
+                         ids=["neither", "both"])
+def test_verify_takes_exactly_one_of_type_and_all_small_types(capsys, flags):
+    code, out, err = run(capsys, "verify-lemmas", *flags)
+    assert code == 2 and out == ""
+    assert "--type" in err and "--all-small-types" in err
+
+
 @pytest.mark.parametrize("command", ["weights", "verify-lemmas"])
 def test_type_and_rank_budget_are_checked_before_the_datum_is_built(capsys, command):
     started = time.monotonic()
@@ -202,31 +210,46 @@ def test_json_reports_stable(capsys):
     rep1.pop("elapsed_ms")
     rep2.pop("elapsed_ms")
     assert json.dumps(rep1, sort_keys=True) == json.dumps(rep2, sort_keys=True)
-    assert rep1["seed"] == 20250801
+    assert "seed" not in rep1
     assert rep1["version"]
 
 
-def test_config_file_defaults(tmp_path, capsys):
-    cfg = tmp_path / "cfg"
-    cfg.write_text("group = sl3\nseed = 99\n# comment\n")
-    code, report, _ = run_json(capsys, "--config", str(cfg), "chart", "eval",
-                               "--word", "jj1")
-    assert code == 0
-    assert report["group"] == "sl3"
-    assert report["seed"] == 99
-    assert report["values"]["word"][0] == 1
+@pytest.mark.parametrize("flag", [("--seed", "5"), ("--config", "f")],
+                         ids=["seed", "config"])
+def test_removed_flags_are_usage_errors(capsys, flag):
+    code, out, err = run(capsys, "weights", "--type", "A3", *flag)
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: " + " ".join(flag) in err
+    assert run(capsys, *flag, "weights", "--type", "A3")[0] == 2
 
 
-def test_config_file_rejects_unknown_keys(tmp_path, capsys):
-    cfg = tmp_path / "cfg"
-    for line in ("bfs-budget = 5", "rank_budget = 5", "foo = 1",
-                 "labeling = i0=1"):
-        cfg.write_text(f"group = sl3\n{line}\n")
-        code, out, err = run(capsys, "--config", str(cfg), "chart", "eval")
-        assert code == 2 and out == ""
-        assert f"unknown config key {line.split()[0]!r}" in err
-    cfg.write_text("group = sl3\nseed = 5\nrank-budget = 2\n")
-    assert run(capsys, "--config", str(cfg), "chart", "eval")[0] == 0
+@pytest.mark.parametrize("argv", [
+    ("membership", "u", "--group", "sl3", "--expr", "u(1,2)"),
+    ("chart", "eval", "--group", "sl3", "--params", "1,2,3"),
+    ("chart", "invert", "--group", "sl3", "--eps", "0"),
+    ("transition", "--group", "sl3", "--from", "jj1", "--to", "jj0"),
+    ("weights", "--type", "E8"),
+    ("verify-lemmas", "--type", "A2")],
+    ids=["membership", "chart-eval", "chart-invert", "transition", "weights",
+         "verify-lemmas"])
+def test_flags_before_and_after_the_subcommand(tmp_path, capsys, argv):
+    if "invert" in argv:
+        mfile = tmp_path / "m.json"
+        mfile.write_text(json.dumps([["1", "4", "2"], ["0", "1", "2"],
+                                     ["0", "0", "1"]]))
+        argv += ("--matrix", str(mfile))
+    # E8 is over the default rank budget, so its report shows that the
+    # budget was read in either position
+    flags = ("--json", "--rank-budget", "8")
+    reports = []
+    for order in ((*flags, *argv), (*argv, *flags)):
+        code, out, _ = run(capsys, *order)
+        assert code == 0
+        report = json.loads(out)
+        report.pop("command")
+        report.pop("elapsed_ms")
+        reports.append(report)
+    assert reports[0] == reports[1]
 
 
 def test_huge_exponent_is_a_usage_error(capsys):
@@ -272,3 +295,29 @@ def test_membership_above_its_bound_exits_three_before_parsing(capsys, space,
         assert err.startswith("error: unsupported: ")
         assert f"up to sl{bound}, not sl{n}" in err
         assert time.monotonic() - started < 1
+
+
+@pytest.mark.parametrize("argv", [("transition", "--from", "1", "--to", "1"),
+                                  ("chart", "eval", "--word", "1", "--params", "1")],
+                         ids=["transition", "chart-eval"])
+def test_charts_and_transitions_above_their_bound_exit_three(capsys, argv):
+    # at the bound a one-letter word runs
+    assert run(capsys, *argv, "--group", "sl50")[0] == 0
+    # above it nothing is built, not even the datum
+    for n in (51, 100000):
+        started = time.monotonic()
+        code, out, err = run(capsys, *argv, "--group", f"sl{n}")
+        assert code == 3 and out == ""
+        assert err.startswith("error: unsupported: ")
+        assert f"up to sl50, not sl{n}" in err
+        assert time.monotonic() - started < 1
+
+
+def test_symbolic_chart_eval_has_the_u_membership_bound(capsys):
+    # the symbolic chart is the chart a U membership decision builds
+    started = time.monotonic()
+    code, out, err = run(capsys, "chart", "eval", "--group", "sl21")
+    assert code == 3 and out == ""
+    assert "up to sl20, not sl21" in err
+    assert time.monotonic() - started < 1
+    assert run(capsys, "chart", "eval", "--group", "sl3")[0] == 0
