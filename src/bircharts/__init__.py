@@ -2,8 +2,8 @@
 
 Symbolic realization of the bipartite-word charts of the upper unipotent
 group, the flag-type quotient and the full group, with decision procedures
-for membership in their coordinate rings, braid-move transition maps
-between chart parametrizations, and executable verification of the
+for membership in their coordinate rings, transition maps between chart
+parametrizations by chamber minors, and executable verification of the
 underlying Weyl-group weight combinatorics for all finite Cartan types at
 desk scale.
 """
@@ -15,11 +15,9 @@ from .exact_arith import (MultiPoly, PoleError, RatFunc, UniverseError,
                           poly_gcd, ratfunc_normalize, substitute)
 from .root_data import (CartanDatum, ChartWeights, LemmaCheck,
                         VerificationReport, Weight, WeylElement, cartan,
-                        chart_weights, distinguished_word,
-                        fundamental_orbit_index, is_reduced, length,
-                        longest_element, minimal_coset_rep, parse_type,
-                        simple_below, verify_lemmas, weight_sets, weyl_apply,
-                        weyl_from_word)
+                        chart_weights, distinguished_word, is_reduced, length,
+                        longest_element, parse_type, verify_lemmas,
+                        weight_sets, weyl_apply, weyl_from_word)
 from .sl_realization import (GroupMatrix, MinorSpec, TorusPoint, Unsupported,
                              chart_G, chart_GmodU, chart_U, gauss_decompose,
                              gen_minor, generator, iota, lift, minor_spec,
@@ -39,9 +37,7 @@ __all__ = [
     "CartanDatum", "Weight", "WeylElement", "ChartWeights", "LemmaCheck",
     "VerificationReport", "cartan", "parse_type", "weyl_apply",
     "weyl_from_word", "length", "is_reduced", "longest_element",
-    "distinguished_word", "chart_weights", "weight_sets",
-    "minimal_coset_rep", "fundamental_orbit_index", "simple_below",
-    "verify_lemmas",
+    "distinguished_word", "chart_weights", "weight_sets", "verify_lemmas",
     "GroupMatrix", "TorusPoint", "MinorSpec", "generator", "torus_point",
     "chart_U", "chart_GmodU", "chart_G", "lift", "iota", "gen_minor",
     "minor_spec", "gauss_decompose", "twist", "Unsupported",

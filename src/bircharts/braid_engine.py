@@ -1,14 +1,13 @@
-"""Transition maps between chart parametrizations, and the braid moves
-of the other Cartan types.
+"""Transition maps between chart parametrizations of type A, and the
+braid moves of the reduced-word graph.
 
 ``transition`` changes the parameters of the unipotent chart along one
-reduced word into those along another.  In type A it follows
-Berenstein-Zelevinsky (1997) and Fomin-Zelevinsky (1999): for x the source
-chart along a word for w, the twist z = twist(x, word) (eta_w: the lower
-factor L of x times the lift of w^-1, pushed through the swap
-automorphism) holds the target parameters as ratios of chamber minors
-(Berenstein-Fomin-Zelevinsky 1996, Thm 1.4).  The k-th target parameter
-is
+reduced word into those along another.  It follows Berenstein-Zelevinsky
+(1997) and Fomin-Zelevinsky (1999): for x the source chart along a word for
+w, the twist z = twist(x, word) (eta_w: the lower factor L of x times the
+lift of w^-1, pushed through the swap automorphism) holds the target
+parameters as ratios of chamber minors (Berenstein-Fomin-Zelevinsky 1996,
+Thm 1.4).  The k-th target parameter is
 
     t_k = D(w[:i+1]) D(w[:i-1]) / (D(w[:i]) D((w s_i)[:i]))
 
@@ -18,21 +17,22 @@ sorted columns J (D of no columns or of all n columns is 1).  Each
 distinct minor is computed once.  This works for every w, so no word is
 completed to w0 and no word is cut into runs.  Most gcds taken in reducing
 the ratio are of coprime polynomials, which the certificate in
-``poly_gcd`` settles before its heuristic runs.  The cost grows with the
-longest run of adjacent letters, so a run of more than 27 letters is
-refused as ``Unsupported`` before any symbolic work.
+``poly_gcd`` settles before its heuristic runs.
 
-The other Cartan types compose braid moves: ``word_path`` finds a move
-sequence by breadth-first search of the word graph, and ``apply_move``
-applies the commuting rule or the order-3 parameter rule
+Requests are refused from the input before any work: another Cartan type,
+and a source word with a run of more than 27 adjacent letters (the cost
+grows with the longest run), raise ``Unsupported`` before reducedness is
+checked.
+
+``word_path`` finds a move sequence by breadth-first search of the word
+graph, and ``apply_move`` applies the commuting rule or the order-3
+parameter rule
 
     x_i(a) x_j(b) x_i(c) = x_j(bc/(a+c)) x_i(a+c) x_j(ab/(a+c)),
 
 which is certified against the symbolic matrix identity in the test
-suite, where the moves also check the type-A route.  There ``transition``
-raises ``Unsupported`` when the search exceeds its budget or the words
-need an order-4 or order-6 move.  Nothing bounds the arithmetic along the
-path: D4 jj1 -> jj0 finds its 31 moves in 0.02 s, then composes past 100 s.
+suite.  ``transition`` does not use them; the tests compare it against the
+composition of these moves.
 """
 
 from __future__ import annotations
@@ -206,19 +206,6 @@ def _runs(word: tuple) -> list:
     return runs
 
 
-def _compose_moves(word1: tuple, word2: tuple, params: tuple,
-                   datum: CartanDatum) -> tuple:
-    """Parameters along word2, composing the moves of a word-graph path."""
-    try:
-        path = word_path(word1, word2, datum)
-    except ValueError as exc:  # the words are valid: the search gave up
-        raise Unsupported(str(exc)) from None
-    word = word1
-    for move in path:
-        word, params = apply_move(word, params, move, datum)
-    return params
-
-
 # The twist grows with the longest run of adjacent letters, not with the
 # group: pairs with 27 letters in one run took 0.3-6.8 s and under 50 MB at
 # sl8-sl12, while w0 of SL_8 (28 letters) did not finish in 250 s.
@@ -227,17 +214,24 @@ _MAX_RUN_LETTERS = 27
 
 def transition(word1: Sequence[int], word2: Sequence[int], datum: CartanDatum,
                param_names: Optional[Sequence[str]] = None) -> TransitionMap:
-    """Parameters along word2 of the chart along word1.
+    """Parameters along word2 of the chart along word1, in type A.
 
     word1 and word2 must be reduced words of one Weyl group element;
     ``formulas[k]`` is the k-th parameter along word2 as a canonical
-    rational function of ``param_names`` (a1, a2, ... by default).  Type A
-    twists the source chart once by eta_w and reads the chamber minors; a
-    run of more than 27 adjacent letters raises ``Unsupported``.  Other
-    types compose braid moves, and raise ``Unsupported`` where the move
-    search exceeds its budget or needs a move of order 4 or 6.
+    rational function of ``param_names`` (a1, a2, ... by default).  The
+    source chart is twisted once by eta_w and the chamber minors are read.
+    Another Cartan type, or a run of more than 27 adjacent letters in
+    word1, raises ``Unsupported`` before the words are checked.
     """
     w1, w2 = tuple(word1), tuple(word2)
+    if datum.type_label != "A":
+        raise Unsupported(f"transitions are implemented in type A, "
+                          f"not {datum.type_label}")
+    longest = max((sum(i in run for i in w1) for run in _runs(w1)), default=0)
+    if longest > _MAX_RUN_LETTERS:
+        raise Unsupported(
+            f"a run of adjacent generators holds {longest} letters; "
+            f"transitions are implemented up to {_MAX_RUN_LETTERS}")
     if param_names is None:
         param_names = tuple(f"a{k}" for k in range(1, len(w1) + 1))
     universe = tuple(param_names)
@@ -250,12 +244,5 @@ def transition(word1: Sequence[int], word2: Sequence[int], datum: CartanDatum,
     params = tuple(RatFunc.var(universe, v) for v in universe)
     if w1 == w2:
         return TransitionMap(w1, w2, params)
-    if datum.type_label != "A":
-        return TransitionMap(w1, w2, _compose_moves(w1, w2, params, datum))
-    longest = max(sum(i in run for i in w1) for run in _runs(w1))
-    if longest > _MAX_RUN_LETTERS:
-        raise Unsupported(
-            f"a run of adjacent generators holds {longest} letters; "
-            f"transitions are implemented up to {_MAX_RUN_LETTERS}")
     return TransitionMap(w1, w2, _chamber_parameters(w1, w2, params,
                                                      datum.rank + 1))

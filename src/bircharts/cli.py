@@ -28,7 +28,7 @@ from .membership import (decide_O_G, decide_O_GmodU, decide_O_U, g_variables,
                          u_variables)
 from .root_data import (cartan, chart_weights, distinguished_word, parse_type,
                         verify_lemmas, weight_sets)
-from .sl_realization import GroupMatrix, Unsupported, chart_U
+from .sl_realization import GroupMatrix, Unsupported, _datum_for, chart_U
 
 DEFAULT_RANK_BUDGET = 6
 
@@ -101,7 +101,7 @@ def _cmd_membership(args):
 # The largest n whose slowest chart eval or transition input finished cold
 # within 10 s (CLI, Python 3.11): eval of jj0 or jj1 with every parameter 1
 # took 9.5-10.0 s at sl50, 11.8-14.0 s at sl55; transition jj1 -> jj0 is
-# refused on its run length in 0.8 s at sl50.
+# refused on its run length in 0.2 s at sl50.
 _MAX_CHART_N = 50
 
 
@@ -109,7 +109,7 @@ def _sl_datum(n: int):
     if n > _MAX_CHART_N:
         raise Unsupported(f"charts and transitions are built up to "
                           f"sl{_MAX_CHART_N}, not sl{n}")
-    return cartan("A", n - 1)
+    return _datum_for(n)
 
 
 def _cmd_chart_eval(args):

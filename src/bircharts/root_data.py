@@ -329,14 +329,20 @@ class ChartWeights:
     blocks: tuple
 
 
-def chart_weights(datum: CartanDatum, eps: int) -> ChartWeights:
-    jj = distinguished_word(datum, eps)
-    nu = datum.nu
-
+def _suffix_products(word: Word, datum: CartanDatum) -> list:
+    """suffix[k] = s_{word[k]} ... s_{word[nu]} (1-based), suffix[nu+1] = 1."""
+    nu = len(word)
     suffix = [None] * (nu + 2)
     suffix[nu + 1] = datum.identity()
     for k in range(nu, 0, -1):
-        suffix[k] = suffix[k + 1] * datum.simple(jj[k - 1])
+        suffix[k] = suffix[k + 1] * datum.simple(word[k - 1])
+    return suffix
+
+
+def chart_weights(datum: CartanDatum, eps: int) -> ChartWeights:
+    jj = distinguished_word(datum, eps)
+    nu = datum.nu
+    suffix = _suffix_products(jj, datum)
 
     gamma = {}
     gamma_tilde = {}
@@ -386,22 +392,6 @@ def _fundamental_descent(w: Weight, datum: CartanDatum):
     if len(ones) != 1 or sum(cur.coords) != 1:
         raise ValueError(f"{w} is not in the orbit of a fundamental weight")
     return weyl_from_word(word, datum), ones[0]
-
-
-def fundamental_orbit_index(w: Weight, datum: CartanDatum) -> int:
-    """The i with w in the Weyl orbit of the i-th fundamental weight."""
-    return _fundamental_descent(w, datum)[1]
-
-
-def minimal_coset_rep(w: Weight, datum: CartanDatum) -> WeylElement:
-    """Minimal-length Weyl element carrying a fundamental weight to w."""
-    return _fundamental_descent(w, datum)[0]
-
-
-def simple_below(i: int, w: WeylElement, datum: CartanDatum) -> bool:
-    """Whether w moves the i-th fundamental weight (w outside the i-stabilizer)."""
-    om = datum.fundamental_weight(i)
-    return w.apply(om) != om
 
 
 # ---------------------------------------------------------------------
@@ -490,10 +480,7 @@ def verify_lemmas(datum: CartanDatum) -> VerificationReport:
         cw = data[eps]
         y_prime, _, _ = sets[eps]
         nu = datum.nu
-        suffix = [None] * (nu + 2)
-        suffix[nu + 1] = datum.identity()
-        for k in range(nu, 0, -1):
-            suffix[k] = suffix[k + 1] * datum.simple(cw.word[k - 1])
+        suffix = _suffix_products(cw.word, datum)
         gamma_values = set(cw.gamma.values())
         for k in range(1, nu + 1):
             for kp in range(1, nu + 1):

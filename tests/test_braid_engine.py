@@ -1,5 +1,5 @@
-"""Move rules, reduced-word graph search, and transition maps by the
-twist eta_w and chamber minors, checked against move composition."""
+"""Move rules, reduced-word graph search, and type-A transition maps by
+the twist eta_w and chamber minors, checked against move composition."""
 
 from __future__ import annotations
 
@@ -342,8 +342,8 @@ def test_transition_beyond_the_chamber_range_gives_up_as_unsupported():
 
 @pytest.mark.parametrize("n,seconds", [(40, 2), (60, 5)])
 def test_long_words_are_checked_and_refused_fast(n, seconds):
-    # 780 and 1770 letters: reducedness and the element are settled by
-    # column operations and descent before the run is refused
+    # 780 and 1770 letters: the run is refused from the source word's
+    # letters, before reducedness or the element is computed
     started = time.monotonic()
     d = cartan("A", n - 1)
     with pytest.raises(Unsupported, match=f"holds {d.nu} letters"):
@@ -351,19 +351,39 @@ def test_long_words_are_checked_and_refused_fast(n, seconds):
     assert time.monotonic() - started < seconds
 
 
+def test_long_runs_are_refused_before_the_words_are_checked(monkeypatch):
+    # a non-reduced word with a 28-letter run: Unsupported, not ValueError
+    def refuse(*args, **kwargs):
+        raise AssertionError("words checked before the run was refused")
+
+    monkeypatch.setattr(braid_engine, "is_reduced", refuse)
+    monkeypatch.setattr(braid_engine, "weyl_from_word", refuse)
+    d = cartan("A", 7)
+    word = (1, 2, 3, 4, 5, 6, 7) * 4
+    with pytest.raises(Unsupported, match="holds 28 letters"):
+        transition(word, word, d)
+
+
+@pytest.mark.parametrize("label,rank", [("B", 2), ("B", 3), ("C", 3), ("D", 4),
+                                        ("F", 4), ("G", 2), ("E", 6)])
+def test_transition_outside_type_A_is_unsupported(label, rank):
+    # D4 jj1 -> jj0 used to compose 31 braid moves for over 100 s
+    d = cartan(label, rank)
+    started = time.monotonic()
+    with pytest.raises(Unsupported, match=f"type A, not {label}"):
+        transition(distinguished_word(d, 1), distinguished_word(d, 0), d)
+    assert time.monotonic() - started < 1
+
+
 def test_transition_in_other_simply_laced_types():
+    # words a few moves apart, and a word to itself, are refused all the same
     d4 = cartan("D", 4)
     w1 = (2, 1, 3, 4, 2, 1, 3, 4, 2, 1)
     w2 = _moved(w1, d4, random.Random("d4"), steps=40)
-    bnames = tuple(f"b{k}" for k in range(1, len(w1) + 1))
-    anames = tuple(f"a{k}" for k in range(1, len(w1) + 1))
-    fwd = transition(w1, w2, d4, param_names=bnames)
-    assert fwd.formulas == _by_moves(w1, w2, d4, bnames)
-    assert any(not f.den.is_const for f in fwd.formulas)  # an order-3 move
-    back = transition(w2, w1, d4, param_names=anames)
-    assignment = dict(zip(anames, fwd.formulas))
-    assert tuple(substitute(f, assignment) for f in back.formulas) == \
-        _params(bnames)
+    assert w1 != w2
+    for src, dst in ((w1, w2), (w2, w1), (w1, w1)):
+        with pytest.raises(Unsupported, match="type A, not D"):
+            transition(src, dst, d4)
 
 
 def test_transition_rejects_bad_words_and_higher_braid_orders():
@@ -372,7 +392,9 @@ def test_transition_rejects_bad_words_and_higher_braid_orders():
         transition((1, 2), (2, 1), d)
     with pytest.raises(ValueError, match="reduced"):
         transition((1, 1), (2, 2), d)
-    b3 = cartan("B", 3)
-    assert transition((1, 3), (3, 1), b3).formulas == _params(["a1", "a2"])[::-1]
-    with pytest.raises(Unsupported, match="order 4 or 6"):
+    with pytest.raises(ValueError, match="different"):
+        transition((), (1,), d)
+    with pytest.raises(Unsupported, match="type A, not B"):
+        transition((1, 3), (3, 1), cartan("B", 3))
+    with pytest.raises(Unsupported, match="type A, not B"):
         transition((1, 2, 1, 2), (2, 1, 2, 1), cartan("B", 2))

@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from bircharts import root_data, sl_realization
 from bircharts.cli import main
 
 from helpers import golden_sl4_transition
@@ -311,6 +312,22 @@ def test_charts_and_transitions_above_their_bound_exit_three(capsys, argv):
         assert err.startswith("error: unsupported: ")
         assert f"up to sl50, not sl{n}" in err
         assert time.monotonic() - started < 1
+
+
+def test_transition_builds_one_datum(capsys, monkeypatch):
+    # the CLI and the twist share the cached A_{n-1} datum
+    built = []
+    init = root_data.CartanDatum.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(root_data.CartanDatum, "__init__", counting)
+    sl_realization._datum_for.cache_clear()
+    code, _, _ = run(capsys, "transition", "--group", "sl7",
+                     "--from", "1,2,1", "--to", "2,1,2")
+    assert code == 0 and built == [("A", 6)]
 
 
 def test_symbolic_chart_eval_has_the_u_membership_bound(capsys):

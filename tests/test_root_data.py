@@ -5,9 +5,8 @@ from __future__ import annotations
 import pytest
 
 from bircharts import (Weight, cartan, chart_weights, distinguished_word,
-                       fundamental_orbit_index, is_reduced, length,
-                       longest_element, minimal_coset_rep, parse_type,
-                       simple_below, verify_lemmas, weight_sets, weyl_apply,
+                       is_reduced, length, longest_element, minor_spec,
+                       parse_type, verify_lemmas, weight_sets, weyl_apply,
                        weyl_from_word)
 
 from helpers import all_reduced_words, enumerate_weyl_group
@@ -201,18 +200,21 @@ def test_weight_sets_sizes():
 
 
 def test_minimal_coset_rep_identity_and_brute_force():
+    # minor_spec's witness is a minimal-length element carrying its
+    # fundamental weight to the target
     d = cartan("A", 2)
     for i in (1, 2):
-        w = minimal_coset_rep(d.fundamental_weight(i), d)
-        assert w.is_identity
+        spec = minor_spec(d.fundamental_weight(i), d)
+        assert spec.i == i and spec.w_word == ()
     dist = enumerate_weyl_group(d)
     for elem, steps in dist.items():
         for i in (1, 2):
             target = elem.apply(d.fundamental_weight(i))
             best = min(s for w, s in dist.items()
                        if w.apply(d.fundamental_weight(i)) == target)
-            rep = minimal_coset_rep(target, d)
-            assert length(rep, d) == best
+            spec = minor_spec(target, d)
+            assert spec.i == i and len(spec.w_word) == best
+            rep = weyl_from_word(spec.w_word, d)
             assert rep.apply(d.fundamental_weight(i)) == target
 
 
@@ -223,7 +225,7 @@ def test_minimal_rep_descends_only_on_second_class(label, rank):
     for eps in (0, 1):
         cw = chart_weights(d, eps)
         for (l, i), w in cw.stage.items():
-            rep = minimal_coset_rep(w, d)
+            rep = weyl_from_word(minor_spec(w, d).w_word, d)
             for j in d.class_nodes(eps + d.h):
                 assert length(d.simple(j) * rep, d) > length(rep, d)
             assert any(length(d.simple(j) * rep, d) < length(rep, d)
@@ -233,19 +235,9 @@ def test_minimal_rep_descends_only_on_second_class(label, rank):
 def test_fundamental_orbit_index_and_errors():
     d = cartan("A", 2)
     g = weyl_apply((1, 2), d.fundamental_weight(2), d)
-    assert fundamental_orbit_index(g, d) == 2
+    assert minor_spec(g, d).i == 2
     with pytest.raises(ValueError):
-        minimal_coset_rep(Weight((2, 0)), d)
-
-
-def test_simple_below():
-    d = cartan("A", 2)
-    w0 = longest_element(d)
-    for i in (1, 2):
-        assert simple_below(i, w0, d)
-    s2 = weyl_from_word((2,), d)
-    assert not simple_below(1, s2, d)
-    assert simple_below(1, weyl_from_word((2, 1), d), d)
+        minor_spec(Weight((2, 0)), d)
 
 
 @pytest.mark.parametrize("label,rank", SMALL_TYPES + [("E", 6)])
