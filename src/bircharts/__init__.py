@@ -10,9 +10,10 @@ desk scale.
 
 __version__ = "0.1.0"
 
-from .exact_arith import (MultiPoly, PoleError, RatFunc, UniverseError,
-                          is_laurent_in, is_polynomial, poly_exact_div,
-                          poly_gcd, ratfunc_normalize, substitute)
+from .exact_arith import (DegreeLimitError, MultiPoly, PoleError, RatFunc,
+                          UniverseError, is_laurent_in, is_polynomial,
+                          poly_exact_div, poly_gcd, ratfunc_normalize,
+                          substitute)
 from .root_data import (CartanDatum, ChartWeights, LemmaCheck,
                         VerificationReport, Weight, WeylElement, cartan,
                         chart_weights, distinguished_word, is_reduced, length,
@@ -31,7 +32,7 @@ from .membership import (Certificate, ChartId, MembershipVerdict,
 from .exprparse import ParseError, parse_expression
 
 __all__ = [
-    "MultiPoly", "RatFunc", "PoleError", "UniverseError",
+    "MultiPoly", "RatFunc", "PoleError", "UniverseError", "DegreeLimitError",
     "ratfunc_normalize", "poly_gcd", "poly_exact_div",
     "substitute", "is_polynomial", "is_laurent_in",
     "CartanDatum", "Weight", "WeylElement", "ChartWeights", "LemmaCheck",

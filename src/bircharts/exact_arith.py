@@ -13,12 +13,24 @@ Canonical form of a rational function num/den:
 * den has a positive leading coefficient in graded-lex order,
 * the zero function is 0/1.
 
-Polynomials are dicts mapping exponent tuples (one entry per universe
-variable, non-negative) to nonzero coefficients.  A coefficient is an
-``int`` when it is integral and a ``Fraction`` otherwise, so the integer
-polynomials that canonical forms consist of never touch ``Fraction``.
-The graded-lex order is used only for canonical printing and leading-term
-queries; no mathematical meaning is attached to it.
+Polynomials are dicts mapping exponent keys to nonzero coefficients.  The
+key of an exponent vector e over a universe of n variables is one ``int``
+of n + 1 fields of 16 bits: the total degree in the top field, then e_0,
+..., e_{n-1}, the first variable highest (the packed exponent vectors of
+Monagan and Pearce, "Polynomial division using dynamic arrays, heaps, and
+packed exponent vectors", 2007).  The top bit of every field is a guard
+bit and stays clear, so no exponent and no total degree exceeds
+``MAX_DEGREE`` = 32767; a product, a power or a constructor that would
+pass it raises ``DegreeLimitError``, a ``ValueError``.  With these keys a
+monomial product is one integer addition, graded-lex order is integer
+order (``max(terms)`` is the leading term), the constant term has key 0,
+and a divisor's key fits under a dividend's exactly when subtracting it
+from the dividend's with every guard bit set leaves every guard bit set.
+``MultiPoly.exponents()`` decodes the keys back to tuples.  A coefficient
+is an ``int`` when it is integral and a ``Fraction`` otherwise, so the
+integer polynomials that canonical forms consist of never touch
+``Fraction``.  The graded-lex order is used only for canonical printing
+and leading-term queries; no mathematical meaning is attached to it.
 
 The public ``MultiPoly(vars, terms)`` constructor validates and
 canonicalizes its input.  Kernel arithmetic builds its results through the
@@ -57,11 +69,14 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
 from heapq import heapify, heappop, heappush
+from itertools import compress
 from math import gcd as _igcd, lcm as _ilcm
-from operator import add as _add, neg as _neg, sub as _sub
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+from operator import or_
+from struct import Struct
+from typing import (Collection, Iterable, Mapping, NamedTuple, Optional,
+                    Sequence)
 
 
 class UniverseError(ValueError):
@@ -72,9 +87,81 @@ class PoleError(ArithmeticError):
     """A substitution made a denominator vanish identically."""
 
 
-def _grlex(exp):
-    """Graded-lex sort key: total degree first, then the exponent tuple."""
-    return (sum(exp), exp)
+class DegreeLimitError(ValueError):
+    """A polynomial's total degree would exceed ``MAX_DEGREE``."""
+
+
+# exponent keys (see the module docstring)
+_BITS = 16
+_FIELD = (1 << _BITS) - 1
+MAX_DEGREE = (1 << _BITS - 1) - 1
+
+
+@lru_cache(maxsize=None)
+def _layout(width: int) -> tuple:
+    """Structs that write the fields of a key, degree first, and read its
+    exponents back without the degree."""
+    return Struct(f">{width + 1}H"), Struct(f">2x{width}H")
+
+
+def _check_degree(degree: int) -> None:
+    if degree > MAX_DEGREE:
+        raise DegreeLimitError(
+            f"total degree {degree} exceeds the limit {MAX_DEGREE}")
+
+
+def _pack(exp: tuple) -> int:
+    """The key of a tuple of non-negative exponents."""
+    degree = sum(exp)
+    _check_degree(degree)
+    return int.from_bytes(_layout(len(exp))[0].pack(degree, *exp), "big")
+
+
+def _unpack(key: int, width: int) -> tuple:
+    """The exponent tuple of a key."""
+    reader = _layout(width)[1]
+    return reader.unpack(key.to_bytes(reader.size, "big"))
+
+
+def _shift(width: int, i: int) -> int:
+    """Bit offset of the field of variable i."""
+    return _BITS * (width - 1 - i)
+
+
+def _var_key(width: int, i: int) -> int:
+    """The key of the i-th variable."""
+    return 1 << _BITS * width | 1 << _shift(width, i)
+
+
+@lru_cache(maxsize=None)
+def _guards(fields: int) -> int:
+    """The guard bits of the lowest ``fields`` fields."""
+    return (1 << _BITS * fields) // _FIELD << _BITS - 1
+
+
+def _support(keys: Iterable[int], width: int) -> tuple:
+    """Indices of the variables with a nonzero exponent in some key."""
+    return tuple(compress(range(width), _unpack(reduce(or_, keys, 0), width)))
+
+
+def _min_key(keys: Collection[int], width: int) -> int:
+    """The key of the componentwise minimum of the (nonempty) keys.  A
+    field of ``(e | guards) - ones`` keeps its guard bit exactly when its
+    exponent is nonzero, so the AND of these over the keys marks the
+    variables in every term; most often it is 0 after a few terms, and
+    only the variables it marks are decoded."""
+    guards = _guards(width)
+    ones = guards >> _BITS - 1
+    common = guards
+    for e in keys:
+        common &= (e | guards) - ones
+        if not common:
+            return 0
+    key = 0
+    for i in compress(range(width), _unpack(common, width)):
+        s = _shift(width, i)
+        key += min(e >> s & _FIELD for e in keys) * _var_key(width, i)
+    return key
 
 
 def _coeff(value):
@@ -105,8 +192,9 @@ def _div(a, b):
 class MultiPoly:
     """Sparse multivariate polynomial over Q.
 
-    ``vars`` is the ordered universe; ``terms`` maps exponent tuples of
-    length len(vars) to nonzero coefficients (see the module docstring).
+    ``vars`` is the ordered universe; ``terms`` maps exponent keys over it
+    to nonzero coefficients (see the module docstring), and the public
+    constructor takes exponent tuples of length len(vars) in their place.
     The zero polynomial has no terms.
     """
 
@@ -123,9 +211,10 @@ class MultiPoly:
                     f"exponent vector {e} has length {len(e)}, expected {width}")
             if any(x < 0 for x in e):
                 raise ValueError(f"negative exponent in {e}")
+            key = _pack(e)
             c = _coeff(coeff)
             if c != 0:
-                clean[e] = c
+                clean[key] = c
         self.vars = vs
         self.terms = clean
 
@@ -151,7 +240,7 @@ class MultiPoly:
         c = _coeff(value)
         if type(c) is int and -_SMALL <= c <= _SMALL:
             return _small_const(vs, c)
-        return cls._make(vs, {(0,) * len(vs): c})
+        return cls._make(vs, {0: c})
 
     @classmethod
     def one(cls, vars: Sequence[str]) -> "MultiPoly":
@@ -162,9 +251,7 @@ class MultiPoly:
         vs = tuple(vars)
         if name not in vs:
             raise UniverseError(f"variable {name!r} not in universe {vs}")
-        exp = [0] * len(vs)
-        exp[vs.index(name)] = 1
-        return cls._make(vs, {tuple(exp): 1})
+        return cls._make(vs, {_var_key(len(vs), vs.index(name)): 1})
 
     # -- queries ------------------------------------------------------
 
@@ -175,15 +262,12 @@ class MultiPoly:
     @property
     def is_const(self) -> bool:
         t = self.terms
-        return not t or (len(t) == 1 and not any(next(iter(t))))
+        return not t or (len(t) == 1 and 0 in t)
 
     @property
     def is_one(self) -> bool:
         t = self.terms
-        if len(t) != 1:
-            return False
-        e, c = next(iter(t.items()))
-        return c == 1 and not any(e)
+        return len(t) == 1 and t.get(0) == 1
 
     @property
     def const_value(self) -> Fraction:
@@ -200,24 +284,27 @@ class MultiPoly:
     def leading_exp(self) -> tuple:
         if self.is_zero:
             raise ValueError("zero polynomial has no leading term")
-        return max(self.terms, key=_grlex)
+        return _unpack(max(self.terms), len(self.vars))
 
     def leading_coeff(self):
-        return self.terms[self.leading_exp()]
+        if self.is_zero:
+            raise ValueError("zero polynomial has no leading term")
+        return self.terms[max(self.terms)]
 
     def degree_in(self, index: int) -> int:
         if self.is_zero:
             return -1
-        return max(e[index] for e in self.terms)
+        s = _shift(len(self.vars), index)
+        return max(e >> s & _FIELD for e in self.terms)
 
     def variables_present(self) -> tuple:
         """Indices of universe variables that actually occur."""
-        seen = set()
-        for e in self.terms:
-            for i, x in enumerate(e):
-                if x:
-                    seen.add(i)
-        return tuple(sorted(seen))
+        return _support(self.terms, len(self.vars))
+
+    def exponents(self) -> dict:
+        """The terms keyed by exponent tuples instead of keys."""
+        width = len(self.vars)
+        return {_unpack(e, width): c for e, c in self.terms.items()}
 
     # -- coercion -----------------------------------------------------
 
@@ -271,12 +358,17 @@ class MultiPoly:
         a, b = self._pair(other)
         if a is None:
             return NotImplemented
+        at, bt = a.terms, b.terms
+        if at and bt:
+            # the top fields of the leading keys hold the largest degrees
+            s = _BITS * len(a.vars)
+            _check_degree((max(at) >> s) + (max(bt) >> s))
         terms: dict = {}
         get = terms.get
-        bt = b.terms.items()
-        for e1, c1 in a.terms.items():
+        bt = bt.items()
+        for e1, c1 in at.items():
             for e2, c2 in bt:
-                e = tuple(map(_add, e1, e2))
+                e = e1 + e2
                 terms[e] = get(e, 0) + c1 * c2
         return MultiPoly._make(a.vars, _canon(terms))
 
@@ -285,6 +377,8 @@ class MultiPoly:
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise ValueError("polynomial exponent must be a non-negative integer")
+        if self.terms:
+            _check_degree((max(self.terms) >> _BITS * len(self.vars)) * k)
         result = MultiPoly.one(self.vars)
         base = self
         while k:
@@ -320,10 +414,11 @@ class MultiPoly:
         if self.is_zero:
             return "0"
         parts = []
-        for e in sorted(self.terms, key=_grlex, reverse=True):
+        width = len(self.vars)
+        for e in sorted(self.terms, reverse=True):
             c = self.terms[e]
             factors = []
-            for name, k in zip(self.vars, e):
+            for name, k in zip(self.vars, _unpack(e, width)):
                 if k == 1:
                     factors.append(name)
                 elif k > 1:
@@ -362,7 +457,7 @@ def _small_const(vs: tuple, c: int) -> MultiPoly:
         table = _SMALL_CONSTS[vs] = {}
     p = table.get(c)
     if p is None:
-        p = table[c] = MultiPoly._make(vs, {(0,) * len(vs): c} if c else {})
+        p = table[c] = MultiPoly._make(vs, {0: c} if c else {})
     return p
 
 
@@ -382,34 +477,42 @@ def _quotient(p: dict, d: dict, div=_div):
     not divide p; ``div`` divides coefficients and returns None when it
     cannot.  Each step adds only terms below the one it cancels, so the
     heap hands out every remainder term once, largest first."""
-    d_exp = max(d, key=_grlex)
+    d_exp = max(d)
     d_lc = d[d_exp]
     d_terms = d.items()
     rem = dict(p)
     get = rem.get
-    heap = [(-sum(e), tuple(map(_neg, e)), e) for e in rem]
+    heap = [-e for e in rem]
     heapify(heap)
     quot: dict = {}
+    if not heap:
+        return quot
+    top = -heap[0]
+    if d_exp > top:
+        return None
+    # d_exp <= top, so these guard bits cover every field of both
+    guards = _guards(-(-top.bit_length() // _BITS))
     while rem:
-        lexp = heappop(heap)[2]
+        lexp = -heappop(heap)
         c = get(lexp)
         if c is None:
             continue
-        qexp = tuple(map(_sub, lexp, d_exp))
-        if min(qexp, default=0) < 0:
+        qexp = (lexp | guards) - d_exp
+        if qexp & guards != guards:
             return None
+        qexp ^= guards
         qc = div(c, d_lc)
         if qc is None:
             return None
         quot[qexp] = qc
         for e, dc in d_terms:
-            t = tuple(map(_add, qexp, e))
+            t = qexp + e
             s = get(t, 0) - qc * dc
             if not s:
                 del rem[t]
                 continue
             if t not in rem:
-                heappush(heap, (-sum(t), tuple(map(_neg, t)), t))
+                heappush(heap, -t)
             rem[t] = s
     return quot
 
@@ -441,7 +544,7 @@ def _primitive_terms(terms: dict):
         else:
             num = _igcd(num, c.numerator)
             den = _ilcm(den, c.denominator)
-    if terms[max(terms, key=_grlex)] < 0:
+    if terms[max(terms)] < 0:
         num = -num
     if num == 1 and den == 1:
         return 1, terms
@@ -466,39 +569,35 @@ def _primitive_positive(p: MultiPoly) -> MultiPoly:
     return prim
 
 
-def _monomial_content(p: MultiPoly) -> tuple:
-    """Componentwise minimum exponent over all terms (p nonzero)."""
-    mins = None
-    for e in p.terms:
-        mins = e if mins is None else tuple(min(a, b) for a, b in zip(mins, e))
-    return mins
+def _monomial_content(p: MultiPoly) -> int:
+    """Key of the componentwise minimum exponent over all terms (p nonzero)."""
+    return _min_key(p.terms, len(p.vars))
 
 
-def _shift_down(p: MultiPoly, mono: tuple) -> MultiPoly:
-    if not any(mono):
+def _shift_down(p: MultiPoly, mono: int) -> MultiPoly:
+    if not mono:
         return p
-    return MultiPoly._make(
-        p.vars, {tuple(map(_sub, e, mono)): c for e, c in p.terms.items()})
+    return MultiPoly._make(p.vars, {e - mono: c for e, c in p.terms.items()})
 
 
 def _univ(p: MultiPoly, v: int) -> dict:
     """View of p as univariate in variable index v: degree -> coefficient poly."""
+    width = len(p.vars)
+    s, unit = _shift(width, v), _var_key(width, v)
     coeffs: dict = {}
     for e, c in p.terms.items():
-        rest = list(e)
-        rest[v] = 0
-        # e determines (e[v], rest) and back, so no two terms collide
-        coeffs.setdefault(e[v], {})[tuple(rest)] = c
+        k = e >> s & _FIELD
+        # e determines (k, e - k * unit) and back, so no two terms collide
+        coeffs.setdefault(k, {})[e - k * unit] = c
     return {d: MultiPoly._make(p.vars, t) for d, t in coeffs.items()}
 
 
 def _from_univ(coeffs: dict, v: int, vars: tuple) -> MultiPoly:
+    unit = _var_key(len(vars), v)
     terms: dict = {}
     for d, poly in coeffs.items():
         for e, c in poly.terms.items():
-            ee = list(e)
-            ee[v] += d
-            terms[tuple(ee)] = c
+            terms[e + d * unit] = c
     return MultiPoly._make(vars, terms)
 
 
@@ -577,16 +676,15 @@ class _HeuristicFailed(Exception):
     pass
 
 
-def _eval_at_int_raw(terms: dict, v: int, xi: int) -> dict:
+def _eval_at_int_raw(terms: dict, v: int, xi: int, width: int) -> dict:
+    shift, unit = _shift(width, v), _var_key(width, v)
     powers = {0: 1}
     out: dict = {}
     for e, c in terms.items():
-        k = e[v]
+        k = e >> shift & _FIELD
         if k not in powers:
             powers[k] = xi ** k
-        ee = list(e)
-        ee[v] = 0
-        key = tuple(ee)
+        key = e - k * unit
         s = out.get(key, 0) + c * powers[k]
         if s:
             out[key] = s
@@ -595,7 +693,8 @@ def _eval_at_int_raw(terms: dict, v: int, xi: int) -> dict:
     return out
 
 
-def _balanced_digits_raw(ge: dict, v: int, xi: int) -> dict:
+def _balanced_digits_raw(ge: dict, v: int, xi: int, width: int) -> dict:
+    unit = _var_key(width, v)
     half = xi // 2
     cur = dict(ge)
     terms: dict = {}
@@ -607,9 +706,7 @@ def _balanced_digits_raw(ge: dict, v: int, xi: int) -> dict:
             if d > half:
                 d -= xi
             if d:
-                ee = list(e)
-                ee[v] = j
-                terms[tuple(ee)] = d
+                terms[e + j * unit] = d
             rest = (c - d) // xi
             if rest:
                 nxt[e] = rest
@@ -623,35 +720,31 @@ def _heu_gcd_raw(p: dict, q: dict, depth: int, width: int) -> dict:
     cp, p = _primitive_terms(p)
     cq, q = _primitive_terms(q)
     common = _igcd(cp, cq)
-    present = set()
-    for terms in (p, q):
-        for e in terms:
-            for i, x in enumerate(e):
-                if x:
-                    present.add(i)
+    present = _support((*p, *q), width)
     if not present:
         # both primitive parts are 1, so the gcd is the common content
-        return {(0,) * width: common}
+        return {0: common}
     if depth > width + 2:
         raise _HeuristicFailed
 
     def deg(terms, i):
-        return max(e[i] for e in terms)
+        s = _shift(width, i)
+        return max(e >> s & _FIELD for e in terms)
 
     v = min(present, key=lambda i: max(deg(p, i), deg(q, i)))
     hp = max(abs(c) for c in p.values())
     hq = max(abs(c) for c in q.values())
     xi = 2 * min(hp, hq) + 29
     for _ in range(6):
-        pe = _eval_at_int_raw(p, v, xi)
-        qe = _eval_at_int_raw(q, v, xi)
+        pe = _eval_at_int_raw(p, v, xi, width)
+        qe = _eval_at_int_raw(q, v, xi, width)
         if pe and qe:
             try:
                 g_low = _heu_gcd_raw(pe, qe, depth + 1, width)
             except _HeuristicFailed:
                 g_low = None
             if g_low is not None:
-                g = _balanced_digits_raw(g_low, v, xi)
+                g = _balanced_digits_raw(g_low, v, xi, width)
                 if g:
                     _, g = _primitive_terms(g)
                     if (_quotient(p, g, _int_div) is not None
@@ -721,24 +814,26 @@ def _univ_images(terms: dict, shared, point: tuple) -> dict:
     with every variable but v set to ``point``; None where the leading
     coefficient in v vanishes there."""
     P = _CERT_PRIME
+    width = len(point)
     powers = [{} for _ in point]
     full = []
     for e, c in terms.items():
+        e = _unpack(e, width)
         val = c
-        for i, k in enumerate(e):
-            if k:
-                cache = powers[i]
-                pw = cache.get(k)
-                if pw is None:
-                    pw = cache[k] = pow(point[i], k, P)
-                val = val * pw % P
+        for i in compress(range(width), e):
+            k = e[i]
+            cache = powers[i]
+            pw = cache.get(k)
+            if pw is None:
+                pw = cache[k] = pow(point[i], k, P)
+            val = val * pw % P
         full.append((e, val))
     images = {}
     for v in shared:
         # divide the full value by point[v] ** e[v] to free the variable v
         inv = pow(point[v], -1, P)
         unpow = [1]
-        for _ in range(max(e[v] for e in terms)):
+        for _ in range(max(e[v] for e, val in full)):
             unpow.append(unpow[-1] * inv % P)
         coeffs = [0] * len(unpow)
         for e, val in full:
@@ -808,7 +903,7 @@ def poly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
         return MultiPoly.one(p.vars)
     mp = _monomial_content(p)
     mq = _monomial_content(q)
-    shared = tuple(min(a, b) for a, b in zip(mp, mq))
+    shared = _min_key((mp, mq), len(p.vars))
     p0 = _shift_down(p, mp)
     q0 = _shift_down(q, mq)
     if p0.is_const or q0.is_const:
@@ -822,7 +917,7 @@ def poly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
                 core = _heu_gcd(pp, qp)
             except _HeuristicFailed:
                 core = _gcd_core(p0, q0)
-    if any(shared):
+    if shared:
         core = core * MultiPoly._make(p.vars, {shared: 1})
     return _primitive_positive(core)
 
@@ -1053,7 +1148,7 @@ def is_laurent_in(f: RatFunc, names: Iterable[str]) -> bool:
     if not f.den.is_monomial:
         return False
     allowed = set(names)
-    exp = next(iter(f.den.terms))
+    exp = _unpack(next(iter(f.den.terms)), len(f.den.vars))
     for name, k in zip(f.den.vars, exp):
         if k and name not in allowed:
             return False
@@ -1068,18 +1163,20 @@ def _evaluate(p: MultiPoly, values: Sequence, const, start=None):
     keeps one cache of its powers.  ``start(c, e)``, when given, builds
     the factor the term c * x^e starts from in place of ``const(c)``.
     """
+    width = len(p.vars)
     one = const(1)
     powers = [[one] for _ in values]
     total = const(0)
-    for e in sorted(p.terms, key=_grlex):
+    for e in sorted(p.terms):
         c = p.terms[e]
         term = const(c) if start is None else start(c, e)
-        for i, k in enumerate(e):
-            if k:
-                cache = powers[i]
-                while len(cache) <= k:
-                    cache.append(cache[-1] * values[i])
-                term = term * cache[k]
+        e = _unpack(e, width)
+        for i in compress(range(width), e):
+            k = e[i]
+            cache = powers[i]
+            while len(cache) <= k:
+                cache.append(cache[-1] * values[i])
+            term = term * cache[k]
         total = total + term
     return total
 
@@ -1117,7 +1214,7 @@ def prepare_substitution(universe: Sequence[str],
     return Substitution(
         tuple(universe), tvars,
         tuple(val.num.scale(_div(1, c)) for val, (_, c) in zip(values, dens)),
-        tuple((i, m) for i, (m, _) in enumerate(dens) if any(m)))
+        tuple((i, m) for i, (m, _) in enumerate(dens) if m))
 
 
 def substitute(f: RatFunc,
@@ -1141,19 +1238,24 @@ def substitute(f: RatFunc,
         # f.den evaluates to c * prod P_i^e_i over x^w(e), w(e) = sum
         # e_i * m_i, and is shifted up to the common denominator x^top
         if shifted:
-            zero = (0,) * len(tvars)
+            width, twidth = len(f.universe), len(tvars)
             weight = {}
             for e in (*f.num.terms, *f.den.terms):
-                w = zero
+                ex = _unpack(e, width)
+                w = degree = 0
                 for i, m in shifted:
-                    if e[i]:
-                        w = tuple(a + e[i] * b for a, b in zip(w, m))
+                    if ex[i]:
+                        w += ex[i] * m
+                        degree += ex[i] * (m >> _BITS * twidth)
+                # checked before w is used: past the limit it would carry
+                # out of its fields
+                _check_degree(degree)
                 weight[e] = w
-            top = tuple(map(max, zip(*weight.values())))
+            top = _pack(tuple(map(max, zip(*(
+                _unpack(w, twidth) for w in weight.values())))))
 
             def start(c, e):
-                return MultiPoly._make(
-                    tvars, {tuple(map(_sub, top, weight[e])): c})
+                return MultiPoly._make(tvars, {top - weight[e]: c})
         const = partial(MultiPoly.const, tvars)
     else:
         const = partial(RatFunc.const, tvars)

@@ -41,8 +41,9 @@ from functools import lru_cache
 from math import isqrt
 from typing import Optional
 
-from .exact_arith import (MultiPoly, PoleError, RatFunc, Substitution, _canon,
-                          is_laurent_in, prepare_substitution, substitute)
+from .exact_arith import (_FIELD, MultiPoly, PoleError, RatFunc, Substitution,
+                          _canon, _shift, _var_key, is_laurent_in,
+                          prepare_substitution, substitute)
 from .exprparse import indexed_name
 from .root_data import distinguished_word
 from .sl_realization import (GroupMatrix, TorusPoint, Unsupported, _datum_for,
@@ -223,13 +224,18 @@ def decide_O_U(phi: RatFunc, n: int) -> MembershipVerdict:
 
 def _derivation(p: MultiPoly, sources) -> MultiPoly:
     """D(p) for the vector field D = sum of x_{k+1} d/dx_k over k in
-    sources, acting on exponent tuples."""
+    sources, acting on exponent keys: x_{k+1} d/dx_k takes the term
+    c * x^e to c * e_k * x^(e - unit_k + unit_{k+1})."""
+    width = len(p.vars)
+    steps = [(_shift(width, k), _var_key(width, k + 1) - _var_key(width, k))
+             for k in sources]
     terms: dict = {}
     for e, c in p.terms.items():
-        for k in sources:
-            if e[k]:
-                f = e[:k] + (e[k] - 1, e[k + 1] + 1) + e[k + 2:]
-                terms[f] = terms.get(f, 0) + c * e[k]
+        for s, step in steps:
+            ek = e >> s & _FIELD
+            if ek:
+                f = e + step
+                terms[f] = terms.get(f, 0) + c * ek
     return MultiPoly._make(p.vars, _canon(terms))
 
 

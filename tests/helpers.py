@@ -38,7 +38,7 @@ def reference_substitute(f: RatFunc, values, universe) -> RatFunc:
 
     def evaluate(p):
         total = RatFunc.const(universe, 0)
-        for e, c in p.terms.items():
+        for e, c in p.exponents().items():
             term = RatFunc.const(universe, c)
             for v, k in zip(values, e):
                 term = term * v ** k

@@ -260,6 +260,15 @@ def test_huge_exponent_is_a_usage_error(capsys):
     assert "exponent 100000 exceeds the limit" in err and "position 11" in err
 
 
+def test_degree_above_the_limit_is_a_usage_error(capsys):
+    started = time.monotonic()
+    code, out, err = run(capsys, "membership", "u", "--group", "sl3",
+                         "--expr", "(u(1,2)^1000)^1000")
+    assert code == 2 and out == ""
+    assert "total degree 1000000 exceeds the limit 32767" in err
+    assert time.monotonic() - started < 5
+
+
 def test_long_literal_is_a_usage_error(capsys):
     code, out, err = run(capsys, "membership", "u", "--group", "sl4",
                          "--expr", "u(1,2) + " + "1" * 5000)

@@ -7,10 +7,10 @@ from fractions import Fraction
 
 import pytest
 
-from bircharts import (ChartId, MultiPoly, PoleError, RatFunc, UniverseError,
-                       exact_arith, g_variables, is_laurent_in, is_polynomial,
-                       membership, poly_exact_div, poly_gcd, ratfunc_normalize,
-                       substitute)
+from bircharts import (ChartId, DegreeLimitError, MultiPoly, PoleError,
+                       RatFunc, UniverseError, exact_arith, g_variables,
+                       is_laurent_in, is_polynomial, membership,
+                       poly_exact_div, poly_gcd, ratfunc_normalize, substitute)
 
 from helpers import (divide_univariate, random_nonzero_poly, random_poly,
                      reference_substitute)
@@ -416,13 +416,31 @@ def test_reflected_division_by_unsupported_operand_is_type_error():
 
 def test_integral_coefficients_are_ints():
     p = MultiPoly(XY, {(1, 0): Fraction(4, 2), (0, 1): Fraction(1, 3), (0, 0): 0})
-    assert p.terms == {(1, 0): 2, (0, 1): Fraction(1, 3)}
-    assert type(p.terms[(1, 0)]) is int
+    assert p.exponents() == {(1, 0): 2, (0, 1): Fraction(1, 3)}
+    assert type(p.exponents()[(1, 0)]) is int
     q = p * p.scale(3)
-    assert q.terms == {(2, 0): 12, (1, 1): 4, (0, 2): Fraction(1, 3)}
-    assert [type(c) for c in q.terms.values()] == [int, int, Fraction]
-    assert type((p + p.scale(2)).terms[(0, 1)]) is int
+    assert q.exponents() == {(2, 0): 12, (1, 1): 4, (0, 2): Fraction(1, 3)}
+    assert [type(c) for c in q.exponents().values()] == [int, int, Fraction]
+    assert type((p + p.scale(2)).exponents()[(0, 1)]) is int
     assert type(MultiPoly.const(XY, Fraction(6, 3)).const_value) is Fraction
+
+
+def test_degree_limit_is_an_input_error():
+    x = _x()
+    assert issubclass(DegreeLimitError, ValueError)
+    assert (x ** 32767).exponents() == {(32767, 0): 1}
+    half = x ** 20000
+    with pytest.raises(DegreeLimitError,
+                       match="total degree 40000 exceeds the limit 32767"):
+        half * (half + _y())
+    with pytest.raises(DegreeLimitError, match="limit 32767"):
+        (x + 1) ** 40000
+    with pytest.raises(DegreeLimitError, match="limit 32767"):
+        RatFunc(x) ** -40000
+    with pytest.raises(DegreeLimitError, match="total degree 40000 exceeds"):
+        MultiPoly(("x",), {(40000,): 1})
+    with pytest.raises(DegreeLimitError, match="total degree 40000 exceeds"):
+        MultiPoly(XY, {(20000, 20000): 1})
 
 
 def test_coprimality_certificate_on_minors():

@@ -60,8 +60,9 @@ def ratfuncs(vars, **kw):
 
 def assert_canonical(p: MultiPoly):
     assert type(p.vars) is tuple
-    assert p == MultiPoly(p.vars, p.terms)
-    for e, c in p.terms.items():
+    assert all(type(k) is int for k in p.terms)
+    assert p == MultiPoly(p.vars, p.exponents())
+    for e, c in p.exponents().items():
         assert type(e) is tuple and len(e) == len(p.vars)
         assert all(type(x) is int and x >= 0 for x in e)
         if type(c) is int:
@@ -244,7 +245,7 @@ def _divides_term(d: MultiPoly, r: MultiPoly) -> bool:
     # a divisor of a monomial is a monomial (up to a unit)
     if not d.is_monomial:
         return False
-    (de,), (re,) = d.terms, r.terms
+    (de,), (re,) = d.exponents(), r.exponents()
     return all(a <= b for a, b in zip(de, re))
 
 
@@ -276,10 +277,61 @@ def test_integer_trial_division_is_division_by_a_primitive_divisor(q, d, data):
     # a term that lands on one of p's own terms, often the leading one,
     # makes a quotient coefficient fail to divide
     exps = st.tuples(*[st.integers(0, 2) for _ in XY])
-    e = data.draw(st.sampled_from(sorted(p.terms)) if p.terms else exps)
+    e = data.draw(st.sampled_from(sorted(p.exponents())) if p.terms else exps)
     r = MultiPoly(XY, {e: data.draw(int_coeffs.filter(bool))})
     assume(not _divides_term(d, r))
     assert exact_arith._quotient((p + r).terms, d.terms,
+                                 exact_arith._int_div) is None
+
+
+def exponent_lists(width):
+    """One to six exponent tuples over ``width`` variables, each entry at
+    most MAX_DEGREE // width, so every total degree is within the limit."""
+    bound = exact_arith.MAX_DEGREE // max(width, 1)
+    entry = st.one_of(st.integers(0, 3), st.integers(0, bound))
+    return st.lists(st.tuples(*[entry] * width), min_size=1, max_size=6)
+
+
+@SETTINGS
+@given(st.integers(0, 6).flatmap(
+    lambda w: st.tuples(st.just(w), exponent_lists(w))))
+def test_packed_keys_decode_and_order_as_graded_lex(case):
+    width, exps = case
+    keys = [exact_arith._pack(e) for e in exps]
+    assert [exact_arith._unpack(k, width) for k in keys] == exps
+    # integer order of keys is the order of the (total degree, tuple) key
+    for a, ka in zip(exps, keys):
+        for b, kb in zip(exps, keys):
+            assert (ka < kb) == ((sum(a), a) < (sum(b), b))
+            if sum(a) + sum(b) <= exact_arith.MAX_DEGREE:
+                assert ka + kb == exact_arith._pack(
+                    tuple(x + y for x, y in zip(a, b)))
+    assert exact_arith._unpack(exact_arith._min_key(keys, width), width) \
+        == tuple(map(min, zip(*exps)))
+    assert exact_arith._support(keys, width) == tuple(
+        i for i in range(width) if any(e[i] for e in exps))
+
+
+@SETTINGS
+@given(nonzero_polys(XYZ, max_terms=3), nonzero_polys(XYZ, max_terms=3),
+       st.integers(0, 2), st.integers(1, 3))
+def test_quotient_refuses_a_divisor_whose_leading_exponent_does_not_fit(
+        p, d, i, extra):
+    # a divisor's leading exponent is at most the dividend's in every field;
+    # here it exceeds it in field i by at least ``extra``
+    lead_p, lead_d = p.leading_exp(), d.leading_exp()
+    k = max(0, lead_p[i] + extra - lead_d[i])
+    d = d * MultiPoly.variable(XYZ, XYZ[i]) ** k
+    assert d.leading_exp()[i] > lead_p[i]
+    higher = p * MultiPoly.variable(XYZ, XYZ[i]) ** extra
+    for divisor in (d, higher):
+        assert exact_arith._quotient(p.terms, divisor.terms) is None
+        with pytest.raises(ValueError):
+            poly_exact_div(p, divisor)
+    # a constant dividend, the key 0, by a divisor of higher degree
+    assert exact_arith._quotient({0: 1}, d.terms) is None
+    p, d = map(exact_arith._primitive_positive, (p, d))
+    assert exact_arith._quotient(p.terms, d.terms,
                                  exact_arith._int_div) is None
 
 
@@ -287,7 +339,7 @@ def test_integer_trial_division_is_division_by_a_primitive_divisor(q, d, data):
 @given(nonzero_polys(XYZ, max_terms=5))
 def test_content_routine_splits_off_a_positive_primitive_part(p):
     scale, prim = exact_arith._primitive_terms(p.terms)
-    P = MultiPoly(XYZ, prim)
+    P = MultiPoly._make(XYZ, prim)
     assert P.scale(scale) == p
     assert type(scale) is int or scale.denominator != 1
     assert all(type(c) is int for c in prim.values())

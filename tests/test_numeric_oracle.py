@@ -23,7 +23,7 @@ from helpers import random_nonzero_poly, random_poly
 def eval_poly(p, point) -> Fraction:
     """Term-by-term evaluation with Fraction arithmetic only."""
     total = Fraction(0)
-    for exp, coeff in p.terms.items():
+    for exp, coeff in p.exponents().items():
         value = Fraction(coeff)
         for name, k in zip(p.vars, exp):
             value *= point[name] ** k

@@ -62,7 +62,7 @@ trees = st.recursive(leaves, _extend, max_leaves=7)
 def _form(f: RatFunc):
     """The canonical form with coefficient types, so an integral Fraction
     where the reference has an int counts as a difference."""
-    return tuple(sorted((e, type(c), c) for e, c in p.terms.items())
+    return tuple(sorted((e, type(c), c) for e, c in p.exponents().items())
                  for p in (f.num, f.den))
 
 
