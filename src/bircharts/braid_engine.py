@@ -42,8 +42,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .exact_arith import RatFunc
-from .root_data import CartanDatum, is_reduced, weyl_from_word
-from .sl_realization import Unsupported, _det, chart_U, twist
+from .root_data import CartanDatum, Unsupported, is_reduced, weyl_from_word
+from .sl_realization import _det, chart_U, twist
 
 @dataclass(frozen=True)
 class Move:

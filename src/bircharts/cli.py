@@ -20,15 +20,11 @@ import sys
 import time
 
 from . import __version__
-from .braid_engine import transition
-from .exact_arith import RatFunc
-from .exprparse import ParseError, parse_expression
-from .membership import (decide_O_G, decide_O_GmodU, decide_O_U, g_variables,
-                         invert_chart, require_decidable, require_invertible,
-                         u_variables)
-from .root_data import (cartan, chart_weights, distinguished_word, parse_type,
-                        verify_lemmas, weight_sets)
-from .sl_realization import GroupMatrix, Unsupported, _datum_for, chart_U
+# Every subcommand needs root_data; each handler imports the rest of what it
+# runs, so that weights and verify-lemmas load neither the exact kernel nor
+# the charts.
+from .root_data import (Unsupported, cartan, chart_weights, distinguished_word,
+                        parse_type, verify_lemmas, weight_sets)
 
 DEFAULT_RANK_BUDGET = 6
 
@@ -73,20 +69,25 @@ def _certificates_json(verdict):
 # -- subcommand handlers -------------------------------------------------
 
 
-# space -> (chart table, variable universe, decision); the decisions are
-# looked up at call time, so a wrapper put on their names sees the call
+# space -> (chart table, variable universe, decision); the last two are
+# names in membership, looked up at call time, so a wrapper put on them
+# sees the call
 _SPACES = {
-    "u": ("U", u_variables, lambda *a: decide_O_U(*a)),
-    "g-mod-u": ("GmodU", g_variables, lambda *a: decide_O_GmodU(*a)),
-    "g": ("G", g_variables, lambda *a: decide_O_G(*a)),
+    "u": ("U", "u_variables", "decide_O_U"),
+    "g-mod-u": ("GmodU", "g_variables", "decide_O_GmodU"),
+    "g": ("G", "g_variables", "decide_O_G"),
 }
 
 
 def _cmd_membership(args):
+    from . import membership
+    from .exprparse import parse_expression
+
     n = _parse_group(args.group)
     space, variables, decide = _SPACES[args.space]
-    require_decidable(space, n)
-    verdict = decide(parse_expression(args.expr, variables(n)), n)
+    membership.require_decidable(space, n)
+    universe = getattr(membership, variables)(n)
+    verdict = getattr(membership, decide)(parse_expression(args.expr, universe), n)
     report = {
         "group": f"sl{n}",
         "member": verdict.member,
@@ -106,6 +107,8 @@ _MAX_CHART_N = 50
 
 
 def _sl_datum(n: int):
+    from .sl_realization import _datum_for
+
     if n > _MAX_CHART_N:
         raise Unsupported(f"charts and transitions are built up to "
                           f"sl{_MAX_CHART_N}, not sl{n}")
@@ -113,6 +116,11 @@ def _sl_datum(n: int):
 
 
 def _cmd_chart_eval(args):
+    from .exact_arith import RatFunc
+    from .exprparse import parse_expression
+    from .membership import require_decidable
+    from .sl_realization import chart_U
+
     n = _parse_group(args.group)
     if not args.params:
         # the symbolic chart is the one a U membership decision builds
@@ -139,6 +147,10 @@ def _cmd_chart_eval(args):
 
 
 def _cmd_chart_invert(args):
+    from .exprparse import parse_expression
+    from .membership import invert_chart, require_invertible, u_variables
+    from .sl_realization import GroupMatrix
+
     n = _parse_group(args.group)
     require_invertible(n)
     with open(args.matrix) as fh:
@@ -165,6 +177,8 @@ def _cmd_chart_invert(args):
 
 
 def _cmd_transition(args):
+    from .braid_engine import transition
+
     n = _parse_group(args.group)
     datum = _sl_datum(n)
     word1, tag1 = _word_arg(args.from_word, datum)
@@ -331,8 +345,8 @@ def run_command(argv, args) -> tuple:
         code, report = 1, dict(verdict.report)
     except Unsupported as exc:
         return 3, None, f"error: unsupported: {exc}"
-    except (UsageError, ParseError, ValueError, OSError,
-            ZeroDivisionError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, ZeroDivisionError) as exc:
+        # usage, parse and JSON errors are ValueErrors too
         return 2, None, f"error: {exc}"
     except Exception as exc:  # internal invariant failure
         return 3, None, f"internal error: {type(exc).__name__}: {exc}"

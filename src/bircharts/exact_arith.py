@@ -343,7 +343,14 @@ class MultiPoly:
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly._make(self.vars, {e: -c for e, c in self.terms.items()})
+        t = self.terms
+        if len(t) <= 1:
+            if not t:
+                return self
+            c = t.get(0)
+            if type(c) is int and -_SMALL <= c <= _SMALL:
+                return _small_const(self.vars, -c)
+        return MultiPoly._make(self.vars, {e: -c for e, c in t.items()})
 
     def __sub__(self, other):
         a, b = self._pair(other)
@@ -953,7 +960,10 @@ class RatFunc:
     @classmethod
     def const(cls, vars: Sequence[str], value) -> "RatFunc":
         vs = tuple(vars)
-        c = Fraction(value)
+        c = _coeff(value)
+        if type(c) is int and -_SMALL <= c <= _SMALL:
+            return _small_ratfunc(vs, c)
+        c = Fraction(c)
         return cls._raw(MultiPoly.const(vs, c.numerator),
                         MultiPoly.const(vs, c.denominator))
 
@@ -1036,6 +1046,8 @@ class RatFunc:
     __radd__ = __add__
 
     def __neg__(self):
+        if not self.num.terms:
+            return self
         return RatFunc._raw(-self.num, self.den)
 
     def __sub__(self, other):
@@ -1107,6 +1119,21 @@ class RatFunc:
 
     def __repr__(self):
         return f"RatFunc({self})"
+
+
+_SMALL_RATFUNCS: dict = {}
+
+
+def _small_ratfunc(vs: tuple, c: int) -> RatFunc:
+    """The shared constant rational function c over ``vs``, for
+    |c| <= _SMALL, as ``_small_const`` is for polynomials."""
+    table = _SMALL_RATFUNCS.get(vs)
+    if table is None:
+        table = _SMALL_RATFUNCS[vs] = {}
+    f = table.get(c)
+    if f is None:
+        f = table[c] = RatFunc._raw(_small_const(vs, c), _small_const(vs, 1))
+    return f
 
 
 def _canonical_scale(num: MultiPoly, den: MultiPoly) -> RatFunc:

@@ -45,9 +45,9 @@ from .exact_arith import (_FIELD, MultiPoly, PoleError, RatFunc, Substitution,
                           _canon, _shift, _var_key, is_laurent_in,
                           prepare_substitution, substitute)
 from .exprparse import indexed_name
-from .root_data import distinguished_word
-from .sl_realization import (GroupMatrix, TorusPoint, Unsupported, _datum_for,
-                             _det, chart_G, chart_GmodU, chart_U)
+from .root_data import Unsupported, distinguished_word
+from .sl_realization import (GroupMatrix, TorusPoint, _datum_for, _det, chart_G,
+                             chart_GmodU, chart_U)
 
 @dataclass(frozen=True)
 class ChartId:

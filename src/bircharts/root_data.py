@@ -24,6 +24,11 @@ from typing import Optional, Sequence
 
 Word = tuple  # tuple[int, ...], letters are node labels 1..r
 
+
+class Unsupported(Exception):
+    """A well-formed request that this implementation does not cover, such
+    as a transition outside type A or a chart inversion above sl6."""
+
 _VALID_RANKS = {
     "A": lambda n: n >= 1,
     "B": lambda n: n >= 2,

@@ -32,11 +32,9 @@ from typing import Optional, Sequence
 from .exact_arith import MultiPoly, RatFunc
 from .root_data import CartanDatum, Weight, _fundamental_descent, cartan, \
     distinguished_word, is_reduced
-
-
-class Unsupported(Exception):
-    """A well-formed request that this implementation does not cover, such
-    as a transition outside type A or a chart inversion above sl6."""
+# defined in root_data, so that the CLI catches it without loading the
+# kernel; re-exported here
+from .root_data import Unsupported  # noqa: F401
 
 
 def _as_ratfunc(x) -> RatFunc:

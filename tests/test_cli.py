@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import bircharts
 from bircharts import root_data, sl_realization
 from bircharts.cli import main
 
@@ -347,3 +352,38 @@ def test_symbolic_chart_eval_has_the_u_membership_bound(capsys):
     assert "up to sl20, not sl21" in err
     assert time.monotonic() - started < 1
     assert run(capsys, "chart", "eval", "--group", "sl3")[0] == 0
+
+
+# Runs the CLI in a fresh interpreter and prints the bircharts modules it
+# loaded; with no arguments it only imports the CLI.
+_LOADED = ("import sys, bircharts.cli as cli; "
+           "code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0; "
+           "print(*sorted(m for m in sys.modules if m.startswith('bircharts'))); "
+           "sys.exit(code)")
+
+
+def loaded_modules(*argv):
+    src = Path(bircharts.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-c", _LOADED, *argv],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert done.returncode == 0, done.stderr
+    return set(done.stdout.splitlines()[-1].split())
+
+
+@pytest.mark.parametrize("argv", [(), ("weights", "--type", "A3"),
+                                  ("verify-lemmas", "--type", "A3")],
+                         ids=["import", "weights", "verify-lemmas"])
+def test_weight_commands_load_only_root_data(argv):
+    assert loaded_modules(*argv) == {"bircharts", "bircharts.cli",
+                                     "bircharts.root_data"}
+
+
+def test_each_subcommand_loads_only_what_it_runs():
+    loaded = loaded_modules("transition", "--group", "sl4", "--from", "jj1",
+                            "--to", "jj0")
+    assert "bircharts.braid_engine" in loaded
+    assert not loaded & {"bircharts.membership", "bircharts.exprparse"}
+    loaded = loaded_modules("membership", "u", "--group", "sl3", "--expr", "u(1,3)")
+    assert "bircharts.membership" in loaded
+    assert "bircharts.braid_engine" not in loaded

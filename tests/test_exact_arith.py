@@ -465,3 +465,24 @@ def test_coprimality_certificate_moves_off_a_vanishing_leading_coefficient():
     p = (y - c) * x + 1  # leading coefficient in x vanishes at the first point
     assert exact_arith._certified_coprime(p, x + y)
     assert not exact_arith._certified_coprime(p * (x + y), (x - y) * (x + y))
+
+
+@pytest.mark.parametrize("c", [0, 1, -1, 2, -256, 256, Fraction(6, 3)])
+def test_small_constants_are_shared(c):
+    # one object per universe and value; equal to the unshared form
+    f = RatFunc.const(XY, c)
+    assert f is RatFunc.const(list(XY), int(c))
+    assert f.num is MultiPoly.const(XY, c) and f.den is MultiPoly.one(XY)
+    assert f == RatFunc(MultiPoly(XY, {(0, 0): c}))
+    assert -MultiPoly.const(XY, c) is MultiPoly.const(XY, -c)
+    assert (-f).num is MultiPoly.const(XY, -c) and -f == RatFunc.const(XY, -c)
+    assert RatFunc.const(("z",), c) is not f
+
+
+def test_negating_zero_returns_it_and_large_constants_stay_exact():
+    for zero in (MultiPoly.zero(XY), RatFunc.const(XY, 0), RatFunc(_x() - _x())):
+        assert -zero is zero
+    for c in (257, -257, Fraction(1, 2), Fraction(-513, 2)):
+        f = RatFunc.const(XY, c)
+        assert f.const_value == c and (-f).const_value == -c
+        assert -MultiPoly(XY, {(0, 0): c}) == MultiPoly.const(XY, -c)
