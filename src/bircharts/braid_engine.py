@@ -38,15 +38,13 @@ composition of these moves.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .exact_arith import RatFunc
 from .root_data import CartanDatum, Unsupported, is_reduced, weyl_from_word
 from .sl_realization import _det, chart_U, twist
 
-@dataclass(frozen=True)
-class Move:
+class Move(NamedTuple):
     """A local rewrite at ``position``: "commute" swaps two letters whose
     generators commute, "braid3" rewrites an (i, j, i) pattern."""
 
@@ -54,8 +52,7 @@ class Move:
     kind: str
 
 
-@dataclass(frozen=True)
-class TransitionMap:
+class TransitionMap(NamedTuple):
     """Change of chart parameters between two reduced words.
 
     ``formulas[k]`` expresses the k-th target parameter as a rational

@@ -36,10 +36,9 @@ so inversion above sl6 raises ``Unsupported`` before any work.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .exact_arith import (_FIELD, MultiPoly, PoleError, RatFunc, Substitution,
                           _canon, _shift, _var_key, is_laurent_in,
@@ -49,8 +48,7 @@ from .root_data import Unsupported, distinguished_word
 from .sl_realization import (GroupMatrix, TorusPoint, _datum_for, _det, chart_G,
                              chart_GmodU, chart_U)
 
-@dataclass(frozen=True)
-class ChartId:
+class ChartId(NamedTuple):
     """Identifier of one distinguished chart.
 
     space "U" uses eps alone; "GmodU" adds a sign; "G" adds a second word
@@ -75,15 +73,13 @@ class ChartId:
         return self.label
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     chart: ChartId
     pullback: RatFunc
     ok: bool
 
 
-@dataclass(frozen=True)
-class MembershipVerdict:
+class MembershipVerdict(NamedTuple):
     member: bool
     certificates: tuple
     failing_chart: Optional[ChartId]

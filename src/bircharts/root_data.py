@@ -19,8 +19,7 @@ vectors rather than assumed:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 Word = tuple  # tuple[int, ...], letters are node labels 1..r
 
@@ -80,8 +79,7 @@ def _cartan_matrix(type_label: str, rank: int):
     return tuple(tuple(row) for row in a)
 
 
-@dataclass(frozen=True)
-class Weight:
+class Weight(NamedTuple):
     """Integral weight in fundamental-weight coordinates."""
 
     coords: tuple
@@ -316,8 +314,7 @@ def distinguished_word(datum: CartanDatum, eps: int) -> Word:
 # ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=True)
-class ChartWeights:
+class ChartWeights(NamedTuple):
     """All weight families attached to one bipartite chart word.
 
     gamma[k] applies the full suffix of reflections at positions nu..k to
@@ -404,30 +401,31 @@ def _fundamental_descent(w: Weight, datum: CartanDatum):
 # ---------------------------------------------------------------------
 
 
-@dataclass
-class LemmaCheck:
+class LemmaCheck(NamedTuple):
     name: str
     passed: bool
     skipped: bool = False
     detail: str = ""
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     type_label: str
-    checks: list = field(default_factory=list)
+    checks: list
 
     @property
     def all_passed(self) -> bool:
         return all(c.passed or c.skipped for c in self.checks)
 
     def check(self, name: str) -> LemmaCheck:
-        return next(c for c in self.checks if c.name == name)
+        for c in self.checks:
+            if c.name == name:
+                return c
+        raise KeyError(name)
 
 
 def verify_lemmas(datum: CartanDatum) -> VerificationReport:
     """Run every bipartite-word weight check by exhaustive enumeration."""
-    report = VerificationReport(f"{datum.type_label}{datum.rank}")
+    report = VerificationReport(f"{datum.type_label}{datum.rank}", [])
     add = report.checks.append
 
     # Lengths add along the alternating class blocks, totalling nu.

@@ -24,10 +24,9 @@ identities in the test suite, not assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import mul
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .exact_arith import MultiPoly, RatFunc
 from .root_data import CartanDatum, Weight, _fundamental_descent, cartan, \
@@ -160,16 +159,16 @@ class GroupMatrix:
         return f"GroupMatrix({self})"
 
 
-@dataclass(frozen=True)
-class TorusPoint:
+class TorusPoint(NamedTuple("TorusPoint", [("coords", tuple)])):
     """Torus element with coordinates read off by the fundamental characters."""
 
-    coords: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        for c in self.coords:
+    def __new__(cls, coords):
+        for c in coords:
             if not isinstance(c, RatFunc) or c.is_zero:
                 raise ValueError("torus coordinates must be nonzero RatFuncs")
+        return super().__new__(cls, coords)
 
     @property
     def n(self) -> int:
@@ -311,8 +310,7 @@ def iota(g: GroupMatrix) -> GroupMatrix:
          for i in range(n)], check=False)
 
 
-@dataclass(frozen=True)
-class MinorSpec:
+class MinorSpec(NamedTuple):
     """Generalized minor: fundamental index i translated by a Weyl witness."""
 
     i: int

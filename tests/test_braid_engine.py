@@ -16,6 +16,14 @@ from bircharts import (Move, RatFunc, Unsupported, apply_move, available_moves,
 from helpers import golden_sl4_transition
 
 
+def test_move_record_is_frozen_and_hashes_by_value():
+    move = Move(0, "braid3")
+    assert repr(move) == "Move(position=0, kind='braid3')"
+    assert move == Move(0, "braid3") and hash(move) == hash(Move(0, "braid3"))
+    with pytest.raises(AttributeError):
+        move.position = 1
+
+
 def _params(names):
     return tuple(RatFunc.var(tuple(names), v) for v in names)
 

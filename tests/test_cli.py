@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import subprocess
@@ -354,21 +355,39 @@ def test_symbolic_chart_eval_has_the_u_membership_bound(capsys):
     assert run(capsys, "chart", "eval", "--group", "sl3")[0] == 0
 
 
-# Runs the CLI in a fresh interpreter and prints the bircharts modules it
-# loaded; with no arguments it only imports the CLI.
+# Standard-library modules that no command should load: dataclasses brings
+# inspect, ast, dis and tokenize with it.
+_HEAVY = ("dataclasses", "inspect")
+
+# Runs the CLI in a fresh interpreter and prints the bircharts modules and
+# the _HEAVY modules it loaded; with no arguments it only imports the CLI.
 _LOADED = ("import sys, bircharts.cli as cli; "
            "code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0; "
-           "print(*sorted(m for m in sys.modules if m.startswith('bircharts'))); "
+           "print(*sorted(m for m in sys.modules "
+           f"if m.startswith('bircharts') or m in {_HEAVY!r})); "
            "sys.exit(code)")
+_BARE = f"import sys; print(*sorted(m for m in sys.modules if m in {_HEAVY!r}))"
 
 
-def loaded_modules(*argv):
+def _fresh_interpreter(snippet, *argv):
     src = Path(bircharts.__file__).resolve().parents[1]
-    done = subprocess.run([sys.executable, "-c", _LOADED, *argv],
+    done = subprocess.run([sys.executable, "-c", snippet, *argv],
                           capture_output=True, text=True, timeout=60,
                           env=dict(os.environ, PYTHONPATH=str(src)))
     assert done.returncode == 0, done.stderr
     return set(done.stdout.splitlines()[-1].split())
+
+
+@functools.lru_cache(maxsize=None)
+def _bare_modules():
+    """The _HEAVY modules that an interpreter loads before any import."""
+    return frozenset(_fresh_interpreter(_BARE))
+
+
+def loaded_modules(*argv):
+    """The bircharts modules a CLI run loads, and the _HEAVY modules it
+    loads beyond those of a bare interpreter."""
+    return _fresh_interpreter(_LOADED, *argv) - _bare_modules()
 
 
 @pytest.mark.parametrize("argv", [(), ("weights", "--type", "A3"),
@@ -387,3 +406,14 @@ def test_each_subcommand_loads_only_what_it_runs():
     loaded = loaded_modules("membership", "u", "--group", "sl3", "--expr", "u(1,3)")
     assert "bircharts.membership" in loaded
     assert "bircharts.braid_engine" not in loaded
+
+
+@pytest.mark.parametrize("argv", [
+    (), ("weights", "--type", "A3"), ("verify-lemmas", "--type", "A3"),
+    ("transition", "--group", "sl4", "--from", "jj1", "--to", "jj0"),
+    ("membership", "u", "--group", "sl3", "--expr", "u(1,3)"),
+    ("chart", "eval", "--group", "sl3", "--params", "1,2,3"),
+], ids=["import", "weights", "verify-lemmas", "transition", "membership-u",
+        "chart-eval"])
+def test_no_command_loads_dataclasses_or_inspect(argv):
+    assert not loaded_modules(*argv) & set(_HEAVY)

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from bircharts import (ChartId, GroupMatrix, RatFunc, TorusPoint, Unsupported,
+from bircharts import (Certificate, ChartId, GroupMatrix, RatFunc, TorusPoint, Unsupported,
                        cartan, check_invariance, chart_G, chart_GmodU, chart_U,
                        decide_O_G, decide_O_GmodU, decide_O_U,
                        distinguished_word, g_variables, gen_minor,
@@ -318,6 +318,31 @@ def _pull_g(phi, matrix):
     n = matrix.n
     return substitute(phi, {f"g{i}{j}": matrix.entry(i, j)
                             for i in range(1, n + 1) for j in range(1, n + 1)})
+
+
+def test_chart_id_record_is_frozen_and_hashes_by_value():
+    cid = ChartId("G", 0, eps2=1, variant="pm")
+    assert repr(cid) == "ChartId(space='G', eps=0, sign=None, eps2=1, variant='pm')"
+    assert str(cid) == cid.label == "g:jj0,jj1:pm"
+    twin = ChartId("G", 0, eps2=1, variant="pm")
+    assert cid == twin and hash(cid) == hash(twin)
+    assert cid != ChartId("G", 0, eps2=1, variant="mp")
+    with pytest.raises(AttributeError):
+        cid.eps = 1
+
+
+def test_certificate_record_is_frozen_and_hashes_by_value():
+    names = ("a", "b")
+    pullback = RatFunc.var(names, "a") / RatFunc.var(names, "b")
+    cert = Certificate(ChartId("U", 1), pullback, True)
+    assert repr(cert) == ("Certificate(chart=ChartId(space='U', eps=1, sign=None, "
+                          "eps2=None, variant=None), pullback=RatFunc((a)/(b)), ok=True)")
+    assert cert == Certificate(ChartId("U", 1), pullback, True)
+    # a certificate hashes its fields, and a RatFunc has no hash
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(cert)
+    with pytest.raises(AttributeError):
+        cert.ok = False
 
 
 def test_chart_tables_key_by_word_and_eps():

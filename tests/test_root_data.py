@@ -254,6 +254,21 @@ def test_verify_lemmas_a1_skips_disjointness():
     assert report.check("bipartite-blocks-additive-length").passed
 
 
+def test_verification_report_check_raises_key_error_for_unknown_name():
+    report = verify_lemmas(cartan("A", 2))
+    with pytest.raises(KeyError, match="nope"):
+        report.check("nope")
+
+
+def test_weight_record_is_frozen_and_hashes_by_value():
+    w = Weight((1, -2))
+    assert repr(w) == "Weight(coords=(1, -2))"
+    assert str(w) == "(1,-2)" and w.pairing(2) == -2
+    assert w == Weight((1, -2)) and hash(w) == hash(Weight((1, -2)))
+    with pytest.raises(AttributeError):
+        w.coords = (0, 0)
+
+
 def test_verify_lemmas_g2_negative_pairing_exists():
     report = verify_lemmas(cartan("G", 2))
     assert report.check("pairing-negative-on-second-class").passed

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from bircharts import (GroupMatrix, RatFunc, TorusPoint, cartan,
+from bircharts import (GroupMatrix, MinorSpec, RatFunc, TorusPoint, cartan,
                        chart_G, chart_GmodU, chart_U, chart_weights,
                        distinguished_word, gauss_decompose, gen_minor,
                        generator, iota, is_reduced, lift, minor_spec,
@@ -65,6 +65,25 @@ def test_chart_GmodU_golden_sl2():
     ident = chart_GmodU((1,), [RatFunc.const(("t1",), 0)],
                         TorusPoint((RatFunc.const(("t1",), 1),)), "+", 2)
     assert ident == GroupMatrix.identity(2)
+
+
+def test_torus_point_rejects_zero_and_non_ratfunc_coordinates():
+    with pytest.raises(ValueError, match="torus coordinates must be nonzero RatFuncs"):
+        TorusPoint((RatFunc.const(("t1",), 0),))
+    with pytest.raises(ValueError, match="torus coordinates must be nonzero RatFuncs"):
+        TorusPoint((1,))
+    t = TorusPoint((RatFunc.var(("t1",), "t1"),))
+    assert t.n == 2
+    with pytest.raises(AttributeError):
+        t.coords = ()
+
+
+def test_minor_spec_record_is_frozen_and_hashes_by_value():
+    spec = MinorSpec(2, (1, 2))
+    assert repr(spec) == "MinorSpec(i=2, w_word=(1, 2))"
+    assert spec == MinorSpec(2, (1, 2)) and hash(spec) == hash(MinorSpec(2, (1, 2)))
+    with pytest.raises(AttributeError):
+        spec.i = 1
 
 
 def test_chart_G_golden_sl2():
