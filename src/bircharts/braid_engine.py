@@ -41,7 +41,7 @@ from collections import deque
 from typing import NamedTuple, Optional, Sequence
 
 from .exact_arith import RatFunc
-from .root_data import CartanDatum, Unsupported, is_reduced, weyl_from_word
+from .root_data import CartanDatum, Unsupported, length, weyl_from_word
 from .sl_realization import _det, chart_U, twist
 
 class Move(NamedTuple):
@@ -127,14 +127,23 @@ def available_moves(word: tuple, datum: CartanDatum):
     return moves
 
 
+def _check_same_element(w1: tuple, w2: tuple, datum: CartanDatum) -> None:
+    """Raise ValueError unless w1 and w2 are reduced words of one element;
+    each word's element is built once."""
+    elements = []
+    for w in (w1, w2):
+        elements.append(weyl_from_word(w, datum))
+        if length(elements[-1], datum) != len(w):
+            raise ValueError("both words must be reduced")
+    if elements[0] != elements[1]:
+        raise ValueError("reduced words have different Weyl-group products")
+
+
 def word_path(word1: Sequence[int], word2: Sequence[int], datum: CartanDatum,
               budget: int = 200_000):
     """Breadth-first move sequence transforming word1 into word2."""
     w1, w2 = tuple(word1), tuple(word2)
-    if not is_reduced(w1, datum) or not is_reduced(w2, datum):
-        raise ValueError("both words must be reduced")
-    if weyl_from_word(w1, datum) != weyl_from_word(w2, datum):
-        raise ValueError("reduced words have different Weyl-group products")
+    _check_same_element(w1, w2, datum)
     if w1 == w2:
         return []
     parent: dict = {w1: None}
@@ -234,10 +243,7 @@ def transition(word1: Sequence[int], word2: Sequence[int], datum: CartanDatum,
     universe = tuple(param_names)
     if len(universe) != len(w1):
         raise ValueError("need one parameter name per letter")
-    if not is_reduced(w1, datum) or not is_reduced(w2, datum):
-        raise ValueError("both words must be reduced")
-    if weyl_from_word(w1, datum) != weyl_from_word(w2, datum):
-        raise ValueError("reduced words have different Weyl-group products")
+    _check_same_element(w1, w2, datum)
     params = tuple(RatFunc.var(universe, v) for v in universe)
     if w1 == w2:
         return TransitionMap(w1, w2, params)

@@ -5,16 +5,17 @@ vectors rather than assumed:
 
 * Cartan matrix entries are a[i][j] = <coroot_i, root_j> (0-indexed
   storage, 1-indexed node labels following Bourbaki numbering).
-* A Weyl element is identified with its integer action matrix on the
-  weight lattice in fundamental-weight coordinates; reduced words are
-  witnesses, not identities.  Right multiplication by s_i is a column
-  operation: column i loses the alpha_i-combination of the columns.
+* A Weyl element is a witness word and its image of rho = (1, ..., 1).
+  rho is regular, so W acts simply transitively on its orbit and the
+  image decides equality; a product joins the words and carries the right
+  factor's image along the left factor's word.
 * Lengths come from one descent loop, ``_descend``.  rho = (1, ..., 1) is
   regular, so l(w) counts the reflections that bring w(rho) back to rho,
   and nu those that bring -rho = w0(rho) there.  No root is enumerated.
 * ``weyl_apply((i1, ..., ik), w)`` computes s_{i1}(s_{i2}(... s_{ik}(w))),
-  i.e. the rightmost letter acts first.  The suffix-product weights below
-  are therefore computed by passing suffixes reversed.
+  i.e. the rightmost letter acts first.  The suffix weights of a chart
+  word come from one backward walk over the images of the fundamental
+  weights (``_families``).
 """
 
 from __future__ import annotations
@@ -93,42 +94,33 @@ class Weight(NamedTuple):
 
 
 class WeylElement:
-    """Weyl group element as its action matrix on the weight lattice.
+    """Weyl group element as a witness word and its image of rho.
 
-    Equality and hashing use the matrix alone; ``word`` is a witness whose
-    product equals the element (it need not be reduced).
+    ``word`` multiplies to the element (it need not be reduced); ``rho`` is
+    the element's image of rho = (1, ..., 1), which alone decides equality
+    and hashing.
     """
 
-    __slots__ = ("matrix", "word")
+    __slots__ = ("word", "rho", "_datum")
 
-    def __init__(self, matrix, word=()):
-        self.matrix = tuple(tuple(int(x) for x in row) for row in matrix)
-        self.word = tuple(word)
+    def __init__(self, word: Word, rho: Weight, datum: "CartanDatum"):
+        self.word, self.rho, self._datum = word, rho, datum
 
     def apply(self, w: Weight) -> Weight:
-        c = w.coords
-        return Weight(tuple(sum(row[j] * c[j] for j in range(len(c)))
-                            for row in self.matrix))
+        return weyl_apply(self.word, w, self._datum)
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
-        m1, m2 = self.matrix, other.matrix
-        r = len(m1)
-        prod = tuple(
-            tuple(sum(m1[i][k] * m2[k][j] for k in range(r)) for j in range(r))
-            for i in range(r))
-        return WeylElement(prod, self.word + other.word)
+        return WeylElement(self.word + other.word, self.apply(other.rho), self._datum)
 
     @property
     def is_identity(self) -> bool:
-        r = len(self.matrix)
-        return all(self.matrix[i][j] == (1 if i == j else 0)
-                   for i in range(r) for j in range(r))
+        return all(c == 1 for c in self.rho.coords)
 
     def __eq__(self, other):
-        return isinstance(other, WeylElement) and self.matrix == other.matrix
+        return isinstance(other, WeylElement) and self.rho == other.rho
 
     def __hash__(self):
-        return hash(self.matrix)
+        return hash(self.rho)
 
     def __repr__(self):
         return f"WeylElement(word={self.word})"
@@ -194,12 +186,6 @@ class CartanDatum:
         """Simple root alpha_i in fundamental-weight coordinates."""
         return tuple(self.cartan[j][i - 1] for j in range(self.rank))
 
-    def reflect_weight(self, i: int, w: Weight) -> Weight:
-        c, k = list(w.coords), w.coords[i - 1]
-        for j, a in self._alpha[i - 1]:
-            c[j] -= k * a
-        return Weight(tuple(c))
-
     def simple(self, i: int) -> WeylElement:
         return weyl_from_word((i,), self)
 
@@ -231,47 +217,58 @@ def parse_type(label: str):
 
 
 def weyl_from_word(word: Sequence[int], datum: CartanDatum) -> WeylElement:
-    """s_{i1} ... s_{ik}, one column operation per letter."""
+    """s_{i1} ... s_{ik}: every letter is range-checked first, since a
+    reflection would read node 0 as the last node, and then rho is reflected
+    along the word."""
     word = tuple(word)
-    r = datum.rank
-    rows = [[int(a == b) for b in range(r)] for a in range(r)]
     for i in word:
-        if not 1 <= i <= r:
+        if not 1 <= i <= datum.rank:
             raise ValueError(f"node {i} out of range")
-        alpha = datum._alpha[i - 1]
-        for row in rows:
-            row[i - 1] -= sum(a * row[j] for j, a in alpha)
-    return WeylElement(rows, word)
+    return WeylElement(word, weyl_apply(word, Weight((1,) * datum.rank), datum), datum)
 
 
 def weyl_apply(word: Sequence[int], w: Weight, datum: CartanDatum) -> Weight:
     """s_{i1}(s_{i2}(... s_{ik}(w))) for word = (i1, ..., ik)."""
+    c = list(w.coords)
     for i in reversed(tuple(word)):
-        w = datum.reflect_weight(i, w)
-    return w
+        _reflect(c, i, datum)
+    return Weight(tuple(c))
+
+
+def _reflect(c: list, i: int, datum: CartanDatum) -> int:
+    """s_i on the coordinates c, in place; returns the smallest index that
+    changed (the 0-based index of alpha_i's first nonzero entry)."""
+    k, alpha = c[i - 1], datum._alpha[i - 1]
+    for j, a in alpha:
+        c[j] -= k * a
+    return alpha[0][0]
 
 
 def _descend(datum: CartanDatum, weight: Weight):
     """(word, dominant weight): reflect at the first negative coordinate
     until there is none.  The dominant weight is carried to ``weight`` by
     weyl_from_word(word), and each step shortens that element by one, so
-    the word is reduced."""
+    the word is reduced.  The coordinates before the reflected one are
+    nonnegative and only those of alpha_i change, so the next search starts
+    at the first of them."""
     word: list = []
+    c, start = list(weight.coords), 0
     while True:
-        i = next((j for j, c in enumerate(weight.coords, 1) if c < 0), None)
+        i = next((j for j in range(start, len(c)) if c[j] < 0), None)
         if i is None:
-            return tuple(word), weight
-        word.append(i)
-        weight = datum.reflect_weight(i, weight)
+            return tuple(word), Weight(tuple(c))
+        word.append(i + 1)
+        start = _reflect(c, i + 1, datum)
 
 
 def length(w: WeylElement, datum: CartanDatum) -> int:
     """Descent steps from w(rho) back to rho, rho = (1, ..., 1) regular."""
-    return len(_descend(datum, w.apply(Weight((1,) * datum.rank)))[0])
+    return len(_descend(datum, w.rho)[0])
 
 
 def is_reduced(word: Sequence[int], datum: CartanDatum) -> bool:
-    return length(weyl_from_word(word, datum), datum) == len(tuple(word))
+    w = weyl_from_word(word, datum)
+    return length(w, datum) == len(w.word)
 
 
 def longest_element(datum: CartanDatum) -> WeylElement:
@@ -331,27 +328,31 @@ class ChartWeights(NamedTuple):
     blocks: tuple
 
 
-def _suffix_products(word: Word, datum: CartanDatum) -> list:
-    """suffix[k] = s_{word[k]} ... s_{word[nu]} (1-based), suffix[nu+1] = 1."""
-    nu = len(word)
-    suffix = [None] * (nu + 2)
-    suffix[nu + 1] = datum.identity()
-    for k in range(nu, 0, -1):
-        suffix[k] = suffix[k + 1] * datum.simple(word[k - 1])
-    return suffix
+def _families(datum: CartanDatum, eps: int):
+    """(chart weights, weight sets, mixed) for the bipartite word of eps.
 
-
-def chart_weights(datum: CartanDatum, eps: int) -> ChartWeights:
+    gamma, gamma_tilde, mixed and the w0-translates come from one backward
+    walk: cols[j-1] is the image of the j-th fundamental weight under the
+    suffix from k, and right multiplication by s_i changes column i only,
+    which loses the alpha_i-combination of the columns.  mixed[k] maps each
+    letter that does not commute with the letter at k (a Dynkin neighbour)
+    to its column.
+    """
     jj = distinguished_word(datum, eps)
-    nu = datum.nu
-    suffix = _suffix_products(jj, datum)
-
-    gamma = {}
-    gamma_tilde = {}
-    for k in range(1, nu + 1):
-        om = datum.fundamental_weight(jj[k - 1])
-        gamma[k] = suffix[k].apply(om)
-        gamma_tilde[k] = suffix[k + 1].apply(om)
+    r, ks = datum.rank, range(1, len(jj) + 1)
+    gamma, gamma_tilde, mixed = dict.fromkeys(ks), dict.fromkeys(ks), {}
+    cols = [tuple(int(a == b) for a in range(r)) for b in range(r)]
+    for k in reversed(ks):
+        i = jj[k - 1] - 1
+        col = cols[i]
+        gamma_tilde[k] = Weight(col)
+        for j, a in datum._alpha[i]:
+            col = tuple(x - a * y for x, y in zip(col, cols[j]))
+        cols[i] = col
+        gamma[k] = Weight(col)
+        mixed[k] = {j + 1: Weight(cols[j]) for j, _ in datum._alpha[i] if j != i}
+    # the whole word is reduced for w0, so the last columns are its images
+    w0_images = frozenset(Weight(c) for c in cols)
 
     stage = {}
     for l in range(1, datum.h - 1):
@@ -369,22 +370,23 @@ def chart_weights(datum: CartanDatum, eps: int) -> ChartWeights:
         blocks.append(tuple(range(pos, pos + size)))
         pos += size
 
-    return ChartWeights(jj, gamma, gamma_tilde, stage, tuple(blocks))
+    cw = ChartWeights(jj, gamma, gamma_tilde, stage, tuple(blocks))
+    y_prime = frozenset(datum.fundamental_weight(i) for i in range(1, datum.rank + 1))
+    return cw, (y_prime, w0_images, frozenset(stage.values())), mixed
+
+
+def chart_weights(datum: CartanDatum, eps: int) -> ChartWeights:
+    return _families(datum, eps)[0]
 
 
 def weight_sets(datum: CartanDatum, eps: int):
     """(fundamental weights, their w0-translates, interior block weights)."""
-    w0 = longest_element(datum)
-    y_prime = frozenset(datum.fundamental_weight(i) for i in range(1, datum.rank + 1))
-    y_dprime = frozenset(w0.apply(datum.fundamental_weight(i))
-                         for i in range(1, datum.rank + 1))
-    y_eps = frozenset(chart_weights(datum, eps).stage.values())
-    return y_prime, y_dprime, y_eps
+    return _families(datum, eps)[1]
 
 
 def _fundamental_descent(w: Weight, datum: CartanDatum):
-    """(u, i) with u of minimal length carrying the i-th fundamental weight
-    to w.
+    """(word, i) with the word's element of minimal length carrying the i-th
+    fundamental weight to w.
 
     Found by descending to the dominant weight; the descent word is
     reduced, hence of minimal length.
@@ -393,7 +395,7 @@ def _fundamental_descent(w: Weight, datum: CartanDatum):
     ones = [j + 1 for j, c in enumerate(cur.coords) if c == 1]
     if len(ones) != 1 or sum(cur.coords) != 1:
         raise ValueError(f"{w} is not in the orbit of a fundamental weight")
-    return weyl_from_word(word, datum), ones[0]
+    return word, ones[0]
 
 
 # ---------------------------------------------------------------------
@@ -446,8 +448,7 @@ def verify_lemmas(datum: CartanDatum) -> VerificationReport:
             break
     add(LemmaCheck("bipartite-blocks-additive-length", ok, detail=detail))
 
-    data = {eps: chart_weights(datum, eps) for eps in (0, 1)}
-    sets = {eps: weight_sets(datum, eps) for eps in (0, 1)}
+    data, sets, mixed = zip(*(_families(datum, eps) for eps in (0, 1)))
 
     # Suffix weights land where the block combinatorics says they land:
     # on block m, gamma pairs with stage level h-m+1 (m >= 3) and
@@ -480,18 +481,12 @@ def verify_lemmas(datum: CartanDatum) -> VerificationReport:
     # Mixed suffix weights for non-commuting letter pairs stay in the family.
     ok, detail = True, ""
     for eps in (0, 1):
-        cw = data[eps]
         y_prime, _, _ = sets[eps]
-        nu = datum.nu
-        suffix = _suffix_products(cw.word, datum)
-        gamma_values = set(cw.gamma.values())
-        for k in range(1, nu + 1):
-            for kp in range(1, nu + 1):
-                if datum.commuting(cw.word[k - 1], cw.word[kp - 1]):
-                    continue
-                mixed = suffix[k].apply(datum.fundamental_weight(cw.word[kp - 1]))
-                if mixed not in gamma_values and mixed not in y_prime:
-                    ok, detail = False, f"eps={eps}, pair (k={k},k'={kp}) escapes"
+        gamma_values = set(data[eps].gamma.values())
+        for k in range(1, datum.nu + 1):
+            for j, w in mixed[eps][k].items():
+                if w not in gamma_values and w not in y_prime:
+                    ok, detail = False, f"eps={eps}, k={k} with letter {j} escapes"
     add(LemmaCheck("noncommuting-pair-weights", ok, detail=detail))
 
     # Sign conditions on the interior block weights.

@@ -245,11 +245,6 @@ def _datum_for(n: int) -> CartanDatum:
     return cartan("A", n - 1)
 
 
-@lru_cache(maxsize=None)
-def _w0_word(n: int) -> tuple:
-    return distinguished_word(_datum_for(n), 0)
-
-
 def lift(word: Sequence[int], style: str, n: int) -> GroupMatrix:
     """Group lift of a reduced word; independent of the chosen reduced word."""
     word = tuple(word)
@@ -278,7 +273,8 @@ def chart_GmodU(word: Sequence[int], params: Sequence, t: TorusPoint,
     if sign not in ("+", "-"):
         raise ValueError(f"unknown sign {sign!r}")
     rows = _scale(_act(_identity_rows(n), "x" if sign == "+" else "y", word, params), t)
-    return GroupMatrix(_act(rows, "s", _w0_word(n) if sign == "-" else ()), check=False)
+    w0 = distinguished_word(_datum_for(n), 0) if sign == "-" else ()
+    return GroupMatrix(_act(rows, "s", w0), check=False)
 
 
 def chart_G(word: Sequence[int], word2: Sequence[int], params: Sequence,
@@ -319,8 +315,8 @@ class MinorSpec(NamedTuple):
 
 def minor_spec(weight: Weight, datum: CartanDatum) -> MinorSpec:
     """MinorSpec for a weight in the orbit of a fundamental weight."""
-    w, i = _fundamental_descent(weight, datum)
-    return MinorSpec(i, w.word)
+    word, i = _fundamental_descent(weight, datum)
+    return MinorSpec(i, word)
 
 
 def gen_minor(spec: MinorSpec, g: GroupMatrix) -> RatFunc:
@@ -396,7 +392,7 @@ def twist(u: GroupMatrix, word: Optional[Sequence[int]] = None) -> GroupMatrix:
         raise ValueError("twist is defined on upper unitriangular matrices")
     n = u.n
     if word is None:
-        word = _w0_word(n)
+        word = distinguished_word(_datum_for(n), 0)
     elif not is_reduced(word, _datum_for(n)):
         raise ValueError("word is not reduced")
     m = GroupMatrix(_act([list(row) for row in u.entries], "s", tuple(word)[::-1]),

@@ -93,6 +93,48 @@ def enumerate_weyl_group(datum):
     return dist
 
 
+def weyl_matrix(word, datum):
+    """Integer action matrix of s_{i1} ... s_{ik} on the weight lattice, in
+    fundamental-weight coordinates.  Right multiplication by s_i is a column
+    operation: column i loses the alpha_i-combination of the columns, with
+    alpha_i read off the Cartan matrix."""
+    r = datum.rank
+    rows = [[int(a == b) for b in range(r)] for a in range(r)]
+    for i in word:
+        for row in rows:
+            row[i - 1] -= sum(datum.cartan[j][i - 1] * row[j] for j in range(r))
+    return tuple(tuple(row) for row in rows)
+
+
+def matrix_apply(m, coords):
+    return tuple(sum(a * c for a, c in zip(row, coords)) for row in m)
+
+
+def matrix_product(m1, m2):
+    cols = tuple(zip(*m2))
+    return tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
+                 for row in m1)
+
+
+def matrix_lengths(datum):
+    """BFS over the Weyl group as action matrices, multiplied one simple
+    reflection at a time: matrix -> length of a shortest word."""
+    ident = weyl_matrix((), datum)
+    simples = [weyl_matrix((i,), datum) for i in range(1, datum.rank + 1)]
+    dist = {ident: 0}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for m in frontier:
+            for s in simples:
+                ms = matrix_product(m, s)
+                if ms not in dist:
+                    dist[ms] = dist[m] + 1
+                    nxt.append(ms)
+        frontier = nxt
+    return dist
+
+
 def all_reduced_words(element, datum, dist=None):
     """Every reduced word of an element, via descent recursion."""
     if dist is None:

@@ -364,8 +364,8 @@ def test_long_runs_are_refused_before_the_words_are_checked(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("words checked before the run was refused")
 
-    monkeypatch.setattr(braid_engine, "is_reduced", refuse)
     monkeypatch.setattr(braid_engine, "weyl_from_word", refuse)
+    monkeypatch.setattr(braid_engine, "length", refuse)
     d = cartan("A", 7)
     word = (1, 2, 3, 4, 5, 6, 7) * 4
     with pytest.raises(Unsupported, match="holds 28 letters"):

@@ -5,11 +5,12 @@ which checks nothing.  These properties re-validate every result through
 the public constructor, so a producer that emits a zero coefficient, an
 exponent vector of the wrong width, an integral Fraction or a float fails
 here.  A property checks ``iota``, which is built from the kernel's
-determinants, against independent Fraction arithmetic.  Another checks
-the Weyl-group words of ``root_data`` (products by column operations,
-lengths by descent) against a breadth-first enumeration of the group.  The
-last one takes Theorem 0.3 as an oracle: U is an affine space, so a
-canonical p/q is in its coordinate ring exactly when q is a constant.
+determinants, against independent Fraction arithmetic.  Two check the
+Weyl-group elements of ``root_data`` (a word and its image of rho, lengths
+by descent): against a breadth-first enumeration of the group, and against
+integer action matrices built and multiplied independently.  The last one
+takes Theorem 0.3 as an oracle: U is an affine space, so a canonical p/q
+is in its coordinate ring exactly when q is a constant.
 """
 
 from __future__ import annotations
@@ -24,12 +25,14 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from bircharts import (MultiPoly, PoleError, RatFunc, TorusPoint,  # noqa: E402
-                       cartan, chart_G, decide_O_U, distinguished_word,
+                       Weight, cartan, chart_G, decide_O_U, distinguished_word,
                        exact_arith, iota, is_reduced, length, poly_exact_div,
                        poly_gcd, ratfunc_normalize, substitute, u_variables,
                        weyl_apply, weyl_from_word)
 
-from helpers import enumerate_weyl_group, reference_substitute  # noqa: E402
+from helpers import (enumerate_weyl_group, matrix_apply,  # noqa: E402
+                     matrix_lengths, matrix_product, reference_substitute,
+                     weyl_matrix)
 
 XY = ("x", "y")
 AB = ("a", "b")
@@ -392,7 +395,7 @@ def test_weyl_words_agree_with_the_group_enumeration(type_, data):
     else:
         other = tuple(data.draw(st.lists(letters, max_size=d.nu + 2)))
     w, w_other = weyl_from_word(word, d), weyl_from_word(other, d)
-    # the oracle multiplies simple-reflection matrices one product at a time
+    # the same elements multiplied one simple reflection at a time
     by_products = [reduce(lambda acc, i: acc * d.simple(i), x, d.identity())
                    for x in (word, other)]
     assert w == by_products[0] and w_other == by_products[1]
@@ -402,6 +405,43 @@ def test_weyl_words_agree_with_the_group_enumeration(type_, data):
     for j in range(1, d.rank + 1):
         om = d.fundamental_weight(j)
         assert w.apply(om) == weyl_apply(word, om, d)
+
+
+@lru_cache(maxsize=None)
+def _matrix_oracle(label, rank):
+    d = cartan(label, rank)
+    return d, matrix_lengths(d)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G", 2),
+                        ("F", 4)]), st.data())
+def test_weyl_elements_agree_with_the_matrix_oracle(type_, data):
+    d, dist = _matrix_oracle(*type_)
+    letters = st.integers(1, d.rank)
+    word = tuple(data.draw(st.lists(letters, max_size=d.nu + 2)))
+    if data.draw(st.booleans()):
+        # the same element by another word: a cancelling pair put in
+        cut, i = data.draw(st.integers(0, len(word))), data.draw(letters)
+        other = word[:cut] + (i, i) + word[cut:]
+    else:
+        other = tuple(data.draw(st.lists(letters, max_size=d.nu + 2)))
+    m, m_other = weyl_matrix(word, d), weyl_matrix(other, d)
+    w, w_other = weyl_from_word(word, d), weyl_from_word(other, d)
+    assert (w == w_other) == (m == m_other)
+    if m == m_other:
+        assert hash(w) == hash(w_other)
+    weight = Weight(tuple(data.draw(st.lists(st.integers(-3, 3), min_size=d.rank,
+                                             max_size=d.rank))))
+    prod = w * w_other
+    assert prod.word == word + other
+    for v in [weight] + [d.fundamental_weight(j) for j in range(1, d.rank + 1)]:
+        assert w.apply(v).coords == matrix_apply(m, v.coords)
+        assert prod.apply(v).coords == matrix_apply(matrix_product(m, m_other), v.coords)
+    assert prod == weyl_from_word(word + other, d)
+    assert length(w, d) == dist[m]
+    assert length(prod, d) == dist[matrix_product(m, m_other)]
+    assert is_reduced(word, d) == (dist[m] == len(word))
 
 
 small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
