@@ -23,8 +23,8 @@ from . import __version__
 # Every subcommand needs root_data; each handler imports the rest of what it
 # runs, so that weights and verify-lemmas load neither the exact kernel nor
 # the charts.
-from .root_data import (Unsupported, cartan, chart_weights, distinguished_word,
-                        parse_type, verify_lemmas, weight_sets)
+from .root_data import (Unsupported, _families, cartan, distinguished_word,
+                        parse_type, verify_lemmas)
 
 DEFAULT_RANK_BUDGET = 6
 
@@ -212,8 +212,8 @@ def _type_datum(label, budget):
 
 def _cmd_weights(args):
     datum = _type_datum(args.type, args.rank_budget)
-    cw = chart_weights(datum, args.eps)
-    y_prime, y_dprime, y_eps = weight_sets(datum, args.eps)
+    # one walk for the chart weights and the weight sets together
+    cw, (y_prime, y_dprime, y_eps), _ = _families(datum, args.eps)
     return {
         "group": args.type,
         "values": {

@@ -43,21 +43,22 @@ The division takes the remainder's terms off a heap in descending
 graded-lex order, so no term is looked at twice.
 
 ``substitute`` has one evaluator, which sums c * prod(v_i ** e_i) over
-the terms with one power cache per variable, and picks its arithmetic
-from the values.  When every value has a single-term denominator
-c_i * x^m_i (a constant is the case m_i = 0), each is divided by c_i and
-the sum is taken with polynomial arithmetic: each term starts as the
-monomial that shifts it up to one common denominator x^top, so the shift
-costs no product of its own, and the quotient is normalized once.  When
-some denominator has two or more terms, the sum is taken with canonical
-``RatFunc`` arithmetic.  Both are needed: polynomial arithmetic on
-rational values clears ever larger common denominators (the test suite
-ran past ten minutes), and canonical arithmetic on polynomial values
-pays gcds at every step (dense pullbacks ran at under a quarter of the
-speed).  What depends only on the values (their universe, each numerator
-divided by c_i, the shifts m_i) is prepared once by
-``prepare_substitution``: ``substitute`` takes such a ``Substitution``
-as well as a mapping, which it prepares on every call.
+the terms with one power cache per variable, in the arithmetic the values
+call for.  When every value has a single-term denominator c_i * x^m_i (a
+constant is the case m_i = 0), each is divided by c_i and the sum is
+taken on raw term dicts: one product loop, each term added in place to
+one accumulator with the monomial that shifts it up to one common
+denominator x^top, and one canonical pass and one normalization at the
+end; each term's degree is checked before its products, so no key
+carries.  When some denominator has two or more terms, the sum is taken
+with canonical ``RatFunc`` arithmetic.  Both are needed: polynomial
+arithmetic on rational values clears ever larger common denominators (the
+test suite ran past ten minutes), and canonical arithmetic on polynomial
+values pays gcds at every step (dense pullbacks ran at under a quarter of
+the speed).  What depends only on the values (their universe, each
+numerator divided by c_i, the shifts m_i and the degrees) is prepared
+once by ``prepare_substitution``: ``substitute`` takes such a
+``Substitution`` as well as a mapping, which it prepares on every call.
 
 Two values may be combined only when their universes agree; a constant is
 silently promoted into the other operand's universe (a constant mentions
@@ -69,11 +70,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import lru_cache, partial, reduce
+from functools import lru_cache, reduce
 from heapq import heapify, heappop, heappush
 from itertools import compress
 from math import gcd as _igcd, lcm as _ilcm
-from operator import or_
+from operator import mul, or_
 from struct import Struct
 from typing import (Collection, Iterable, Mapping, NamedTuple, Optional,
                     Sequence)
@@ -95,6 +96,9 @@ class DegreeLimitError(ValueError):
 _BITS = 16
 _FIELD = (1 << _BITS) - 1
 MAX_DEGREE = (1 << _BITS - 1) - 1
+
+# ``_INT.issuperset(map(type, coefficients))`` tests in C that all are ints
+_INT = frozenset((int,))
 
 
 @lru_cache(maxsize=None)
@@ -173,11 +177,38 @@ def _coeff(value):
 
 
 def _canon(terms: dict) -> dict:
-    """Drop zero coefficients and store integral Fractions as int."""
-    out = {}
-    for e, c in terms.items():
-        if c:
-            out[e] = c if type(c) is int or c.denominator != 1 else c.numerator
+    """Drop zero coefficients and store integral Fractions as int.  The
+    caller's dict is fresh, and is changed in place when it has no zero."""
+    if not all(terms.values()):
+        terms = {e: c for e, c in terms.items() if c}
+    if not _INT.issuperset(map(type, terms.values())):
+        for e, c in terms.items():
+            if type(c) is not int and c.denominator == 1:
+                terms[e] = c.numerator
+    return terms
+
+
+def _mul_terms(at: dict, bt: dict, out: Optional[dict] = None) -> dict:
+    """The product of two term dicts, added into ``out`` when given; not
+    canonical.  The caller keeps every total degree within ``MAX_DEGREE``,
+    so no key carries.  A single-term operand makes every key distinct."""
+    if len(at) > len(bt):
+        at, bt = bt, at
+    if out is None:
+        out = {}
+        if len(at) == 1:
+            (e1, c1), = at.items()
+            for e2, c2 in bt.items():
+                out[e1 + e2] = c1 * c2
+            return out
+    bt = bt.items()
+    for e1, c1 in at.items():
+        for e2, c2 in bt:
+            e = e1 + e2
+            c = c1 * c2
+            if e in out:
+                c += out[e]
+            out[e] = c
     return out
 
 
@@ -370,14 +401,7 @@ class MultiPoly:
             # the top fields of the leading keys hold the largest degrees
             s = _BITS * len(a.vars)
             _check_degree((max(at) >> s) + (max(bt) >> s))
-        terms: dict = {}
-        get = terms.get
-        bt = bt.items()
-        for e1, c1 in at.items():
-            for e2, c2 in bt:
-                e = e1 + e2
-                terms[e] = get(e, 0) + c1 * c2
-        return MultiPoly._make(a.vars, _canon(terms))
+        return MultiPoly._make(a.vars, _canon(_mul_terms(at, bt)))
 
     __rmul__ = __mul__
 
@@ -1142,6 +1166,9 @@ def _canonical_scale(num: MultiPoly, den: MultiPoly) -> RatFunc:
         return RatFunc.const(num.vars, 0)
     if num.is_const and den.is_const:
         return RatFunc.const(num.vars, num.const_value / den.const_value)
+    # an integer polynomial over 1 is canonical whatever its content
+    if den.is_one and _INT.issuperset(map(type, num.terms.values())):
+        return RatFunc._raw(num, den)
     cn, pn = _int_primitive(num)
     cd, pd = _int_primitive(den)
     ratio = _div(cn, cd)
@@ -1182,43 +1209,44 @@ def is_laurent_in(f: RatFunc, names: Iterable[str]) -> bool:
     return True
 
 
-def _evaluate(p: MultiPoly, values: Sequence, const, start=None):
-    """Sum of c * prod(values[i] ** e[i]) over the terms c * x^e of p.
+def _evaluate(p: MultiPoly, values: Sequence, one, mul, start, add, total):
+    """Sum of start(c, key, e) * prod(values[i] ** e[i]) over the terms
+    c * x^e of p, where key is the packed e.
 
-    ``values`` are all MultiPoly or all RatFunc over one universe, and
-    ``const(c)`` builds a constant of that type over it; each variable
-    keeps one cache of its powers.  ``start(c, e)``, when given, builds
-    the factor the term c * x^e starts from in place of ``const(c)``.
+    The caller's arithmetic: ``one`` is the unit, ``mul`` multiplies two
+    values and ``add(t, s, total)`` returns total + s * t, for the product
+    t of a term's powers and its start s; ``total`` starts the sum.  Each
+    variable keeps one cache of its powers.
     """
     width = len(p.vars)
-    one = const(1)
-    powers = [[one] for _ in values]
-    total = const(0)
-    for e in sorted(p.terms):
-        c = p.terms[e]
-        term = const(c) if start is None else start(c, e)
-        e = _unpack(e, width)
+    powers = [[one, v] for v in values]
+    for key in sorted(p.terms):
+        e = _unpack(key, width)
+        s = start(p.terms[key], key, e)
+        t = one
         for i in compress(range(width), e):
             k = e[i]
             cache = powers[i]
             while len(cache) <= k:
-                cache.append(cache[-1] * values[i])
-            term = term * cache[k]
-        total = total + term
+                cache.append(mul(cache[-1], values[i]))
+            t = cache[k] if t is one else mul(t, cache[k])
+        total = add(t, s, total)
     return total
 
 
 class Substitution(NamedTuple):
     """An assignment prepared for ``substitute``: one value per variable
     of the ``source`` universe, over the ``target`` universe.  ``shifts``
-    is None when some value's denominator has two or more terms; otherwise
-    each value is its numerator divided by c_i, and ``shifts`` lists (i,
-    m_i) for the values whose denominator c_i * x^m_i is not a constant."""
+    and ``degrees`` are None when some value's denominator has two or more
+    terms; otherwise each value is its numerator divided by c_i, ``shifts``
+    lists (i, m_i) for the values whose denominator c_i * x^m_i is not a
+    constant, and ``degrees`` holds each value's total degree."""
 
     source: tuple
     target: tuple
     values: tuple
     shifts: Optional[tuple]
+    degrees: Optional[tuple]
 
 
 def prepare_substitution(universe: Sequence[str],
@@ -1236,12 +1264,13 @@ def prepare_substitution(universe: Sequence[str],
     values = [val if val.universe == tvars
               else RatFunc.const(tvars, val.const_value) for val in values]
     if any(len(val.den.terms) != 1 for val in values):
-        return Substitution(tuple(universe), tvars, tuple(values), None)
+        return Substitution(tuple(universe), tvars, tuple(values), None, None)
     dens = [next(iter(val.den.terms.items())) for val in values]
+    nums = tuple(val.num.scale(_div(1, c)) for val, (_, c) in zip(values, dens))
     return Substitution(
-        tuple(universe), tvars,
-        tuple(val.num.scale(_div(1, c)) for val, (_, c) in zip(values, dens)),
-        tuple((i, m) for i, (m, _) in enumerate(dens) if m))
+        tuple(universe), tvars, nums,
+        tuple((i, m) for i, (m, _) in enumerate(dens) if m),
+        tuple(max(p.terms, default=0) >> _BITS * len(tvars) for p in nums))
 
 
 def substitute(f: RatFunc,
@@ -1258,22 +1287,23 @@ def substitute(f: RatFunc,
     if sub.source != f.universe:
         raise ValueError(f"substitution prepared for {sub.source}, "
                          f"not for {f.universe}")
-    _, tvars, values, shifted = sub
-    start = None
+    _, tvars, values, shifted, degrees = sub
     if shifted is not None:
         # values[i] = P_i / (c_i * x^m_i): each term c * x^e of f.num and
         # f.den evaluates to c * prod P_i^e_i over x^w(e), w(e) = sum
         # e_i * m_i, and is shifted up to the common denominator x^top
+        width, twidth = len(f.universe), len(tvars)
+        top_field = _BITS * twidth
+        weight = dict.fromkeys((*f.num.terms, *f.den.terms), 0)
+        top = 0
         if shifted:
-            width, twidth = len(f.universe), len(tvars)
-            weight = {}
-            for e in (*f.num.terms, *f.den.terms):
+            for e in weight:
                 ex = _unpack(e, width)
                 w = degree = 0
                 for i, m in shifted:
                     if ex[i]:
                         w += ex[i] * m
-                        degree += ex[i] * (m >> _BITS * twidth)
+                        degree += ex[i] * (m >> top_field)
                 # checked before w is used: past the limit it would carry
                 # out of its fields
                 _check_degree(degree)
@@ -1281,13 +1311,21 @@ def substitute(f: RatFunc,
             top = _pack(tuple(map(max, zip(*(
                 _unpack(w, twidth) for w in weight.values())))))
 
-            def start(c, e):
-                return MultiPoly._make(tvars, {top - weight[e]: c})
-        const = partial(MultiPoly.const, tvars)
+        def start(c, key, e):
+            # the term's exact degree, checked before its raw products
+            s = top - weight[key]
+            _check_degree((s >> top_field) + sum(map(mul, e, degrees)))
+            return {s: c}
+
+        terms = [v.terms for v in values]
+        num, den = (MultiPoly._make(tvars, _canon(_evaluate(
+            g, terms, {0: 1}, _mul_terms, start, _mul_terms, {})))
+            for g in (f.num, f.den))
     else:
-        const = partial(RatFunc.const, tvars)
-    num = _evaluate(f.num, values, const, start)
-    den = _evaluate(f.den, values, const, start)
+        one, zero = RatFunc.const(tvars, 1), RatFunc.const(tvars, 0)
+        num, den = (_evaluate(g, values, one, mul, lambda c, key, e: c,
+                              lambda t, c, total: total + t * c, zero)
+                    for g in (f.num, f.den))
     if den.is_zero:
         raise PoleError("pullback undefined: chart lies in pole locus")
     return ratfunc_normalize(num, den) if shifted is not None else num / den

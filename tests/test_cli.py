@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import hashlib
 import json
 import os
 import subprocess
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import bircharts
-from bircharts import root_data, sl_realization
+from bircharts import cli, root_data, sl_realization
 from bircharts.cli import main
 
 from helpers import golden_sl4_transition
@@ -141,6 +142,36 @@ def test_weights_and_verify(capsys):
     assert code == 0
     checks = report["values"]["checks"]["A3"]
     assert all(c["passed"] or c["skipped"] for c in checks)
+
+
+# sha256 of each report's values as sorted-key JSON, recorded when the
+# command built the chart weights and the weight sets by two walks
+@pytest.mark.parametrize("argv, digest", [
+    (("--type", "A3"),
+     "45f966a162475de53e9effd75634f6f7d0410a6b7e61ac30554f1e175779c5ac"),
+    (("--type", "A3", "--eps", "1"),
+     "0bbd86bd781a78ad86e46bd1a7856cee7403fc52115d698e6b79ebb086925bbf"),
+    (("--type", "E8", "--rank-budget", "8"),
+     "6df7068721ee648c62cfd8e005cd00b6cebb2e339baa0cf8f9f46f63493135d7"),
+    (("--type", "E8", "--rank-budget", "8", "--eps", "1"),
+     "3acfaa5bae8a853d0ba7e0258572fe2ba2a1bc2189edbf913234e4a32301c0e1"),
+], ids=["A3-jj0", "A3-jj1", "E8-jj0", "E8-jj1"])
+def test_weights_report_is_unchanged_from_one_walk(capsys, monkeypatch, argv,
+                                                   digest):
+    walks = []
+    real = root_data._families
+
+    def counted(*args):
+        walks.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(root_data, "_families", counted)
+    monkeypatch.setattr(cli, "_families", counted)
+    code, report, _ = run_json(capsys, "weights", *argv)
+    assert code == 0
+    assert len(walks) == 1
+    values = json.dumps(report["values"], sort_keys=True).encode()
+    assert hashlib.sha256(values).hexdigest() == digest
 
 
 def test_verify_all_small_types(capsys):

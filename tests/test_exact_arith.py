@@ -443,6 +443,49 @@ def test_degree_limit_is_an_input_error():
         MultiPoly(XY, {(20000, 20000): 1})
 
 
+def test_pullback_degree_limit_is_checked_per_term():
+    # a pullback term's degree is known before its products, from the
+    # values' degrees and its start monomial, and checked then
+    x, w = (RatFunc.var(("x", "w"), v) for v in ("x", "w"))
+    y = RatFunc.var(("y",), "y")
+    with pytest.raises(DegreeLimitError, match="total degree 40000 exceeds"):
+        substitute(x ** 200, {"x": y ** 200, "w": y})
+    # 151 * 217 = 32767, the limit itself
+    got = substitute(x ** 151, {"x": y ** 217, "w": y})
+    assert got.num.exponents() == {(32767,): 1} and got.den.is_one
+    got = substitute(x ** 151, {"x": 1 / y ** 217, "w": y})
+    assert got.num.is_one and got.den.exponents() == {(32767,): 1}
+    # the term w^2 starts from y^16000, the shift to the denominator of x
+    with pytest.raises(DegreeLimitError, match="total degree 32800 exceeds"):
+        substitute(x + w ** 2, {"x": 1 / y ** 16000, "w": y ** 8400})
+    got = substitute(x + w ** 2, {"x": 1 / y ** 16000, "w": y ** 8383})
+    assert got.num.exponents() == {(32766,): 1, (0,): 1}
+    assert got.den.exponents() == {(16000,): 1}
+
+
+def _scale_by_contents(num, den):
+    """Canonical scaling by the content round-trip: both sides divided by
+    their contents, the ratio of the contents multiplied back."""
+    cn, pn = exact_arith._int_primitive(num)
+    cd, pd = exact_arith._int_primitive(den)
+    ratio = Fraction(cn) / Fraction(cd)
+    return pn.scale(ratio.numerator), pd.scale(ratio.denominator)
+
+
+def test_canonical_scale_keeps_an_integer_polynomial_over_one():
+    one = MultiPoly.one(XY)
+    num = _x().scale(-2) - 4
+    f = exact_arith._canonical_scale(num, one)
+    assert f.num is num and f.den is one and str(f) == "-2*x - 4"
+    assert (f.num, f.den) == _scale_by_contents(num, one)
+    # Fraction coefficients are still scaled: x/2 is x over 2
+    half = _x().scale(Fraction(1, 2))
+    g = exact_arith._canonical_scale(half, one)
+    assert g.num == _x() and g.den == MultiPoly.const(XY, 2)
+    assert (g.num, g.den) == _scale_by_contents(half, one)
+    assert [type(c) for c in g.num.terms.values()] == [int]
+
+
 def test_coprimality_certificate_on_minors():
     # distinct 2x2 minors of a generic 3x3 upper unitriangular matrix are
     # coprime; the certificate proves it, and a shared factor defeats it

@@ -190,6 +190,37 @@ def test_substitute_matches_term_by_term_reference(f, vals):
     assert got == reference_substitute(f, vals, AB)
 
 
+def reference_product(p: MultiPoly, q: MultiPoly) -> dict:
+    """p * q over exponent tuples and Fractions, term by term."""
+    out: dict = {}
+    for e1, c1 in p.exponents().items():
+        for e2, c2 in q.exponents().items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, Fraction(0)) + Fraction(c1) * Fraction(c2)
+    return {e: c for e, c in out.items() if c}
+
+
+int_polys = polys(XY, max_terms=5, cs=int_coeffs)
+product_pairs = st.one_of(
+    st.tuples(polys(XY, max_terms=5), polys(XY, max_terms=5)),
+    st.tuples(int_polys, int_polys),
+    # one-term operands, on either side
+    st.tuples(single_terms(XY, coeffs), polys(XY, max_terms=5)),
+    st.tuples(polys(XY, max_terms=5), single_terms(XY, int_coeffs)),
+    # (u + v)(u - v) = u^2 - v^2: the cross terms cancel
+    st.builds(lambda u, v: (u + v, u - v), polys(XY), polys(XY)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(product_pairs)
+def test_product_matches_term_by_term_reference(pair):
+    p, q = pair
+    want = reference_product(p, q)
+    for r in (p * q, q * p):
+        assert_canonical(r)
+        assert r.exponents() == want
+
+
 @SETTINGS
 @given(polys(XY), coeffs.filter(bool))
 def test_gcd_with_a_nonzero_constant_is_one(p, c):
