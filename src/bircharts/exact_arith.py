@@ -35,7 +35,10 @@ and leading-term queries; no mathematical meaning is attached to it.
 The public ``MultiPoly(vars, terms)`` constructor validates and
 canonicalizes its input.  Kernel arithmetic builds its results through the
 trusted ``MultiPoly._make``, which stores terms it already knows to be
-valid without checking them again.
+valid without checking them again.  A product or a power is taken on raw
+term dicts (``_mul_terms``, and ``_pow_terms`` by repeated squaring)
+after its degree check, and made canonical once by ``_canon``; the
+expression parser builds its polynomials with the same two.
 
 There is one exact division and one content routine, on term dicts,
 shared by ``poly_exact_div``, the canonical scaling and the heuristic gcd.
@@ -210,6 +213,25 @@ def _mul_terms(at: dict, bt: dict, out: Optional[dict] = None) -> dict:
                 c += out[e]
             out[e] = c
     return out
+
+
+def _pow_terms(terms: dict, k: int) -> dict:
+    """A term dict raised to k >= 0 by repeated squaring on raw term
+    dicts; not canonical, and the dict itself when k is 1.  The caller
+    checks the degree.  A single term is raised directly."""
+    if not k:
+        return {0: 1}
+    if len(terms) == 1:
+        (e, c), = terms.items()
+        return {e * k: c ** k}
+    result = None
+    while True:
+        if k & 1:
+            result = terms if result is None else _mul_terms(result, terms)
+        k >>= 1
+        if not k:
+            return result
+        terms = _mul_terms(terms, terms)
 
 
 def _div(a, b):
@@ -408,16 +430,12 @@ class MultiPoly:
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise ValueError("polynomial exponent must be a non-negative integer")
-        if self.terms:
-            _check_degree((max(self.terms) >> _BITS * len(self.vars)) * k)
-        result = MultiPoly.one(self.vars)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+        if k == 1:
+            return self
+        t = self.terms
+        if t:
+            _check_degree((max(t) >> _BITS * len(self.vars)) * k)
+        return MultiPoly._make(self.vars, _canon(_pow_terms(t, k)))
 
     def scale(self, c) -> "MultiPoly":
         c = _coeff(c)

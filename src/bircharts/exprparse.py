@@ -13,10 +13,21 @@ Indexed variables like u(1,2) map onto canonical universe names ("u12");
 a bare name is accepted when it is itself a universe variable, so printed
 canonical forms parse back to themselves.
 
-A subexpression stays a ``MultiPoly`` while it is a polynomial, and a
-division by a nonzero constant scales it.  It becomes a canonical
-``RatFunc`` only at a division by a non-constant or a negative power, and
-combines canonically from then on, so polynomial input pays no gcd.
+One regex scan makes the tokens.  An indexed variable ``u(i, ...)`` is
+one token, resolved to its exponent key (see ``exact_arith``) through a
+name->key table built once per universe.
+
+A subexpression is held as a raw term dict over those keys while it is a
+polynomial, with no zero coefficient.  A product with a single-term
+factor adds that term's key to every key, a power of a single term
+multiplies its key, and any other product or power runs the kernel's
+raw term-dict product; each checks its total degree first, as the kernel
+does, so past ``MAX_DEGREE`` it raises ``DegreeLimitError``.  Each sum is
+added in place into one dict, and a division by a nonzero constant
+scales it.  The dict becomes a canonical polynomial (``_canon``, once)
+only at the end of the parse, or as a ``RatFunc`` at a division by a
+non-constant or a negative power; from then on the subexpression combines
+canonically, so polynomial input pays no gcd.
 
 An exponent whose absolute value exceeds ``MAX_EXPONENT`` is rejected
 before any power is computed, so a hostile input such as
@@ -28,9 +39,12 @@ literal (a constant, an index or an exponent) longer than
 from __future__ import annotations
 
 import re
+from functools import lru_cache
+from itertools import islice
 from typing import Sequence
 
-from .exact_arith import MultiPoly, RatFunc
+from .exact_arith import (_BITS, MultiPoly, RatFunc, _canon, _check_degree,
+                          _div, _mul_terms, _pow_terms, _var_key)
 
 
 def indexed_name(stem: str, indices: Sequence[int]) -> str:
@@ -50,135 +64,262 @@ class ParseError(ValueError):
 MAX_EXPONENT = 1000
 MAX_LITERAL_DIGITS = 1000
 
-# an integer, a name, a symbol, or any other non-space character (an error)
-_TOKEN = re.compile(r"(\d+)|([^\W\d]\w*)|([-+*/^(),])|(\S)")
+# an indexed variable (its name and its index list), an integer, a name, a
+# symbol, or any other non-space character (an error)
+_TOKEN = re.compile(r"([^\W\d]\w*)\s*\(\s*(\d+(?:\s*,\s*\d+)*)\s*\)"
+                    r"|(\d+)|([^\W\d]\w*)|([-+*/^(),])|(\S)")
+_DIGITS = re.compile(r"\d+")
 
 
-def _tokenize(text: str):
-    tokens = []
-    for m in _TOKEN.finditer(text):
-        digits, name, symbol, _ = m.groups()
-        i = m.start()
-        if digits is not None:
+def _match(text: str, k: int):
+    """The k-th match of the token scan, or None for the end of the text."""
+    return next(islice(_TOKEN.finditer(text), k, None), None)
+
+
+def _error(text: str, k: int, template: str) -> ParseError:
+    """``template`` filled with the text of the k-th token, at its position."""
+    m = _match(text, k)
+    if m is None:
+        return ParseError(template.format(""), len(text))
+    return ParseError(template.format(next(filter(None, m.groups()))), m.start())
+
+
+def _check_literals(text: str, k: int) -> None:
+    """Raise for the first integer literal in the k-th token that is longer
+    than ``MAX_LITERAL_DIGITS``, before any is converted."""
+    m = _match(text, k)
+    group = 2 if m.group(2) else 3
+    for d in _DIGITS.finditer(m.group(group)):
+        if len(d.group()) > MAX_LITERAL_DIGITS:
+            raise ParseError(
+                f"integer literal of {len(d.group())} digits exceeds the limit "
+                f"of {MAX_LITERAL_DIGITS} digits", m.start(group) + d.start())
+
+
+@lru_cache(maxsize=64)
+def _keys(universe: tuple) -> dict:
+    """The exponent key of each variable of the universe, by name; the
+    parser only reads it."""
+    width = len(universe)
+    keys: dict = {}
+    for i, name in enumerate(universe):
+        keys.setdefault(name, _var_key(width, i))
+    return keys
+
+
+@lru_cache(maxsize=1024)
+def _spelled(stem: str, indices: str) -> str:
+    """The canonical name of ``stem(indices)``, indices as written."""
+    return indexed_name(stem, [int(k) for k in indices.split(",")])
+
+
+def _scan(text: str, keys: dict) -> tuple:
+    """Token kinds and values.  A variable's value is its key, or None
+    when it is not in the universe (an error once the parser reaches it);
+    an integer's value is its int."""
+    kinds = []
+    values = []
+    for stem, indices, digits, name, symbol, _ in _TOKEN.findall(text):
+        if symbol:
+            kinds.append(symbol)
+            values.append(None)
+            continue
+        if digits:
             if len(digits) > MAX_LITERAL_DIGITS:
-                raise ParseError(
-                    f"integer literal of {len(digits)} digits exceeds the limit "
-                    f"of {MAX_LITERAL_DIGITS} digits", i)
-            tokens.append(("int", digits, i))
-        elif symbol is not None:
-            tokens.append((symbol, symbol, i))
-        elif name is not None and (name[0].isalpha() or name[0] == "_"):
-            tokens.append(("name", name, i))
-        else:
-            raise ParseError(f"unexpected character {m.group()[0]!r}", i)
-    tokens.append(("end", "", len(text)))
-    return tokens
+                _check_literals(text, len(kinds))
+            kinds.append("int")
+            values.append(int(digits))
+            continue
+        # a name must start with a letter or _; any other character is
+        # unexpected as well, and leaves stem and name empty
+        first = (stem or name)[:1]
+        if not (first.isalpha() or first == "_"):
+            raise _error(text, len(kinds), "unexpected character {0[0]!r}")
+        if name:
+            kinds.append("name")
+            values.append(keys.get(name))
+            continue
+        if len(indices) > MAX_LITERAL_DIGITS:
+            _check_literals(text, len(kinds))
+        kinds.append("var")
+        values.append(keys.get(_spelled(stem, indices)))
+    kinds.append("end")
+    values.append(None)
+    return kinds, values
+
+
+def _nonzero(terms: dict) -> dict:
+    """The term dict without its zero coefficients."""
+    return terms if all(terms.values()) else {e: c for e, c in terms.items() if c}
+
+
+def _negated(value):
+    if type(value) is dict:
+        return {e: -c for e, c in value.items()}
+    return -value
 
 
 class _Parser:
-    def __init__(self, text: str, universe: Sequence[str]):
+    def __init__(self, text: str, universe: tuple):
         self.text = text
-        self.universe = tuple(universe)
-        self.tokens = _tokenize(text)
-        self.pos = 0
+        self.universe = universe
+        # a key shifted down by this many bits is its total degree
+        self.top = _BITS * len(universe)
+        self.kinds, self.values = _scan(text, _keys(universe))
+        self.i = 0
 
-    def peek(self):
-        return self.tokens[self.pos]
+    def fail(self, k: int, template: str):
+        raise _error(self.text, k, template)
 
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str):
-        tok = self.advance()
-        if tok[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
-        return tok
+    def rational(self, value) -> RatFunc:
+        """A term dict as a canonical rational function; a RatFunc as is."""
+        if type(value) is dict:
+            return RatFunc(MultiPoly._make(self.universe, _canon(value)))
+        return value
 
     # grammar ----------------------------------------------------------
 
     def parse(self) -> RatFunc:
         value = self.expr()
-        tok = self.peek()
-        if tok[0] != "end":
-            raise ParseError(f"unexpected trailing input {tok[1]!r}", tok[2])
-        return RatFunc(value)
+        if self.kinds[self.i] != "end":
+            self.fail(self.i, "unexpected trailing input {!r}")
+        return self.rational(value)
 
-    def expr(self) -> MultiPoly | RatFunc:
+    def expr(self):
+        kinds = self.kinds
         value = self.term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
+        while kinds[self.i] in ("+", "-"):
+            op = kinds[self.i]
+            self.i += 1
             rhs = self.term()
-            value = value + rhs if op == "+" else value - rhs
+            if op == "-":
+                rhs = _negated(rhs)
+            if type(value) is not dict or type(rhs) is not dict:
+                value = self.rational(value) + self.rational(rhs)
+                continue
+            if len(rhs) > len(value):
+                value, rhs = rhs, value
+            get = value.get
+            for e, c in rhs.items():
+                s = get(e, 0) + c
+                if s:
+                    value[e] = s
+                else:
+                    del value[e]
         return value
 
-    def term(self) -> MultiPoly | RatFunc:
+    def term(self):
+        kinds = self.kinds
         value = self.factor()
-        while self.peek()[0] in ("*", "/"):
-            op = self.advance()[0]
+        while kinds[self.i] in ("*", "/"):
+            op = kinds[self.i]
+            self.i += 1
             rhs = self.factor()
-            if op == "*":
-                value = value * rhs
-            elif (type(value) is MultiPoly and type(rhs) is MultiPoly
-                    and rhs.is_const and not rhs.is_zero):
-                value = value.scale(1 / rhs.const_value)
+            if type(value) is not dict or type(rhs) is not dict:
+                if op == "*":
+                    value = self.rational(value) * self.rational(rhs)
+                else:
+                    value = self.rational(value) / self.rational(rhs)
+            elif op == "*":
+                value = self.times(value, rhs)
+            elif len(rhs) == 1 and 0 in rhs:
+                c = _div(1, rhs[0])
+                if c != 1:
+                    value = {e: x * c for e, x in value.items()}
             else:
-                value = RatFunc(value) / rhs
+                value = self.rational(value) / self.rational(rhs)
         return value
 
-    def factor(self) -> MultiPoly | RatFunc:
-        if self.peek()[0] == "-":
-            self.advance()
-            return -self.factor()
+    def factor(self):
+        kinds = self.kinds
+        if kinds[self.i] == "-":
+            self.i += 1
+            return _negated(self.factor())
         value = self.atom()
-        if self.peek()[0] == "^":
-            self.advance()
-            sign = 1
-            if self.peek()[0] == "-":
-                self.advance()
-                sign = -1
-            tok = self.expect("int")
-            digits = tok[1].lstrip("0")
-            # compare lengths first: never convert an arbitrarily long digit string
-            if (len(digits) > len(str(MAX_EXPONENT))
-                    or int(digits or "0") > MAX_EXPONENT):
-                raise ParseError(
-                    f"exponent {tok[1]} exceeds the limit {MAX_EXPONENT}", tok[2])
-            value = (value if sign > 0 else RatFunc(value)) ** (sign * int(tok[1]))
-        return value
-
-    def atom(self) -> MultiPoly | RatFunc:
-        tok = self.advance()
-        if tok[0] == "int":
-            return MultiPoly.const(self.universe, int(tok[1]))
-        if tok[0] == "(":
-            value = self.expr()
-            self.expect(")")
+        if kinds[self.i] != "^":
             return value
-        if tok[0] == "name":
-            return self.variable(tok)
-        raise ParseError(f"unexpected token {tok[1]!r}", tok[2])
+        i = self.i + 1
+        negative = kinds[i] == "-"
+        if negative:
+            i += 1
+        if kinds[i] != "int":
+            self.fail(i, "expected 'int', found {!r}")
+        k = self.values[i]
+        if k > MAX_EXPONENT:
+            self.fail(i, f"exponent {{}} exceeds the limit {MAX_EXPONENT}")
+        self.i = i + 1
+        if negative:
+            return self.rational(value) ** -k
+        if type(value) is not dict:
+            return value ** k
+        return self.power(value, k)
 
-    def variable(self, tok) -> MultiPoly:
-        name, pos = tok[1], tok[2]
-        if self.peek()[0] == "(":
-            self.advance()
-            indices = [int(self.expect("int")[1])]
-            while self.peek()[0] == ",":
-                self.advance()
-                indices.append(int(self.expect("int")[1]))
-            self.expect(")")
-            canonical = indexed_name(name, indices)
-        else:
-            canonical = name
-        if canonical in self.universe:
-            return MultiPoly.variable(self.universe, canonical)
+    def atom(self):
+        i = self.i
+        kind = self.kinds[i]
+        self.i = i + 1
+        if kind == "var" or kind == "name":
+            key = self.values[i]
+            if kind == "name" and self.kinds[i + 1] == "(":
+                self.indices(i + 1)
+            if key is None:
+                self.unknown(i)
+            return {key: 1}
+        if kind == "int":
+            c = self.values[i]
+            return {0: c} if c else {}
+        if kind == "(":
+            value = self.expr()
+            if self.kinds[self.i] != ")":
+                self.fail(self.i, "expected ')', found {!r}")
+            self.i += 1
+            return value
+        self.fail(i, "unexpected token {!r}")
+
+    def times(self, a: dict, b: dict) -> dict:
+        """The product of two term dicts, after its degree check."""
+        if len(a) > len(b):
+            a, b = b, a
+        if not a:
+            return a
+        if len(a) > 1:
+            _check_degree((max(a) + max(b)) >> self.top)
+            return _nonzero(_mul_terms(a, b))
+        (e, c), = a.items()
+        _check_degree((e + max(b)) >> self.top)
+        if c == 1:
+            return {e + f: d for f, d in b.items()} if e else b
+        return {e + f: d * c for f, d in b.items()}
+
+    def power(self, a: dict, k: int) -> dict:
+        """A term dict raised to k >= 0, after its degree check."""
+        if a:
+            _check_degree((max(a) >> self.top) * k)
+        return _nonzero(_pow_terms(a, k))
+
+    # errors -----------------------------------------------------------
+
+    def indices(self, k: int):
+        """Report the index list opening at token k: had it been well
+        formed, the scan would have made the variable one token."""
+        kinds = self.kinds
+        while True:
+            k += 1
+            if kinds[k] != "int":
+                self.fail(k, "expected 'int', found {!r}")
+            k += 1
+            if kinds[k] != ",":
+                self.fail(k, "expected ')', found {!r}")
+
+    def unknown(self, k: int):
+        m = _match(self.text, k)
+        name = m.group(1) or m.group(4)
+        canonical = _spelled(name, m.group(2)) if m.group(2) else name
         if any(v.rstrip("0123456789_") == name for v in self.universe):
-            raise ParseError(f"index out of bounds for {name!r}", pos)
-        raise ParseError(f"unknown variable {canonical!r}", pos)
+            raise ParseError(f"index out of bounds for {name!r}", m.start())
+        raise ParseError(f"unknown variable {canonical!r}", m.start())
 
 
 def parse_expression(text: str, universe: Sequence[str]) -> RatFunc:
     """Parse text into a canonical rational function over the universe."""
-    return _Parser(text, universe).parse()
+    return _Parser(text, tuple(universe)).parse()

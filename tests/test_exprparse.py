@@ -188,3 +188,68 @@ def test_characters_outside_the_grammar_keep_their_positions():
     with pytest.raises(ParseError, match="unknown variable 'é'") as err:
         parse_expression(" é", UV)
     assert err.value.pos == 1
+
+
+def test_indexed_variables_with_spaces_one_index_and_two_digits():
+    assert parse_expression("u( 1 , 2 )*u (2,3)", UV) == \
+        RatFunc.var(UV, "u12") * RatFunc.var(UV, "u23")
+    assert parse_expression("a(1)^2 - a( 2 )", ("a1", "a2")) == \
+        RatFunc.var(("a1", "a2"), "a1") ** 2 - RatFunc.var(("a1", "a2"), "a2")
+    uv11 = u_variables(11)
+    assert parse_expression("u(1,10) - u(1, 10)", uv11).is_zero
+    assert parse_expression("u(1,10)", uv11) == RatFunc.var(uv11, "u1_10")
+
+
+def test_zero_factors_and_zero_powers():
+    assert parse_expression("0*u(1,2)^3", UV).is_zero
+    assert parse_expression("u(1,2)^3*0 + 0", UV).is_zero
+    assert parse_expression("(u(1,2)-u(1,2))^0", UV) == RatFunc.const(UV, 1)
+    assert parse_expression("(u(1,2)-u(1,2))^2", UV).is_zero
+
+
+def test_total_degree_limit_through_the_parser():
+    # an exponent past MAX_EXPONENT is a parse error before any power ...
+    text = "u(1,2)^20000*u(1,2)^20000"
+    with pytest.raises(ParseError, match="exponent 20000 exceeds") as err:
+        parse_expression(text, UV)
+    assert err.value.pos == 7
+    # ... and a product past the kernel's degree limit raises there
+    with pytest.raises(exact_arith.DegreeLimitError, match="total degree 40000"):
+        parse_expression("(u(1,2)^1000)^20*(u(1,2)^1000)^20", UV)
+    with pytest.raises(exact_arith.DegreeLimitError, match="total degree 32768"):
+        parse_expression("(u(1,2)^1000)^32*u(1,2)^768", UV)
+    assert parse_expression("(u(1,2)^1000)^32*u(1,2)^767", UV) == \
+        RatFunc.var(UV, "u12") ** exact_arith.MAX_DEGREE
+    # a sum whose leading terms cancel has the degree of what is left
+    cancelled = "((u(1,2)^1000)^32 + u(2,3) - (u(1,2)^1000)^32)*(u(1,2)^1000)^32*u(1,2)^766"
+    assert parse_expression(cancelled, UV) == \
+        RatFunc.var(UV, "u23") * RatFunc.var(UV, "u12") ** 32766
+
+
+@pytest.mark.parametrize("text, message, pos", [
+    ("u(1,)", "expected 'int', found ')'", 4),
+    ("u(1 2)", "expected ')', found '2'", 4),
+    ("u(", "expected 'int', found ''", 2),
+    ("u(1,2", "expected ')', found ''", 5),
+])
+def test_malformed_index_lists_keep_their_positions(text, message, pos):
+    with pytest.raises(ParseError) as err:
+        parse_expression(text, UV)
+    assert str(err.value) == f"{message} (at position {pos})"
+    assert err.value.pos == pos
+
+
+def test_dense_polynomial_input_builds_no_polynomial_per_factor(monkeypatch):
+    text = ("3*u(1,2)^2*u(2,3)*u(2,4) - 5*u(1,3)^3*u(3,4)^2*u(1,4)"
+            " + u(1,4)*u(2,4)^2*u(3,4) - 7*u(1,2)*u(2,3)^3 + 2")
+    expected = parse_expression(text, UV)
+    calls = []
+    poly = exact_arith.MultiPoly
+    for name in ("__mul__", "__rmul__", "__pow__"):
+        monkeypatch.setattr(poly, name, lambda a, b, real=getattr(poly, name), name=name:
+                            calls.append(name) or real(a, b))
+    variable = poly.variable
+    monkeypatch.setattr(poly, "variable", staticmethod(
+        lambda vars, v: calls.append("variable") or variable(vars, v)))
+    assert parse_expression(text, UV) == expected
+    assert calls == []

@@ -76,9 +76,28 @@ def _form(f: RatFunc):
           RatFunc.var(UV, "u13") / (RatFunc.var(UV, "u12") + RatFunc.var(UV, "u23")) ** 2))
 @example(("(u(1,2)-u(1,2))^-1", None))
 def test_parse_matches_canonical_arithmetic(tree):
-    text, expected = tree
+    _check(*tree)
+
+
+def _check(text, expected):
     if expected is None:
         with pytest.raises(ZeroDivisionError, match="division by the zero function"):
             parse_expression(text, UV)
         return
     assert _form(parse_expression(text, UV)) == _form(expected)
+
+
+@SETTINGS
+@given(trees, st.data())
+def test_whitespace_between_tokens_changes_nothing(tree, data):
+    # a tree's text has no spaces; a gap between two tokens is any gap
+    # that does not split a name or an integer
+    text, expected = tree
+    spaces = st.sampled_from(["", "", " ", "  ", "\t", "\n"])
+    spaced = []
+    for i, ch in enumerate(text):
+        if not (i and text[i - 1].isalnum() and ch.isalnum()):
+            spaced.append(data.draw(spaces))
+        spaced.append(ch)
+    spaced.append(data.draw(spaces))
+    _check("".join(spaced), expected)
