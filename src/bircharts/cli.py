@@ -42,7 +42,7 @@ class NegativeVerdict(Exception):
 
 def _parse_group(text: str) -> int:
     text = text.strip().lower()
-    if not text.startswith("sl") or not text[2:].isdigit():
+    if not text.startswith("sl") or not text[2:].isdecimal():
         raise UsageError(f"invalid group {text!r}; expected slN")
     n = int(text[2:])
     if n < 2:
@@ -122,20 +122,20 @@ def _cmd_chart_eval(args):
     from .sl_realization import chart_U
 
     n = _parse_group(args.group)
-    if not args.params:
+    if args.params is None:
         # the symbolic chart is the one a U membership decision builds
         require_decidable("U", n)
     word, tag = _word_arg(args.word, _sl_datum(n))
     stem = "b" if tag == "jj1" else "a"
     universe = tuple(f"{stem}{k}" for k in range(1, len(word) + 1))
-    if args.params:
-        texts = args.params.split(",")
+    if args.params is None:
+        params = [RatFunc.var(universe, v) for v in universe]
+    else:
+        texts = args.params.split(",") if args.params else []
         if len(texts) != len(word):
             raise UsageError(
                 f"need {len(word)} parameters, got {len(texts)}")
         params = [parse_expression(t, universe) for t in texts]
-    else:
-        params = [RatFunc.var(universe, v) for v in universe]
     matrix = chart_U(word, params, n)
     return {
         "group": f"sl{n}",

@@ -35,10 +35,15 @@ and leading-term queries; no mathematical meaning is attached to it.
 The public ``MultiPoly(vars, terms)`` constructor validates and
 canonicalizes its input.  Kernel arithmetic builds its results through the
 trusted ``MultiPoly._make``, which stores terms it already knows to be
-valid without checking them again.  A product or a power is taken on raw
-term dicts (``_mul_terms``, and ``_pow_terms`` by repeated squaring)
-after its degree check, and made canonical once by ``_canon``; the
-expression parser builds its polynomials with the same two.
+valid without checking them again.  There is one product and one power
+on term dicts, ``_product`` and ``_power``: each checks the total degree,
+takes the raw product (``_mul_terms``, or ``_pow_terms`` by repeated
+squaring) and makes it canonical once with ``_canon``.  ``MultiPoly``
+arithmetic and the expression parser both call them.
+
+Only this module reads the key layout.  Other modules hold keys without
+looking inside them: the parser takes each variable's key from the table
+``_keys``, and ``membership`` its vector fields from ``_derivation``.
 
 There is one exact division and one content routine, on term dicts,
 shared by ``poly_exact_div``, the canonical scaling and the heuristic gcd.
@@ -140,6 +145,23 @@ def _var_key(width: int, i: int) -> int:
     return 1 << _BITS * width | 1 << _shift(width, i)
 
 
+@lru_cache(maxsize=64)
+def _keys(universe: tuple) -> dict:
+    """The key of each variable of the universe, by name (the first
+    position of a repeated name); callers only read it."""
+    width = len(universe)
+    keys: dict = {}
+    for i, name in enumerate(universe):
+        keys.setdefault(name, _var_key(width, i))
+    return keys
+
+
+def _degree_in(terms: dict, width: int, i: int) -> int:
+    """The largest exponent of variable i in the term dict; -1 when empty."""
+    s = _shift(width, i)
+    return max((e >> s & _FIELD for e in terms), default=-1)
+
+
 @lru_cache(maxsize=None)
 def _guards(fields: int) -> int:
     """The guard bits of the lowest ``fields`` fields."""
@@ -213,6 +235,24 @@ def _mul_terms(at: dict, bt: dict, out: Optional[dict] = None) -> dict:
                 c += out[e]
             out[e] = c
     return out
+
+
+def _product(at: dict, bt: dict, width: int) -> dict:
+    """The canonical product of two term dicts without zero coefficients
+    over a universe of ``width`` variables, after its degree check: the top
+    fields of the leading keys hold the largest total degrees."""
+    if at and bt:
+        s = _BITS * width
+        _check_degree((max(at) >> s) + (max(bt) >> s))
+    return _canon(_mul_terms(at, bt))
+
+
+def _power(terms: dict, k: int, width: int) -> dict:
+    """The canonical k-th power (k >= 0) of a term dict without zero
+    coefficients, after its degree check; the dict itself when k is 1."""
+    if terms:
+        _check_degree((max(terms) >> _BITS * width) * k)
+    return _canon(_pow_terms(terms, k))
 
 
 def _pow_terms(terms: dict, k: int) -> dict:
@@ -302,9 +342,10 @@ class MultiPoly:
     @classmethod
     def variable(cls, vars: Sequence[str], name: str) -> "MultiPoly":
         vs = tuple(vars)
-        if name not in vs:
+        key = _keys(vs).get(name)
+        if key is None:
             raise UniverseError(f"variable {name!r} not in universe {vs}")
-        return cls._make(vs, {_var_key(len(vs), vs.index(name)): 1})
+        return cls._make(vs, {key: 1})
 
     # -- queries ------------------------------------------------------
 
@@ -345,10 +386,7 @@ class MultiPoly:
         return self.terms[max(self.terms)]
 
     def degree_in(self, index: int) -> int:
-        if self.is_zero:
-            return -1
-        s = _shift(len(self.vars), index)
-        return max(e >> s & _FIELD for e in self.terms)
+        return _degree_in(self.terms, len(self.vars), index)
 
     def variables_present(self) -> tuple:
         """Indices of universe variables that actually occur."""
@@ -418,12 +456,7 @@ class MultiPoly:
         a, b = self._pair(other)
         if a is None:
             return NotImplemented
-        at, bt = a.terms, b.terms
-        if at and bt:
-            # the top fields of the leading keys hold the largest degrees
-            s = _BITS * len(a.vars)
-            _check_degree((max(at) >> s) + (max(bt) >> s))
-        return MultiPoly._make(a.vars, _canon(_mul_terms(at, bt)))
+        return MultiPoly._make(a.vars, _product(a.terms, b.terms, len(a.vars)))
 
     __rmul__ = __mul__
 
@@ -432,10 +465,7 @@ class MultiPoly:
             raise ValueError("polynomial exponent must be a non-negative integer")
         if k == 1:
             return self
-        t = self.terms
-        if t:
-            _check_degree((max(t) >> _BITS * len(self.vars)) * k)
-        return MultiPoly._make(self.vars, _canon(_pow_terms(t, k)))
+        return MultiPoly._make(self.vars, _power(self.terms, k, len(self.vars)))
 
     def scale(self, c) -> "MultiPoly":
         c = _coeff(c)
@@ -641,6 +671,23 @@ def _univ(p: MultiPoly, v: int) -> dict:
     return {d: MultiPoly._make(p.vars, t) for d, t in coeffs.items()}
 
 
+def _derivation(p: MultiPoly, pairs: Iterable[tuple]) -> MultiPoly:
+    """D(p) for the vector field D = sum of x_t d/dx_s over the index
+    pairs (s, t): x_t d/dx_s takes the term c * x^e to
+    c * e_s * x^(e - unit_s + unit_t), of the same total degree."""
+    width = len(p.vars)
+    steps = [(_shift(width, s), _var_key(width, t) - _var_key(width, s))
+             for s, t in pairs]
+    terms: dict = {}
+    for e, c in p.terms.items():
+        for shift, step in steps:
+            es = e >> shift & _FIELD
+            if es:
+                f = e + step
+                terms[f] = terms.get(f, 0) + c * es
+    return MultiPoly._make(p.vars, _canon(terms))
+
+
 def _from_univ(coeffs: dict, v: int, vars: tuple) -> MultiPoly:
     unit = _var_key(len(vars), v)
     terms: dict = {}
@@ -775,12 +822,8 @@ def _heu_gcd_raw(p: dict, q: dict, depth: int, width: int) -> dict:
         return {0: common}
     if depth > width + 2:
         raise _HeuristicFailed
-
-    def deg(terms, i):
-        s = _shift(width, i)
-        return max(e >> s & _FIELD for e in terms)
-
-    v = min(present, key=lambda i: max(deg(p, i), deg(q, i)))
+    v = min(present, key=lambda i: max(_degree_in(p, width, i),
+                                       _degree_in(q, width, i)))
     hp = max(abs(c) for c in p.values())
     hq = max(abs(c) for c in q.values())
     xi = 2 * min(hp, hq) + 29

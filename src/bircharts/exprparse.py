@@ -14,20 +14,20 @@ a bare name is accepted when it is itself a universe variable, so printed
 canonical forms parse back to themselves.
 
 One regex scan makes the tokens.  An indexed variable ``u(i, ...)`` is
-one token, resolved to its exponent key (see ``exact_arith``) through a
-name->key table built once per universe.
+one token, resolved to its exponent key through the kernel's name->key
+table (``_keys``, built once per universe).  The parser never looks inside
+a key: only ``exact_arith`` reads the key layout.
 
 A subexpression is held as a raw term dict over those keys while it is a
-polynomial, with no zero coefficient.  A product with a single-term
-factor adds that term's key to every key, a power of a single term
-multiplies its key, and any other product or power runs the kernel's
-raw term-dict product; each checks its total degree first, as the kernel
-does, so past ``MAX_DEGREE`` it raises ``DegreeLimitError``.  Each sum is
-added in place into one dict, and a division by a nonzero constant
-scales it.  The dict becomes a canonical polynomial (``_canon``, once)
-only at the end of the parse, or as a ``RatFunc`` at a division by a
-non-constant or a negative power; from then on the subexpression combines
-canonically, so polynomial input pays no gcd.
+polynomial, with no zero coefficient.  Products and powers are the
+kernel's term-dict product and power (``_product``, ``_power``), which
+check the total degree first, as ``MultiPoly`` arithmetic does, so past
+``MAX_DEGREE`` they raise ``DegreeLimitError``.  Each sum is added in
+place into one dict, and a division by a nonzero constant scales it.  The
+dict becomes a polynomial only at the end of the parse, or as a
+``RatFunc`` at a division by a non-constant or a negative power; from then
+on the subexpression combines canonically, so polynomial input pays no
+gcd.
 
 An exponent whose absolute value exceeds ``MAX_EXPONENT`` is rejected
 before any power is computed, so a hostile input such as
@@ -43,8 +43,8 @@ from functools import lru_cache
 from itertools import islice
 from typing import Sequence
 
-from .exact_arith import (_BITS, MultiPoly, RatFunc, _canon, _check_degree,
-                          _div, _mul_terms, _pow_terms, _var_key)
+from .exact_arith import (MultiPoly, RatFunc, _canon, _div, _keys, _power,
+                          _product)
 
 
 def indexed_name(stem: str, indices: Sequence[int]) -> str:
@@ -96,17 +96,6 @@ def _check_literals(text: str, k: int) -> None:
                 f"of {MAX_LITERAL_DIGITS} digits", m.start(group) + d.start())
 
 
-@lru_cache(maxsize=64)
-def _keys(universe: tuple) -> dict:
-    """The exponent key of each variable of the universe, by name; the
-    parser only reads it."""
-    width = len(universe)
-    keys: dict = {}
-    for i, name in enumerate(universe):
-        keys.setdefault(name, _var_key(width, i))
-    return keys
-
-
 @lru_cache(maxsize=1024)
 def _spelled(stem: str, indices: str) -> str:
     """The canonical name of ``stem(indices)``, indices as written."""
@@ -148,11 +137,6 @@ def _scan(text: str, keys: dict) -> tuple:
     return kinds, values
 
 
-def _nonzero(terms: dict) -> dict:
-    """The term dict without its zero coefficients."""
-    return terms if all(terms.values()) else {e: c for e, c in terms.items() if c}
-
-
 def _negated(value):
     if type(value) is dict:
         return {e: -c for e, c in value.items()}
@@ -163,8 +147,7 @@ class _Parser:
     def __init__(self, text: str, universe: tuple):
         self.text = text
         self.universe = universe
-        # a key shifted down by this many bits is its total degree
-        self.top = _BITS * len(universe)
+        self.width = len(universe)
         self.kinds, self.values = _scan(text, _keys(universe))
         self.i = 0
 
@@ -221,7 +204,7 @@ class _Parser:
                 else:
                     value = self.rational(value) / self.rational(rhs)
             elif op == "*":
-                value = self.times(value, rhs)
+                value = _product(value, rhs, self.width)
             elif len(rhs) == 1 and 0 in rhs:
                 c = _div(1, rhs[0])
                 if c != 1:
@@ -252,7 +235,7 @@ class _Parser:
             return self.rational(value) ** -k
         if type(value) is not dict:
             return value ** k
-        return self.power(value, k)
+        return _power(value, k, self.width)
 
     def atom(self):
         i = self.i
@@ -275,27 +258,6 @@ class _Parser:
             self.i += 1
             return value
         self.fail(i, "unexpected token {!r}")
-
-    def times(self, a: dict, b: dict) -> dict:
-        """The product of two term dicts, after its degree check."""
-        if len(a) > len(b):
-            a, b = b, a
-        if not a:
-            return a
-        if len(a) > 1:
-            _check_degree((max(a) + max(b)) >> self.top)
-            return _nonzero(_mul_terms(a, b))
-        (e, c), = a.items()
-        _check_degree((e + max(b)) >> self.top)
-        if c == 1:
-            return {e + f: d for f, d in b.items()} if e else b
-        return {e + f: d * c for f, d in b.items()}
-
-    def power(self, a: dict, k: int) -> dict:
-        """A term dict raised to k >= 0, after its degree check."""
-        if a:
-            _check_degree((max(a) >> self.top) * k)
-        return _nonzero(_pow_terms(a, k))
 
     # errors -----------------------------------------------------------
 

@@ -20,8 +20,9 @@ the distinguished words of sl_n, and only its prepared substitution (see
 torus coordinates, so a pullback is summed with polynomial arithmetic over
 one common monomial and needs no per-step gcd, only its one final
 normalization.  Held at once, the unipotent charts at sl3-sl7 and the
-quotient and full-group charts at sl3-sl5 take about 1.1 MB
-(tracemalloc), of which the eight sl5 full-group charts take 0.61 MB.
+quotient and full-group charts at sl3-sl5 take about 0.66 MB, of which
+the eight sl5 full-group charts, built last, take 0.30 MB (tracemalloc's
+current size after gc.collect(), before and after the builds).
 Above a measured size bound per space (``_MAX_N``) a decision raises
 ``Unsupported`` before any chart is built.
 
@@ -40,9 +41,8 @@ from functools import lru_cache
 from math import isqrt
 from typing import NamedTuple, Optional
 
-from .exact_arith import (_FIELD, MultiPoly, PoleError, RatFunc, Substitution,
-                          _canon, _shift, _var_key, is_laurent_in,
-                          prepare_substitution, substitute)
+from .exact_arith import (PoleError, RatFunc, Substitution, _derivation,
+                          is_laurent_in, prepare_substitution, substitute)
 from .exprparse import indexed_name
 from .root_data import Unsupported, distinguished_word
 from .sl_realization import (GroupMatrix, TorusPoint, _datum_for, _det, chart_G,
@@ -218,23 +218,6 @@ def decide_O_U(phi: RatFunc, n: int) -> MembershipVerdict:
     return _decide(phi, "U", n)
 
 
-def _derivation(p: MultiPoly, sources) -> MultiPoly:
-    """D(p) for the vector field D = sum of x_{k+1} d/dx_k over k in
-    sources, acting on exponent keys: x_{k+1} d/dx_k takes the term
-    c * x^e to c * e_k * x^(e - unit_k + unit_{k+1})."""
-    width = len(p.vars)
-    steps = [(_shift(width, k), _var_key(width, k + 1) - _var_key(width, k))
-             for k in sources]
-    terms: dict = {}
-    for e, c in p.terms.items():
-        for s, step in steps:
-            ek = e >> s & _FIELD
-            if ek:
-                f = e + step
-                terms[f] = terms.get(f, 0) + c * ek
-    return MultiPoly._make(p.vars, _canon(terms))
-
-
 def check_invariance(phi: RatFunc) -> bool:
     """Whether phi(g y_j(s)) = phi(g) for every lower one-parameter subgroup:
     phi = p/q is invariant under the flow of y_j exactly when D(p) q = p D(q)
@@ -243,9 +226,10 @@ def check_invariance(phi: RatFunc) -> bool:
     if phi.universe != g_variables(n):
         raise ValueError("expected a full matrix-entry universe")
     p, q = phi.num, phi.den
-    # g_{i,j} is variable (i-1)n + j-1, so range(j, n*n, n) is column j+1
-    return all(_derivation(p, col) * q == p * _derivation(q, col)
-               for col in (range(j, n * n, n) for j in range(n - 1)))
+    # g_{i,j} is variable (i-1)n + j-1, so the field of y_j pairs the
+    # variables k of column j with k + 1, the same row of column j+1
+    fields = ([(k, k + 1) for k in range(j - 1, n * n, n)] for j in range(1, n))
+    return all(_derivation(p, f) * q == p * _derivation(q, f) for f in fields)
 
 
 def decide_O_GmodU(phi: RatFunc, n: int) -> MembershipVerdict:

@@ -205,7 +205,7 @@ def parse_type(label: str):
     """Split a label like "A3" or "G2" into (letter, rank) of a finite type,
     checked without building its datum."""
     label = label.strip()
-    if len(label) < 2 or label[0] not in _VALID_RANKS or not label[1:].isdigit():
+    if len(label) < 2 or label[0] not in _VALID_RANKS or not label[1:].isdecimal():
         raise ValueError(f"invalid type label {label!r}")
     _check_finite_type(label[0], int(label[1:]))
     return label[0], int(label[1:])

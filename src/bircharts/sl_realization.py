@@ -330,14 +330,12 @@ def gen_minor(spec: MinorSpec, g: GroupMatrix) -> RatFunc:
     return _det(rows)
 
 
-def gauss_decompose(g: GroupMatrix):
-    """g = L D U with L lower unitriangular, D diagonal, U upper unitriangular.
-
-    Defined exactly when all leading principal minors are nonzero as
-    rational functions.
-    """
-    n = g.n
-    m = [list(row) for row in g.entries]
+def _eliminate(m: list) -> list:
+    """The rows of L for rows m = L (D U), L lower unitriangular, by
+    elimination in place: each row update touches only the columns right
+    of its pivot, so m ends holding D U on and above the diagonal (what is
+    left below it is never read)."""
+    n = len(m)
     lower = _identity_rows(n)
     for k in range(n):
         pivot = m[k][k]
@@ -348,7 +346,20 @@ def gauss_decompose(g: GroupMatrix):
                 continue
             factor = m[i][k] / pivot
             lower[i][k] = factor
-            m[i] = [a - factor * b for a, b in zip(m[i], m[k])]
+            m[i][k + 1:] = [a - factor * b
+                            for a, b in zip(m[i][k + 1:], m[k][k + 1:])]
+    return lower
+
+
+def gauss_decompose(g: GroupMatrix):
+    """g = L D U with L lower unitriangular, D diagonal, U upper unitriangular.
+
+    Defined exactly when all leading principal minors are nonzero as
+    rational functions.
+    """
+    n = g.n
+    m = [list(row) for row in g.entries]
+    lower = _eliminate(m)
     diag = [m[k][k] for k in range(n)]
     upper = [[(m[i][j] / diag[i]) if j >= i else _as_ratfunc(0) for j in range(n)]
              for i in range(n)]
@@ -382,9 +393,9 @@ def twist(u: GroupMatrix, word: Optional[Sequence[int]] = None) -> GroupMatrix:
     of a reduced word (w0 by default, the big-cell twist involution).
 
     Gauss-decompose u times the dot lift of w^-1 (s-swaps along the reversed
-    word) as L D U and push L through the swap automorphism.  That lift
-    differs from the inverse lift of w by a diagonal right factor, which
-    changes D and U but not L.  Defined exactly where the leading principal
+    word) as L D U, building L alone, and push L through the swap
+    automorphism.  That lift differs from the inverse lift of w by a
+    diagonal right factor, which changes D and U but not L.  Defined exactly where the leading principal
     minors of u times the lift are nonzero; for u = chart_U(word, params)
     with positive parameters they are.
     """
@@ -395,10 +406,9 @@ def twist(u: GroupMatrix, word: Optional[Sequence[int]] = None) -> GroupMatrix:
         word = distinguished_word(_datum_for(n), 0)
     elif not is_reduced(word, _datum_for(n)):
         raise ValueError("word is not reduced")
-    m = GroupMatrix(_act([list(row) for row in u.entries], "s", tuple(word)[::-1]),
-                    check=False)
+    rows = _act([list(row) for row in u.entries], "s", tuple(word)[::-1])
     try:
-        L, _, _ = gauss_decompose(m)
+        lower = _eliminate(rows)
     except ValueError:
         raise ValueError("twist undefined: a leading principal minor vanishes") from None
-    return GroupMatrix(_iota_of_lower(L.entries), check=False)
+    return GroupMatrix(_iota_of_lower(lower), check=False)

@@ -207,6 +207,25 @@ def test_usage_errors_exit_two(capsys):
     assert run(capsys, "nonsense")[0] == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("membership", "u", "--group", "sl²", "--expr", "u(1,2)"),
+     "invalid group 'sl²'; expected slN"),
+    (("chart", "eval", "--group", "sl³"), "invalid group 'sl³'; expected slN"),
+    (("weights", "--type", "A²"), "invalid type label 'A²'"),
+])
+def test_labels_take_only_decimal_digits(capsys, argv, message):
+    # a superscript is a digit to str.isdigit, but not a decimal digit
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.strip() == f"error: {message}"
+
+
+def test_empty_params_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "chart", "eval", "--group", "sl3", "--params", "")
+    assert code == 2 and out == ""
+    assert "need 3 parameters, got 0" in err
+
+
 def test_chart_eval_custom_word(capsys):
     code, report, _ = run_json(capsys, "chart", "eval", "--group", "sl3",
                                "--word", "1,2", "--params", "2,3")

@@ -226,6 +226,40 @@ def test_total_degree_limit_through_the_parser():
         RatFunc.var(UV, "u23") * RatFunc.var(UV, "u12") ** 32766
 
 
+@pytest.mark.parametrize("text, degree", [
+    # products of a single term by a single term, by a sum, and of two sums
+    ("(u(1,2)^1000)^32*u(1,2)^767", 32767),
+    ("(u(1,2)^1000)^32*u(1,2)^768", 32768),
+    ("(u(1,2)^1000)^32*(u(1,2)^767 + u(2,3))", 32767),
+    ("(u(1,2)^1000)^32*(u(1,2)^768 + u(2,3))", 32768),
+    ("((u(1,2)^1000)^32 + 1)*(u(1,2)^767 - u(2,3))", 32767),
+    ("((u(1,2)^1000)^32 + 1)*(u(1,2)^768 - u(2,3))", 32768),
+    # powers of a single term and of a sum: 151 * 217 = 32767, 512 * 64 = 32768
+    ("(u(1,2)^151)^217", 32767),
+    ("(u(1,2)^512)^64", 32768),
+    ("(u(1,2)^151 + u(2,3))^217", 32767),
+    ("(u(1,2)^512 + u(2,3))^64", 32768),
+])
+def test_parser_and_multipoly_share_the_degree_limit(text, degree):
+    # the same text, evaluated by Python with MultiPoly arithmetic
+    def u(i, j):
+        return exact_arith.MultiPoly.variable(UV, f"u{i}{j}")
+
+    def by_multipoly():
+        return RatFunc(eval(text.replace("^", "**"), {"u": u}))
+
+    if degree > exact_arith.MAX_DEGREE:
+        message = f"total degree {degree} exceeds the limit 32767"
+        for build in (by_multipoly, lambda: parse_expression(text, UV)):
+            with pytest.raises(exact_arith.DegreeLimitError) as err:
+                build()
+            assert str(err.value) == message
+    else:
+        got = parse_expression(text, UV)
+        assert got == by_multipoly()
+        assert sum(got.num.leading_exp()) == degree
+
+
 @pytest.mark.parametrize("text, message, pos", [
     ("u(1,)", "expected 'int', found ')'", 4),
     ("u(1 2)", "expected ')', found '2'", 4),

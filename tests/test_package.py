@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import argparse
+import importlib
+import pkgutil
+import re
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -41,3 +45,21 @@ def test_unsupported_is_one_class_and_the_cli_exits_three_on_it():
 
     args = argparse.Namespace(handler=handler)
     assert run_command([], args) == (3, None, "error: unsupported: not here")
+
+
+# The names that know the layout of an exponent key, or that take a product
+# or a power on raw keys.
+_KEY_LAYOUT = {"_BITS", "_FIELD", "_shift", "_var_key", "_check_degree",
+               "_mul_terms", "_pow_terms"}
+
+
+def test_only_the_kernel_reads_exponent_keys():
+    modules = [bircharts] + [importlib.import_module(f"bircharts.{m.name}")
+                             for m in pkgutil.iter_modules(bircharts.__path__)]
+    assert "bircharts.exact_arith" in {m.__name__ for m in modules}
+    for module in modules:
+        if module.__name__ == "bircharts.exact_arith":
+            continue
+        assert not _KEY_LAYOUT & set(vars(module)), module.__name__
+        words = set(re.findall(r"\w+", Path(module.__file__).read_text()))
+        assert not _KEY_LAYOUT & words, module.__name__

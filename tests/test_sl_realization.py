@@ -350,6 +350,21 @@ def test_twist_involution_symbolic_sl3():
         assert twist(twist(u)) == u
 
 
+def test_twist_divides_only_for_its_lower_factor(monkeypatch):
+    # the twist reads L alone: at most one division per entry below the
+    # diagonal, n(n-1)/2 = 6 at sl4, and none for D or U
+    d = cartan("A", 3)
+    names = tuple(f"a{k}" for k in range(1, d.nu + 1))
+    u = chart_U(distinguished_word(d, 0), [RatFunc.var(names, v) for v in names], 4)
+    expected = twist(u)
+    divisions = []
+    divide = RatFunc.__truediv__
+    monkeypatch.setattr(RatFunc, "__truediv__",
+                        lambda a, b: divisions.append(b) or divide(a, b))
+    assert twist(u) == expected
+    assert 0 < len(divisions) <= 6
+
+
 def test_big_cell_spot_check_positive_points():
     # positive parameters land in the big cell with all interior minors nonzero
     rng = random.Random(20250801)
