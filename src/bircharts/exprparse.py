@@ -277,7 +277,9 @@ class _Parser:
         m = _match(self.text, k)
         name = m.group(1) or m.group(4)
         canonical = _spelled(name, m.group(2)) if m.group(2) else name
-        if any(v.rstrip("0123456789_") == name for v in self.universe):
+        # only an index list can be out of bounds; a bare stem is unknown
+        if m.group(2) and any(v.rstrip("0123456789_") == name
+                              for v in self.universe):
             raise ParseError(f"index out of bounds for {name!r}", m.start())
         raise ParseError(f"unknown variable {canonical!r}", m.start())
 

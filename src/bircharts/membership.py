@@ -26,13 +26,14 @@ current size after gc.collect(), before and after the builds).
 Above a measured size bound per space (``_MAX_N``) a decision raises
 ``Unsupported`` before any chart is built.
 
-Chart inversion works for every n by one construction: factors are peeled
-off the left of the generic unitriangular matrix, each parameter a ratio of
-minors.  The formulas are built once per (word, n) and then substituted;
-a point is undefined only where a canonical denominator vanishes.  Building
-them takes under 0.01 s at sl4, 0.03-0.05 s at sl5 and 0.9-13 s at sl6,
-depending on the word (Python 3.11, 2 vCPUs); at sl7 it did not finish in
-500 s, so inversion above sl6 raises ``Unsupported`` before any work.
+Chart inversion is one construction, general in n, that runs up to sl6:
+factors are peeled off the left of the generic unitriangular matrix, each
+parameter a ratio of minors.  The formulas are built once per (word, n)
+and then substituted; a point is undefined only where a canonical
+denominator vanishes.  Building them takes under 0.01 s at sl4,
+0.03-0.05 s at sl5 and 0.9-13 s at sl6, depending on the word (Python
+3.11, 2 vCPUs); at sl7 it did not finish in 500 s, so inversion above sl6
+raises ``Unsupported`` before any work.
 """
 
 from __future__ import annotations

@@ -354,14 +354,12 @@ def _families(datum: CartanDatum, eps: int):
     # the whole word is reduced for w0, so the last columns are its images
     w0_images = frozenset(Weight(c) for c in cols)
 
-    stage = {}
+    stage, prefix = {}, []
     for l in range(1, datum.h - 1):
-        for i in datum.class_nodes(eps + datum.h - l):
-            word: list = []
-            for step in range(datum.h - 1, datum.h - l, -1):
-                word.extend(datum.class_nodes(eps + step))
-            word.append(i)
-            stage[(l, i)] = weyl_apply(word, datum.fundamental_weight(i), datum)
+        nodes = datum.class_nodes(eps + datum.h - l)
+        for i in nodes:
+            stage[(l, i)] = weyl_apply(prefix + [i], datum.fundamental_weight(i), datum)
+        prefix.extend(nodes)
 
     blocks = []
     pos = 1
@@ -425,110 +423,87 @@ class VerificationReport(NamedTuple):
         raise KeyError(name)
 
 
-def verify_lemmas(datum: CartanDatum) -> VerificationReport:
-    """Run every bipartite-word weight check by exhaustive enumeration."""
-    report = VerificationReport(f"{datum.type_label}{datum.rank}", [])
-    add = report.checks.append
+_CHECKS = ("bipartite-blocks-additive-length", "chart-weight-classification",
+           "noncommuting-pair-weights", "pairing-nonneg-on-first-class",
+           "pairing-negative-on-second-class", "interior-weights-distinct",
+           "interior-weight-count", "interior-disjoint-from-extremes")
 
-    # Lengths add along the alternating class blocks, totalling nu.
-    ok, detail = True, ""
+
+def _violations(datum: CartanDatum):
+    """(check name, detail) for every violation of every weight lemma, by
+    exhaustive enumeration; each bipartite word is walked once."""
+    additive, classes, pairs, nonneg, negative, distinct, count, disjoint = _CHECKS
+    h = datum.h
     for eps in (0, 1):
-        acc = datum.identity()
-        expect = 0
-        for l in range(datum.h):
+        cw, (y_prime, y_dprime, _), mixed = _families(datum, eps)
+        # Lengths add along the alternating class blocks, totalling nu.
+        acc, expect = datum.identity(), 0
+        for l in range(h):
             acc = acc * weyl_from_word(class_word(datum, eps + l), datum)
             expect += len(datum.class_nodes(eps + l))
             got = length(acc, datum)
             if got != expect:
-                ok, detail = False, f"eps={eps}, block {l}: length {got} != {expect}"
-                break
-        if ok and length(acc, datum) != datum.nu:
-            ok, detail = False, f"eps={eps}: full product has length {length(acc, datum)}"
-        if not ok:
-            break
-    add(LemmaCheck("bipartite-blocks-additive-length", ok, detail=detail))
+                yield additive, f"eps={eps}, block {l}: length {got} != {expect}"
+        if got != datum.nu:
+            yield additive, f"eps={eps}: full product has length {got}"
 
-    data, sets, mixed = zip(*(_families(datum, eps) for eps in (0, 1)))
-
-    # Suffix weights land where the block combinatorics says they land:
-    # on block m, gamma pairs with stage level h-m+1 (m >= 3) and
-    # gamma_tilde with level h-m-1 (m <= h-2); the levels are forced by
-    # which bipartition class the letter at position k belongs to.
-    ok, detail = True, ""
-    for eps in (0, 1):
-        cw = data[eps]
-        y_prime, y_dprime, _ = sets[eps]
-        for m in range(3, datum.h + 1):
-            l = datum.h - m + 1
-            for k in cw.blocks[m - 1]:
-                if cw.gamma[k] != cw.stage[(l, cw.word[k - 1])]:
-                    ok, detail = False, f"eps={eps}, gamma[{k}] != stage[({l},{cw.word[k-1]})]"
-        for m in range(1, datum.h - 1):
-            l = datum.h - m - 1
-            for k in cw.blocks[m - 1]:
-                if cw.gamma_tilde[k] != cw.stage[(l, cw.word[k - 1])]:
-                    ok, detail = False, f"eps={eps}, gamma_tilde[{k}] != stage[({l},{cw.word[k-1]})]"
-        for block in cw.blocks[-2:]:
+        # Suffix weights land where the block combinatorics says they land:
+        # on block m, gamma pairs with stage level h-m+1 (m >= 3) and
+        # gamma_tilde with level h-m-1 (m <= h-2); the levels are forced by
+        # which bipartition class the letter at position k belongs to.  On
+        # the last two blocks gamma_tilde is fundamental, and on the first
+        # two gamma is a w0-translate.
+        for m, block in enumerate(cw.blocks, 1):
             for k in block:
-                if cw.gamma_tilde[k] not in y_prime:
-                    ok, detail = False, f"eps={eps}, gamma_tilde[{k}] not fundamental"
-        for block in cw.blocks[:2]:
-            for k in block:
-                if cw.gamma[k] not in y_dprime:
-                    ok, detail = False, f"eps={eps}, gamma[{k}] not a w0-translate"
-    add(LemmaCheck("chart-weight-classification", ok, detail=detail))
+                i = cw.word[k - 1]
+                if m >= 3 and cw.gamma[k] != cw.stage[(h - m + 1, i)]:
+                    yield classes, f"eps={eps}, gamma[{k}] != stage[({h - m + 1},{i})]"
+                if m <= h - 2 and cw.gamma_tilde[k] != cw.stage[(h - m - 1, i)]:
+                    yield classes, f"eps={eps}, gamma_tilde[{k}] != stage[({h - m - 1},{i})]"
+                if m >= h - 1 and cw.gamma_tilde[k] not in y_prime:
+                    yield classes, f"eps={eps}, gamma_tilde[{k}] not fundamental"
+                if m <= 2 and cw.gamma[k] not in y_dprime:
+                    yield classes, f"eps={eps}, gamma[{k}] not a w0-translate"
 
-    # Mixed suffix weights for non-commuting letter pairs stay in the family.
-    ok, detail = True, ""
-    for eps in (0, 1):
-        y_prime, _, _ = sets[eps]
-        gamma_values = set(data[eps].gamma.values())
+        # Mixed suffix weights for non-commuting letter pairs stay in the family.
+        gamma_values = set(cw.gamma.values())
         for k in range(1, datum.nu + 1):
-            for j, w in mixed[eps][k].items():
+            for j, w in mixed[k].items():
                 if w not in gamma_values and w not in y_prime:
-                    ok, detail = False, f"eps={eps}, k={k} with letter {j} escapes"
-    add(LemmaCheck("noncommuting-pair-weights", ok, detail=detail))
+                    yield pairs, f"eps={eps}, k={k} with letter {j} escapes"
 
-    # Sign conditions on the interior block weights.
-    ok_a, det_a, ok_b, det_b = True, "", True, ""
-    for eps in (0, 1):
-        cw = data[eps]
-        first_class = datum.class_nodes(eps + datum.h)
-        second_class = datum.class_nodes(eps + datum.h + 1)
+        # Sign conditions on the interior block weights.
+        first_class = datum.class_nodes(eps + h)
+        second_class = datum.class_nodes(eps + h + 1)
         for (l, i), w in cw.stage.items():
             if any(w.pairing(j) < 0 for j in first_class):
-                ok_a, det_a = False, f"eps={eps}, stage[({l},{i})] negative on first class"
+                yield nonneg, f"eps={eps}, stage[({l},{i})] negative on first class"
             if not any(w.pairing(j) < 0 for j in second_class):
-                ok_b, det_b = False, f"eps={eps}, stage[({l},{i})] nonnegative on second class"
-    add(LemmaCheck("pairing-nonneg-on-first-class", ok_a, detail=det_a))
-    add(LemmaCheck("pairing-negative-on-second-class", ok_b, detail=det_b))
+                yield negative, f"eps={eps}, stage[({l},{i})] nonnegative on second class"
 
-    # Interior weights are pairwise distinct and count nu - r.
-    ok, detail = True, ""
-    count_ok, count_detail = True, ""
-    for eps in (0, 1):
-        stage = data[eps].stage
-        values = list(stage.values())
-        if len(set(values)) != len(values):
-            ok, detail = False, f"eps={eps}: repeated interior weight"
-        if len(set(values)) != datum.nu - datum.rank:
-            count_ok, count_detail = (
-                False, f"eps={eps}: {len(set(values))} != nu-r = {datum.nu - datum.rank}")
-    add(LemmaCheck("interior-weights-distinct", ok, detail=detail))
-    add(LemmaCheck("interior-weight-count", count_ok, detail=count_detail))
+        # Interior weights are pairwise distinct and count nu - r.
+        interior = set(cw.stage.values())
+        if len(interior) != len(cw.stage):
+            yield distinct, f"eps={eps}: repeated interior weight"
+        if len(interior) != datum.nu - datum.rank:
+            yield count, f"eps={eps}: {len(interior)} != nu-r = {datum.nu - datum.rank}"
 
-    # Interior weights avoid the fundamental weights and their w0-translates.
+        # Interior weights avoid the fundamental weights and their w0-translates.
+        if interior & y_prime:
+            yield disjoint, f"eps={eps}: interior meets fundamental set"
+        if interior & y_dprime:
+            yield disjoint, f"eps={eps}: interior meets w0-translate set"
+
+
+def verify_lemmas(datum: CartanDatum) -> VerificationReport:
+    """The weight-lemma checks in ``_CHECKS`` order: a failing one reports
+    its first violation, and rank one skips the disjointness check."""
+    first: dict = {}
+    for name, detail in _violations(datum):
+        first.setdefault(name, detail)
+    checks = [LemmaCheck(name, name not in first, detail=first.get(name, ""))
+              for name in _CHECKS]
     if datum.type_label == "A" and datum.rank == 1:
-        add(LemmaCheck("interior-disjoint-from-extremes", True, skipped=True,
-                       detail="not asserted in rank one"))
-    else:
-        ok, detail = True, ""
-        for eps in (0, 1):
-            y_prime, y_dprime, y_eps = sets[eps]
-            if y_eps & y_prime:
-                ok, detail = False, f"eps={eps}: interior meets fundamental set"
-            if y_eps & y_dprime:
-                ok, detail = False, f"eps={eps}: interior meets w0-translate set"
-        add(LemmaCheck("interior-disjoint-from-extremes", ok, detail=detail))
-
-    return report
+        checks[-1] = LemmaCheck(_CHECKS[-1], True, skipped=True,
+                                detail="not asserted in rank one")
+    return VerificationReport(f"{datum.type_label}{datum.rank}", checks)

@@ -174,6 +174,23 @@ def test_weights_report_is_unchanged_from_one_walk(capsys, monkeypatch, argv,
     assert hashlib.sha256(values).hexdigest() == digest
 
 
+def test_verify_lemmas_negative_verdict_exits_one(capsys, monkeypatch):
+    real = root_data._families
+
+    def off_w0_translates(datum, eps):
+        cw, sets, mixed = real(datum, eps)
+        cw.gamma[1] = root_data.Weight((0, 0, 0))
+        return cw, sets, mixed
+
+    monkeypatch.setattr(root_data, "_families", off_w0_translates)
+    code, report, _ = run_json(capsys, "verify-lemmas", "--type", "A3")
+    assert code == 1 and report["member"] is False
+    failed = [c for c in report["values"]["checks"]["A3"] if not c["passed"]]
+    assert {"name": "chart-weight-classification", "passed": False,
+            "skipped": False,
+            "detail": "eps=0, gamma[1] not a w0-translate"} in failed
+
+
 def test_verify_all_small_types(capsys):
     code, report, _ = run_json(capsys, "verify-lemmas", "--all-small-types")
     assert code == 0

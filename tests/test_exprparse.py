@@ -56,6 +56,9 @@ def test_parse_errors_carry_position():
         parse_expression("w(1,2)", UV)
     with pytest.raises(ParseError, match="out of bounds"):
         parse_expression("u(1,9)", UV)
+    # a bare stem has no index to be out of bounds
+    with pytest.raises(ParseError, match=r"unknown variable 'u' \(at position 4\)"):
+        parse_expression("1 + u", UV)
     with pytest.raises(ParseError, match="unexpected character"):
         parse_expression("u(1,2) $ 3", UV)
     with pytest.raises(ParseError):

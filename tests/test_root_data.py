@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from bircharts import root_data
 from bircharts import (Weight, cartan, chart_weights, distinguished_word,
                        is_reduced, length, longest_element, minor_spec,
                        parse_type, verify_lemmas, weight_sets, weyl_apply,
@@ -240,11 +241,79 @@ def test_fundamental_orbit_index_and_errors():
         minor_spec(Weight((2, 0)), d)
 
 
-@pytest.mark.parametrize("label,rank", SMALL_TYPES + [("E", 6)])
+@pytest.mark.parametrize("label,rank", ALL_TYPES_UP_TO_RANK_8)
 def test_verify_lemmas_pass(label, rank):
     report = verify_lemmas(cartan(label, rank))
     failed = [c.name for c in report.checks if not (c.passed or c.skipped)]
     assert report.all_passed, failed
+
+
+_real_families = root_data._families
+
+
+def _edited(edit):
+    """root_data._families with ``edit(cw, mixed)`` applied to each fresh
+    result, for both words."""
+    def families(datum, eps):
+        cw, sets, mixed = _real_families(datum, eps)
+        edit(cw, mixed)
+        return cw, sets, mixed
+    return families
+
+
+def _off_w0_translates(*positions):
+    def edit(cw, mixed):
+        for k in positions:
+            cw.gamma[k] = Weight((0, 0, 0))
+    return edit
+
+
+def _escaping_mixed(cw, mixed):
+    mixed[1] = {j: Weight((0, 0, 0)) for j in mixed[1]}
+
+
+def _negative_stage(cw, mixed):
+    cw.stage[min(cw.stage)] = Weight((-1, -1, -1))
+
+
+def _fundamental_stage(cw, mixed):
+    cw.stage[min(cw.stage)] = Weight((1, 0, 0))
+
+
+def _repeated_stage(cw, mixed):
+    first, second = sorted(cw.stage)[:2]
+    cw.stage[second] = cw.stage[first]
+
+
+# A3: each replacement breaks the named check (others may break as well)
+_INJECTED = [
+    ("bipartite-blocks-additive-length", "class_word", lambda datum, parity: ()),
+    ("chart-weight-classification", "_families", _edited(_off_w0_translates(2))),
+    ("noncommuting-pair-weights", "_families", _edited(_escaping_mixed)),
+    ("pairing-nonneg-on-first-class", "_families", _edited(_negative_stage)),
+    ("pairing-negative-on-second-class", "_families", _edited(_fundamental_stage)),
+    ("interior-weights-distinct", "_families", _edited(_repeated_stage)),
+    ("interior-weight-count", "_families", _edited(_repeated_stage)),
+    ("interior-disjoint-from-extremes", "_families", _edited(_fundamental_stage)),
+]
+
+
+@pytest.mark.parametrize("check, target, replacement", _INJECTED,
+                         ids=[case[0] for case in _INJECTED])
+def test_each_lemma_check_can_fail(monkeypatch, check, target, replacement):
+    monkeypatch.setattr(root_data, target, replacement)
+    report = verify_lemmas(cartan("A", 3))
+    assert not report.all_passed
+    failed = report.check(check)
+    assert not failed.passed and not failed.skipped
+    assert failed.detail.startswith("eps=0")
+
+
+def test_a_failing_check_reports_its_first_violation(monkeypatch):
+    monkeypatch.setattr(root_data, "_families", _edited(_off_w0_translates(1, 2)))
+    check = verify_lemmas(cartan("A", 3)).check("chart-weight-classification")
+    assert not check.passed
+    assert check.detail == "eps=0, gamma[1] not a w0-translate"
 
 
 def test_verify_lemmas_a1_skips_disjointness():
