@@ -46,7 +46,8 @@ looking inside them: the parser takes each variable's key from the table
 ``_keys``, and ``membership`` its vector fields from ``_derivation``.
 
 There is one exact division and one content routine, on term dicts,
-shared by ``poly_exact_div``, the canonical scaling and the heuristic gcd.
+shared by ``poly_exact_div``, the canonical scaling, ``poly_gcd``'s
+divisor test and the heuristic gcd.
 The division takes the remainder's terms off a heap in descending
 graded-lex order, so no term is looked at twice.
 
@@ -54,12 +55,13 @@ graded-lex order, so no term is looked at twice.
 the terms with one power cache per variable, in the arithmetic the values
 call for.  When every value has a single-term denominator c_i * x^m_i (a
 constant is the case m_i = 0), each is divided by c_i and the sum is
-taken on raw term dicts: one product loop, each term added in place to
-one accumulator with the monomial that shifts it up to one common
-denominator x^top, and one canonical pass and one normalization at the
-end; each term's degree is checked before its products, so no key
-carries.  When some denominator has two or more terms, the sum is taken
-with canonical ``RatFunc`` arithmetic.  Both are needed: polynomial
+taken on raw term dicts: one product loop, each term's product started
+from the monomial that shifts it up to one common denominator x^top and
+its last power multiplied straight into one accumulator, and one
+canonical pass and one normalization at the end; each term's degree is
+checked before its products, so no key carries.  When some denominator
+has two or more terms, the sum is taken with canonical ``RatFunc``
+arithmetic.  Both are needed: polynomial
 arithmetic on rational values clears ever larger common denominators (the
 test suite ran past ten minutes), and canonical arithmetic on polynomial
 values pays gcds at every step (dense pullbacks ran at under a quarter of
@@ -984,7 +986,9 @@ def poly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
 
     gcd(p, 0) is the normalized associate of p; gcd of two nonzero constants
     is 1 (constants are units over Q).  Coprime inputs are recognised by the
-    certificate above before any gcd is computed.
+    certificate above before any gcd is computed, and an input that divides
+    the other by one exact division of the primitive parts, before the
+    heuristic.
     """
     p, q = p._pair(q)
     if p.is_zero:
@@ -1005,10 +1009,17 @@ def poly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
         if _certified_coprime(pp, qp):
             core = MultiPoly.one(p.vars)
         else:
-            try:
-                core = _heu_gcd(pp, qp)
-            except _HeuristicFailed:
-                core = _gcd_core(p0, q0)
+            # only the one with the smaller leading term can divide the
+            # other, and a primitive divisor over Q divides over Z (Gauss)
+            if max(pp.terms) < max(qp.terms):
+                pp, qp = qp, pp
+            if _quotient(pp.terms, qp.terms, _int_div) is not None:
+                core = qp
+            else:
+                try:
+                    core = _heu_gcd(pp, qp)
+                except _HeuristicFailed:
+                    core = _gcd_core(p0, q0)
     if shared:
         core = core * MultiPoly._make(p.vars, {shared: 1})
     return _primitive_positive(core)
@@ -1275,23 +1286,28 @@ def _evaluate(p: MultiPoly, values: Sequence, one, mul, start, add, total):
     c * x^e of p, where key is the packed e.
 
     The caller's arithmetic: ``one`` is the unit, ``mul`` multiplies two
-    values and ``add(t, s, total)`` returns total + s * t, for the product
-    t of a term's powers and its start s; ``total`` starts the sum.  Each
-    variable keeps one cache of its powers.
+    values and ``add(t, f, total)`` returns total + t * f; ``total``
+    starts the sum.  Each term's product starts from its start value and
+    takes its powers in order, all but the last by ``mul``; the last power
+    (``one`` for a constant term) goes to ``add``, so the term's full
+    product is never built on its own.  Each variable keeps one cache of
+    its powers.
     """
     width = len(p.vars)
     powers = [[one, v] for v in values]
     for key in sorted(p.terms):
         e = _unpack(key, width)
-        s = start(p.terms[key], key, e)
-        t = one
+        t = start(p.terms[key], key, e)
+        f = one
         for i in compress(range(width), e):
             k = e[i]
             cache = powers[i]
             while len(cache) <= k:
                 cache.append(mul(cache[-1], values[i]))
-            t = cache[k] if t is one else mul(t, cache[k])
-        total = add(t, s, total)
+            if f is not one:
+                t = mul(t, f)
+            f = cache[k]
+        total = add(t, f, total)
     return total
 
 
@@ -1385,7 +1401,7 @@ def substitute(f: RatFunc,
     else:
         one, zero = RatFunc.const(tvars, 1), RatFunc.const(tvars, 0)
         num, den = (_evaluate(g, values, one, mul, lambda c, key, e: c,
-                              lambda t, c, total: total + t * c, zero)
+                              lambda t, f, total: total + t * f, zero)
                     for g in (f.num, f.den))
     if den.is_zero:
         raise PoleError("pullback undefined: chart lies in pole locus")

@@ -15,7 +15,7 @@ vectors rather than assumed:
 * ``weyl_apply((i1, ..., ik), w)`` computes s_{i1}(s_{i2}(... s_{ik}(w))),
   i.e. the rightmost letter acts first.  The suffix weights of a chart
   word come from one backward walk over the images of the fundamental
-  weights (``_families``).
+  weights, and its stage weights from one forward walk (``_families``).
 """
 
 from __future__ import annotations
@@ -328,6 +328,16 @@ class ChartWeights(NamedTuple):
     blocks: tuple
 
 
+def _right_reflect(cols: list, i: int, datum: CartanDatum) -> tuple:
+    """Replace the columns of w by those of w s_{i+1}, in place, and return
+    the one that changed: column i loses the alpha_{i+1}-combination."""
+    col = cols[i]
+    for j, a in datum._alpha[i]:
+        col = tuple(x - a * y for x, y in zip(col, cols[j]))
+    cols[i] = col
+    return col
+
+
 def _families(datum: CartanDatum, eps: int):
     """(chart weights, weight sets, mixed) for the bipartite word of eps.
 
@@ -336,7 +346,10 @@ def _families(datum: CartanDatum, eps: int):
     suffix from k, and right multiplication by s_i changes column i only,
     which loses the alpha_i-combination of the columns.  mixed[k] maps each
     letter that does not commute with the letter at k (a Dynkin neighbour)
-    to its column.
+    to its column.  The stage weights come from one forward walk with the
+    same column update: stage (l, i) is column i of the stage prefix times
+    s_i, and the nodes of one block commute, so each of them moves only
+    its own column.
     """
     jj = distinguished_word(datum, eps)
     r, ks = datum.rank, range(1, len(jj) + 1)
@@ -344,22 +357,17 @@ def _families(datum: CartanDatum, eps: int):
     cols = [tuple(int(a == b) for a in range(r)) for b in range(r)]
     for k in reversed(ks):
         i = jj[k - 1] - 1
-        col = cols[i]
-        gamma_tilde[k] = Weight(col)
-        for j, a in datum._alpha[i]:
-            col = tuple(x - a * y for x, y in zip(col, cols[j]))
-        cols[i] = col
-        gamma[k] = Weight(col)
+        gamma_tilde[k] = Weight(cols[i])
+        gamma[k] = Weight(_right_reflect(cols, i, datum))
         mixed[k] = {j + 1: Weight(cols[j]) for j, _ in datum._alpha[i] if j != i}
     # the whole word is reduced for w0, so the last columns are its images
     w0_images = frozenset(Weight(c) for c in cols)
 
-    stage, prefix = {}, []
+    stage = {}
+    pcols = [tuple(int(a == b) for a in range(r)) for b in range(r)]
     for l in range(1, datum.h - 1):
-        nodes = datum.class_nodes(eps + datum.h - l)
-        for i in nodes:
-            stage[(l, i)] = weyl_apply(prefix + [i], datum.fundamental_weight(i), datum)
-        prefix.extend(nodes)
+        for i in datum.class_nodes(eps + datum.h - l):
+            stage[(l, i)] = Weight(_right_reflect(pcols, i - 1, datum))
 
     blocks = []
     pos = 1

@@ -7,7 +7,7 @@ from fractions import Fraction
 from math import isqrt
 
 from bircharts import (GroupMatrix, MultiPoly, RatFunc, cartan,
-                       distinguished_word, lift, substitute)
+                       distinguished_word, lift, substitute, u_variables)
 
 
 def random_poly(rng: random.Random, vars, max_deg=2, max_terms=3,
@@ -46,6 +46,30 @@ def reference_substitute(f: RatFunc, values, universe) -> RatFunc:
         return total
 
     return evaluate(f.num) / evaluate(f.den)
+
+
+def dense_u_inputs(seed: int, n: int, count: int) -> list:
+    """Seeded dense functions on the unipotent group of SL_n, cycling
+    through p, (p*q)/q and q/(q*p).  Every term of p and q raises every
+    u-entry to a power: up to 2 (p) or 1 (q) on the first superdiagonal,
+    up to 1 above it; each has a nonzero constant term."""
+    rng = random.Random(f"dense-u/{seed}/{n}")
+    names = u_variables(n)
+    dists = [j - i for i in range(1, n) for j in range(i + 1, n + 1)]
+
+    def dense(terms, top):
+        exps = {}
+        for _ in range(terms):
+            e = tuple(rng.randint(0, top if d == 1 else 1) for d in dists)
+            exps[e] = rng.choice((-1, 1)) * rng.randint(1, 5)
+        exps[(0,) * len(names)] = rng.randint(1, 3)
+        return RatFunc(MultiPoly(names, exps))
+
+    inputs = []
+    for k in range(count):
+        p, q = dense(3, 2), dense(2, 1)
+        inputs.append((p, p * q / q, q / (q * p))[k % 3])
+    return inputs
 
 
 def divide_univariate(num, den):

@@ -148,6 +148,19 @@ def test_poly_gcd_fractional_coefficients():
     assert poly_gcd(p, q) == x + y
 
 
+def test_gcd_of_coprime_multiples_of_a_factor_reaches_the_heuristic(monkeypatch):
+    # neither p*r nor q*r divides the other, so the trial division fails
+    # and the heuristic gcd finds r
+    x, y = _x(), _y()
+    r = x * y + 3 * y + 1
+    calls = []
+    real = exact_arith._heu_gcd
+    monkeypatch.setattr(exact_arith, "_heu_gcd",
+                        lambda p, q: calls.append(1) or real(p, q))
+    assert poly_gcd((x + 2 * y) * r, (y - 3) * r) == r
+    assert len(calls) == 1
+
+
 def test_pow_negative_exponent():
     x = RatFunc(_x())
     assert x ** -2 == (x * x).inv()
@@ -347,6 +360,32 @@ def test_monomial_pullbacks_normalize_once(monkeypatch):
         calls.clear()
         substitute(phi, _sl3_pullback(matrix))
         assert len(calls) == 1
+
+
+def test_a_term_product_is_added_into_the_sum_by_its_last_factor(monkeypatch):
+    # each term of f has two or more factors; its product is never built
+    # on its own, with or without its coefficient, to be added afterwards
+    a, b = _ab()
+    x, y = RatFunc(_x()), RatFunc(_y())
+    f = 3 * x * y ** 2 - 2 * x ** 2 * y
+    values = {"x": a + 2 * b + 1, "y": a * b - b + 2}
+    P = {v: val.num for v, val in values.items()}
+    whole = []
+    for e, c in f.num.exponents().items():
+        powers = P["x"] ** e[0] * P["y"] ** e[1]
+        whole += [powers.terms, powers.scale(c).terms]
+    want = reference_substitute(f, [values["x"], values["y"]], AB)
+    seen = []
+    real = exact_arith._mul_terms
+
+    def spy(at, bt, out=None):
+        # raw products may hold cancelled terms
+        seen.extend({e: c for e, c in t.items() if c} for t in (at, bt))
+        return real(at, bt, out)
+
+    monkeypatch.setattr(exact_arith, "_mul_terms", spy)
+    assert substitute(f, values) == want
+    assert seen and not any(t in whole for t in seen)
 
 
 def test_substitute_through_sl3_quotient_and_group_charts():

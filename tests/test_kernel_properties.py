@@ -35,6 +35,7 @@ from helpers import (enumerate_weyl_group, matrix_apply,  # noqa: E402
                      weyl_matrix)
 
 XY = ("x", "y")
+XYZ = ("x", "y", "z")
 AB = ("a", "b")
 ST = ("s", "t")
 
@@ -177,11 +178,34 @@ substituted = st.one_of(
     ratfuncs(AB, max_deg=1, max_terms=2))
 
 
-@SETTINGS
-@given(ratfuncs(XY, max_deg=3, max_terms=3), st.tuples(substituted, substituted))
-def test_substitute_matches_term_by_term_reference(f, vals):
+# every term of these but the constant one has three or more variable
+# factors; monomial denominators take the raw branch of substitute, a
+# denominator of two terms the RatFunc one
+full_exps = st.tuples(*[st.integers(1, 2)] * 3)
+full_polys = st.builds(
+    lambda c, t: MultiPoly(XYZ, {(0, 0, 0): c, **t}),
+    int_coeffs.filter(bool),
+    st.dictionaries(full_exps, int_coeffs.filter(bool), min_size=1, max_size=3))
+monomial_dens = st.builds(RatFunc, polys(AB, max_deg=1, max_terms=3),
+                          single_terms(AB, int_coeffs))
+two_term_dens = st.builds(
+    lambda p, e, c, k: RatFunc(p, MultiPoly(AB, {e: c, (0, 0): k})),
+    polys(AB, max_deg=1, max_terms=2), st.sampled_from([(1, 0), (0, 1), (1, 1)]),
+    int_coeffs.filter(bool), int_coeffs.filter(bool)).filter(
+    lambda f: len(f.den.terms) == 2)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(st.one_of(
+    st.tuples(ratfuncs(XY, max_deg=3, max_terms=3),
+              st.tuples(substituted, substituted)),
+    st.tuples(st.builds(RatFunc, full_polys, full_polys),
+              st.one_of(st.tuples(monomial_dens, monomial_dens, monomial_dens),
+                        st.tuples(two_term_dens, substituted, substituted)))))
+def test_substitute_matches_term_by_term_reference(case):
+    f, vals = case
     try:
-        got = substitute(f, dict(zip(XY, vals)))
+        got = substitute(f, dict(zip(f.universe, vals)))
     except PoleError:
         with pytest.raises(ZeroDivisionError):
             reference_substitute(f, vals, AB)
@@ -245,9 +269,6 @@ def test_subresultant_route_is_canonical_and_agrees(p, q, common):
     assert exact_arith._primitive_positive(g) == poly_gcd(a, b)
 
 
-XYZ = ("x", "y", "z")
-
-
 @SETTINGS
 @given(nonzero_polys(XYZ, max_terms=3), nonzero_polys(XYZ, max_terms=3),
        nonzero_polys(XYZ, max_deg=1).filter(lambda r: not r.is_const))
@@ -273,6 +294,24 @@ def test_certified_coprime_agrees_with_gcd_core(p, q, common):
     coprime = exact_arith._gcd_core(a, b).is_const
     assert exact_arith._certified_coprime(a, b) == coprime
     assert poly_gcd(a, b).is_one == coprime
+
+
+def _no_heuristic(p, q):
+    raise AssertionError("the heuristic gcd ran")
+
+
+@SETTINGS
+@given(nonzero_polys(XYZ, max_terms=3), nonzero_polys(XYZ, max_terms=3))
+def test_gcd_of_a_multiple_is_its_divisor_without_the_heuristic(p, q):
+    a = exact_arith._shift_down(p * q, exact_arith._monomial_content(p * q))
+    b = exact_arith._shift_down(q, exact_arith._monomial_content(q))
+    core = exact_arith._primitive_positive(exact_arith._gcd_core(a, b))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exact_arith, "_heu_gcd", _no_heuristic)
+        for g in (poly_gcd(p * q, q), poly_gcd(q, p * q)):
+            assert_canonical(g)
+            assert g == exact_arith._primitive_positive(q)
+        assert poly_gcd(a, b) == core
 
 
 def _divides_term(d: MultiPoly, r: MultiPoly) -> bool:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -17,7 +18,7 @@ from bircharts import (Certificate, ChartId, GroupMatrix, RatFunc, TorusPoint, U
                        transition, u_variables, weight_sets)
 from bircharts.sl_realization import _det
 
-from helpers import (SL4_INVERSION_EXPRS, random_poly,
+from helpers import (SL4_INVERSION_EXPRS, dense_u_inputs, random_poly,
                      reference_check_invariance)
 
 
@@ -47,6 +48,20 @@ def test_pullback_U_goldens():
     got1 = pullback_U(u["u24"], 1, 4)
     assert got1 == RatFunc.var(b, "b3") * RatFunc.var(b, "b5")
     assert pullback_U(RatFunc.const(names, 1), 0, 4) == 1
+
+
+def test_dense_pullbacks_print_as_recorded():
+    # sha256 of each dense sl4 and sl5 input and its pullbacks along both
+    # U charts, as printed, recorded before pullbacks accumulated each term
+    # in its last product and before poly_gcd tried a divisor first
+    digest = hashlib.sha256()
+    for n, count in ((4, 12), (5, 6)):
+        for phi in dense_u_inputs(1, n, count):
+            digest.update(f"{phi}\n".encode())
+            for eps in (0, 1):
+                digest.update(f"{pullback_U(phi, eps, n)}\n".encode())
+    assert digest.hexdigest() == (
+        "423ad6c04157859a5c37911e5c2bd652ec7cf7fb4f261054cbf4546aed4e3645")
 
 
 def test_decide_O_U_accepts_polynomials():

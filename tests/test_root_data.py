@@ -188,6 +188,22 @@ def test_chart_weights_boundary_positions():
             assert cw.gamma[k] in y_dprime
 
 
+@pytest.mark.parametrize("label,rank", [("A", 5), ("B", 4), ("C", 3),
+                                        ("D", 5), ("E", 6), ("F", 4), ("G", 2)])
+def test_stage_weights_apply_the_stage_prefix_and_one_reflection(label, rank):
+    # stage (l, i): l - 1 whole blocks of the word read from its end, then
+    # s_i, applied to the fundamental weight at i, letter by letter
+    d = cartan(label, rank)
+    for eps in (0, 1):
+        want, prefix = {}, []
+        for l in range(1, d.h - 1):
+            nodes = d.class_nodes(eps + d.h - l)
+            for i in nodes:
+                want[(l, i)] = weyl_apply(prefix + [i], d.fundamental_weight(i), d)
+            prefix.extend(nodes)
+        assert chart_weights(d, eps).stage == want
+
+
 def test_weight_sets_sizes():
     d3 = cartan("A", 3)
     for eps in (0, 1):
