@@ -46,10 +46,17 @@ looking inside them: the parser takes each variable's key from the table
 ``_keys``, and ``membership`` its vector fields from ``_derivation``.
 
 There is one exact division and one content routine, on term dicts,
-shared by ``poly_exact_div``, the canonical scaling, ``poly_gcd``'s
-divisor test and the heuristic gcd.
+shared by ``poly_exact_div``, ``poly_gcd``'s divisor test and the
+heuristic gcd.
 The division takes the remainder's terms off a heap in descending
-graded-lex order, so no term is looked at twice.
+graded-lex order, so no term is looked at twice.  A single term c * x^a
+and a polynomial have the gcd x^m, with m the componentwise minimum of
+a and the polynomial's exponents (``_min_key``): ``poly_gcd`` answers it
+at once, and ``ratfunc_normalize`` shifts m out of a quotient with a
+one-term side without calling ``poly_gcd``.  The canonical scaling takes
+no primitive parts: it clears the denominators of both sides and divides
+them by one gcd of all their coefficients, so an integer polynomial over
+a monic monomial is kept as it is.
 
 ``substitute`` has one evaluator, which sums c * prod(v_i ** e_i) over
 the terms with one power cache per variable, in the arithmetic the values
@@ -58,14 +65,19 @@ constant is the case m_i = 0), each is divided by c_i and the sum is
 taken on raw term dicts: one product loop, each term's product started
 from the monomial that shifts it up to one common denominator x^top and
 its last power multiplied straight into one accumulator, and one
-canonical pass and one normalization at the end; each term's degree is
-checked before its products, so no key carries.  When some denominator
-has two or more terms, the sum is taken with canonical ``RatFunc``
-arithmetic.  Both are needed: polynomial
-arithmetic on rational values clears ever larger common denominators (the
-test suite ran past ten minutes), and canonical arithmetic on polynomial
-values pays gcds at every step (dense pullbacks ran at under a quarter of
-the speed).  What depends only on the values (their universe, each
+canonical pass and one normalization at the end; each term of f is
+decoded once, each value gets its power table at its first use, and the
+largest degree of a term is checked before any product, so no key
+carries.  The raw products of one pullback, power tables included, may
+form at most ``_TERM_BUDGET`` pairs of terms, counted before each
+product; past it ``Unsupported`` is raised.  The sum over x^top has a
+one-term side, and so normalizes without a gcd, unless both sides of f
+pull back to two or more terms.  When some denominator has two or more
+terms, the sum is taken with canonical ``RatFunc`` arithmetic.  Both are
+needed: polynomial arithmetic on rational values clears ever larger common
+denominators (the test suite ran past ten minutes), and canonical
+arithmetic on polynomial values pays gcds at every step (dense pullbacks
+ran at under a quarter of the speed).  What depends only on the values (their universe, each
 numerator divided by c_i, the shifts m_i and the degrees) is prepared
 once by ``prepare_substitution``: ``substitute`` takes such a
 ``Substitution`` as well as a mapping, which it prepares on every call.
@@ -89,6 +101,8 @@ from struct import Struct
 from typing import (Collection, Iterable, Mapping, NamedTuple, Optional,
                     Sequence)
 
+from .root_data import Unsupported
+
 
 class UniverseError(ValueError):
     """Two values over different (non-constant) variable universes were mixed."""
@@ -106,6 +120,9 @@ class DegreeLimitError(ValueError):
 _BITS = 16
 _FIELD = (1 << _BITS) - 1
 MAX_DEGREE = (1 << _BITS - 1) - 1
+
+# The pairs of terms that the raw products of one pullback may form.
+_TERM_BUDGET = 10 ** 6
 
 # ``_INT.issuperset(map(type, coefficients))`` tests in C that all are ints
 _INT = frozenset((int,))
@@ -985,10 +1002,11 @@ def poly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     """Greatest common divisor, integer-primitive with positive leading coeff.
 
     gcd(p, 0) is the normalized associate of p; gcd of two nonzero constants
-    is 1 (constants are units over Q).  Coprime inputs are recognised by the
-    certificate above before any gcd is computed, and an input that divides
-    the other by one exact division of the primitive parts, before the
-    heuristic.
+    is 1 (constants are units over Q).  A single term c * x^a and a
+    polynomial have the gcd x^m, read off their exponents.  Coprime inputs
+    are recognised by the certificate above before any gcd is computed,
+    and an input that divides the other by one exact division of the
+    primitive parts, before the heuristic.
     """
     p, q = p._pair(q)
     if p.is_zero:
@@ -997,29 +1015,32 @@ def poly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
         return _primitive_positive(p)
     if p.is_const or q.is_const:
         return MultiPoly.one(p.vars)
+    if len(p.terms) == 1 or len(q.terms) == 1:
+        # a term c * x^a and a polynomial share x^m, with m the
+        # componentwise minimum of a and the polynomial's exponents
+        m = _min_key((*p.terms, *q.terms), len(p.vars))
+        return MultiPoly._make(p.vars, {m: 1}) if m else MultiPoly.one(p.vars)
     mp = _monomial_content(p)
     mq = _monomial_content(q)
     shared = _min_key((mp, mq), len(p.vars))
+    # both have two or more terms, so neither shifted one is a constant
     p0 = _shift_down(p, mp)
     q0 = _shift_down(q, mq)
-    if p0.is_const or q0.is_const:
+    pp, qp = _primitive_positive(p0), _primitive_positive(q0)
+    if _certified_coprime(pp, qp):
         core = MultiPoly.one(p.vars)
     else:
-        pp, qp = _primitive_positive(p0), _primitive_positive(q0)
-        if _certified_coprime(pp, qp):
-            core = MultiPoly.one(p.vars)
+        # only the one with the smaller leading term can divide the
+        # other, and a primitive divisor over Q divides over Z (Gauss)
+        if max(pp.terms) < max(qp.terms):
+            pp, qp = qp, pp
+        if _quotient(pp.terms, qp.terms, _int_div) is not None:
+            core = qp
         else:
-            # only the one with the smaller leading term can divide the
-            # other, and a primitive divisor over Q divides over Z (Gauss)
-            if max(pp.terms) < max(qp.terms):
-                pp, qp = qp, pp
-            if _quotient(pp.terms, qp.terms, _int_div) is not None:
-                core = qp
-            else:
-                try:
-                    core = _heu_gcd(pp, qp)
-                except _HeuristicFailed:
-                    core = _gcd_core(p0, q0)
+            try:
+                core = _heu_gcd(pp, qp)
+            except _HeuristicFailed:
+                core = _gcd_core(p0, q0)
     if shared:
         core = core * MultiPoly._make(p.vars, {shared: 1})
     return _primitive_positive(core)
@@ -1233,34 +1254,56 @@ def _small_ratfunc(vs: tuple, c: int) -> RatFunc:
 
 
 def _canonical_scale(num: MultiPoly, den: MultiPoly) -> RatFunc:
-    """Canonical scaling of an already poly-coprime pair."""
+    """Canonical scaling of an already poly-coprime pair: both sides made
+    integer and divided by the gcd of all their coefficients, signed as
+    den's leading one.  Over a monic monomial (1 among them) an integer
+    num is kept as it is, whatever its content."""
     if num.is_zero:
         return RatFunc.const(num.vars, 0)
     if num.is_const and den.is_const:
         return RatFunc.const(num.vars, num.const_value / den.const_value)
-    # an integer polynomial over 1 is canonical whatever its content
-    if den.is_one and _INT.issuperset(map(type, num.terms.values())):
-        return RatFunc._raw(num, den)
-    cn, pn = _int_primitive(num)
-    cd, pd = _int_primitive(den)
-    ratio = _div(cn, cd)
-    return RatFunc._raw(pn.scale(ratio.numerator), pd.scale(ratio.denominator))
+    nt, dt = num.terms, den.terms
+    if not (_INT.issuperset(map(type, dt.values()))
+            and _INT.issuperset(map(type, nt.values()))):
+        k = _ilcm(*(c.denominator for c in (*nt.values(), *dt.values())
+                    if type(c) is not int))
+        nt = {e: int(c * k) for e, c in nt.items()}
+        dt = {e: int(c * k) for e, c in dt.items()}
+    g = _igcd(*dt.values())
+    if g != 1:
+        g = _igcd(g, *nt.values())
+    if dt[max(dt)] < 0:
+        g = -g
+    if g != 1:
+        nt = {e: c // g for e, c in nt.items()}
+        dt = {e: c // g for e, c in dt.items()}
+    return RatFunc._raw(
+        num if nt is num.terms else MultiPoly._make(num.vars, nt),
+        den if dt is den.terms else MultiPoly._make(den.vars, dt))
 
 
 def ratfunc_normalize(num: MultiPoly, den: MultiPoly) -> RatFunc:
-    """Canonical form of num/den; raises on a zero denominator."""
+    """Canonical form of num/den; raises on a zero denominator.  A side
+    of one term takes no ``poly_gcd``: the gcd is a monomial, read off
+    the exponents."""
     num, den = num._pair(den)
     if den.is_zero:
         raise ZeroDivisionError("division by zero polynomial")
     if not (num.is_const or den.is_const):
-        g = poly_gcd(num, den)
-        if g.is_monomial:
-            # g is primitive, so it is x^m: shift m out of both
-            m = next(iter(g.terms))
+        if len(num.terms) == 1 or len(den.terms) == 1:
+            # the gcd of a term c * x^a and a polynomial is x^m, with m the
+            # componentwise minimum of a and the polynomial's exponents
+            m = _min_key((*num.terms, *den.terms), len(num.vars))
             num, den = _shift_down(num, m), _shift_down(den, m)
         else:
-            num = poly_exact_div(num, g)
-            den = poly_exact_div(den, g)
+            g = poly_gcd(num, den)
+            if g.is_monomial:
+                # g is primitive, so it is x^m: shift m out of both
+                m = next(iter(g.terms))
+                num, den = _shift_down(num, m), _shift_down(den, m)
+            else:
+                num = poly_exact_div(num, g)
+                den = poly_exact_div(den, g)
     return _canonical_scale(num, den)
 
 
@@ -1273,35 +1316,32 @@ def is_laurent_in(f: RatFunc, names: Iterable[str]) -> bool:
     """True iff the canonical denominator is a monomial in variables from names."""
     if not f.den.is_monomial:
         return False
-    allowed = set(names)
-    exp = _unpack(next(iter(f.den.terms)), len(f.den.vars))
-    for name, k in zip(f.den.vars, exp):
-        if k and name not in allowed:
-            return False
-    return True
+    key = next(iter(f.den.terms))
+    # a constant denominator needs no look at the names
+    return not key or set(names).issuperset(
+        compress(f.den.vars, _unpack(key, len(f.den.vars))))
 
 
-def _evaluate(p: MultiPoly, values: Sequence, one, mul, start, add, total):
-    """Sum of start(c, key, e) * prod(values[i] ** e[i]) over the terms
-    c * x^e of p, where key is the packed e.
+def _evaluate(terms: Iterable[tuple], values: Sequence, powers: dict, one,
+              mul, add, total):
+    """Sum of t * prod(values[i] ** e[i]) over the pairs (t, e) of terms,
+    e an exponent tuple.
 
     The caller's arithmetic: ``one`` is the unit, ``mul`` multiplies two
     values and ``add(t, f, total)`` returns total + t * f; ``total``
-    starts the sum.  Each term's product starts from its start value and
-    takes its powers in order, all but the last by ``mul``; the last power
-    (``one`` for a constant term) goes to ``add``, so the term's full
-    product is never built on its own.  Each variable keeps one cache of
-    its powers.
+    starts the sum.  Each term's product starts from its t and takes its
+    powers in order, all but the last by ``mul``; the last power (``one``
+    for a constant term) goes to ``add``, so the term's full product is
+    never built on its own.  ``powers`` keeps the powers of each variable
+    from its first use on, and may be shared by calls on the same values.
     """
-    width = len(p.vars)
-    powers = [[one, v] for v in values]
-    for key in sorted(p.terms):
-        e = _unpack(key, width)
-        t = start(p.terms[key], key, e)
+    for t, e in terms:
         f = one
-        for i in compress(range(width), e):
+        for i in compress(range(len(e)), e):
             k = e[i]
-            cache = powers[i]
+            cache = powers.get(i)
+            if cache is None:
+                cache = powers[i] = [one, values[i]]
             while len(cache) <= k:
                 cache.append(mul(cache[-1], values[i]))
             if f is not one:
@@ -1315,9 +1355,10 @@ class Substitution(NamedTuple):
     """An assignment prepared for ``substitute``: one value per variable
     of the ``source`` universe, over the ``target`` universe.  ``shifts``
     and ``degrees`` are None when some value's denominator has two or more
-    terms; otherwise each value is its numerator divided by c_i, ``shifts``
-    lists (i, m_i) for the values whose denominator c_i * x^m_i is not a
-    constant, and ``degrees`` holds each value's total degree."""
+    terms; otherwise each value is the term dict of its numerator divided
+    by c_i, ``shifts`` holds the key of the m_i of each value's
+    denominator c_i * x^m_i (0 for a constant), and ``degrees`` each
+    value's total degree."""
 
     source: tuple
     target: tuple
@@ -1343,11 +1384,12 @@ def prepare_substitution(universe: Sequence[str],
     if any(len(val.den.terms) != 1 for val in values):
         return Substitution(tuple(universe), tvars, tuple(values), None, None)
     dens = [next(iter(val.den.terms.items())) for val in values]
-    nums = tuple(val.num.scale(_div(1, c)) for val, (_, c) in zip(values, dens))
+    nums = tuple(val.num.scale(_div(1, c)).terms
+                 for val, (_, c) in zip(values, dens))
     return Substitution(
         tuple(universe), tvars, nums,
-        tuple((i, m) for i, (m, _) in enumerate(dens) if m),
-        tuple(max(p.terms, default=0) >> _BITS * len(tvars) for p in nums))
+        tuple(m for m, _ in dens),
+        tuple(max(p, default=0) >> _BITS * len(tvars) for p in nums))
 
 
 def substitute(f: RatFunc,
@@ -1365,44 +1407,67 @@ def substitute(f: RatFunc,
         raise ValueError(f"substitution prepared for {sub.source}, "
                          f"not for {f.universe}")
     _, tvars, values, shifted, degrees = sub
-    if shifted is not None:
-        # values[i] = P_i / (c_i * x^m_i): each term c * x^e of f.num and
-        # f.den evaluates to c * prod P_i^e_i over x^w(e), w(e) = sum
-        # e_i * m_i, and is shifted up to the common denominator x^top
-        width, twidth = len(f.universe), len(tvars)
-        top_field = _BITS * twidth
-        weight = dict.fromkeys((*f.num.terms, *f.den.terms), 0)
-        top = 0
-        if shifted:
-            for e in weight:
-                ex = _unpack(e, width)
-                w = degree = 0
-                for i, m in shifted:
-                    if ex[i]:
-                        w += ex[i] * m
-                        degree += ex[i] * (m >> top_field)
-                # checked before w is used: past the limit it would carry
-                # out of its fields
-                _check_degree(degree)
-                weight[e] = w
-            top = _pack(tuple(map(max, zip(*(
-                _unpack(w, twidth) for w in weight.values())))))
-
-        def start(c, key, e):
-            # the term's exact degree, checked before its raw products
-            s = top - weight[key]
-            _check_degree((s >> top_field) + sum(map(mul, e, degrees)))
-            return {s: c}
-
-        terms = [v.terms for v in values]
-        num, den = (MultiPoly._make(tvars, _canon(_evaluate(
-            g, terms, {0: 1}, _mul_terms, start, _mul_terms, {})))
-            for g in (f.num, f.den))
-    else:
+    width = len(f.universe)
+    # every exponent key of f, decoded once
+    exps = {e: _unpack(e, width) for e in (*f.num.terms, *f.den.terms)}
+    # the powers of each value, shared by the numerator and the denominator
+    powers: dict = {}
+    if shifted is None:
         one, zero = RatFunc.const(tvars, 1), RatFunc.const(tvars, 0)
-        num, den = (_evaluate(g, values, one, mul, lambda c, key, e: c,
+        num, den = (_evaluate([(c, exps[e]) for e, c in sorted(g.terms.items())],
+                              values, powers, one, mul,
                               lambda t, f, total: total + t * f, zero)
                     for g in (f.num, f.den))
+        if den.is_zero:
+            raise PoleError("pullback undefined: chart lies in pole locus")
+        return num / den
+    # values[i] = P_i / (c_i * x^m_i): each term c * x^e of f.num and
+    # f.den evaluates to c * prod P_i^e_i over x^w(e), w(e) = sum e_i *
+    # m_i, and is shifted up to the common denominator x^top
+    top_field = _BITS * len(tvars)
+    top = 0
+    if any(shifted):
+        weight = {e: sum(map(mul, ex, shifted)) for e, ex in exps.items()}
+        # a lower field of w(e) can carry into the top one only once the
+        # degree of w(e) passes 2**16, so its top field passes the limit
+        # exactly when its degree does, and the largest w(e) has the
+        # largest top field; checked before any w(e) is decoded
+        _check_degree(max(weight.values()) >> top_field)
+        top = _pack(tuple(map(max, zip(*(
+            _unpack(w, len(tvars)) for w in set(weight.values()))))))
+    else:
+        weight = dict.fromkeys(exps, 0)
+    # each term's product has the degree of x^(top - w(e)) plus sum e_i *
+    # deg P_i, at most the degree of x^top plus that of f times the
+    # largest deg P_i; past that bound the largest is checked, before any
+    # product, so no key carries
+    if ((top >> top_field) + (max(exps) >> _BITS * width)
+            * max(degrees, default=0) > MAX_DEGREE):
+        _check_degree((top >> top_field) + max(
+            sum(map(mul, ex, degrees)) - (weight[e] >> top_field)
+            for e, ex in exps.items()))
+    spent = 0
+
+    def product(at: dict, bt: dict, out: Optional[dict] = None) -> dict:
+        # the raw products of one pullback form at most _TERM_BUDGET
+        # pairs of terms, counted before each product
+        nonlocal spent
+        spent += len(at) * len(bt)
+        if spent > _TERM_BUDGET:
+            raise Unsupported(
+                f"the pullback would multiply more than {_TERM_BUDGET} "
+                f"pairs of terms")
+        return _mul_terms(at, bt, out)
+
+    def pull_back(g: MultiPoly) -> MultiPoly:
+        if len(g.terms) == 1 and 0 in g.terms:
+            # a constant c pulls back to c * x^top
+            return MultiPoly._make(tvars, {top: g.terms[0]})
+        return MultiPoly._make(tvars, _canon(_evaluate(
+            [({top - weight[e]: c}, exps[e]) for e, c in sorted(g.terms.items())],
+            values, powers, {0: 1}, product, product, {})))
+
+    num, den = pull_back(f.num), pull_back(f.den)
     if den.is_zero:
         raise PoleError("pullback undefined: chart lies in pole locus")
-    return ratfunc_normalize(num, den) if shifted is not None else num / den
+    return ratfunc_normalize(num, den)

@@ -19,9 +19,13 @@ the distinguished words of sl_n, and only its prepared substitution (see
 ``substitute``.  The chart entries are polynomials over monomials in the
 torus coordinates, so a pullback is summed with polynomial arithmetic over
 one common monomial and needs no per-step gcd, only its one final
-normalization.  Held at once, the unipotent charts at sl3-sl7 and the
-quotient and full-group charts at sl3-sl5 take about 0.66 MB, of which
-the eight sl5 full-group charts, built last, take 0.30 MB (tracemalloc's
+normalization; that takes no gcd either when a side of the sum is one
+term, as it is for a polynomial input and for c/(polynomial), and one
+gcd when both sides have two or more.  A pullback whose raw products
+would form more pairs of terms than the kernel's budget raises
+``Unsupported``.  Held at once, the unipotent charts at sl3-sl7 and the
+quotient and full-group charts at sl3-sl5 take about 0.58 MB, of which
+the eight sl5 full-group charts, built last, take 0.27 MB (tracemalloc's
 current size after gc.collect(), before and after the builds).
 Above a measured size bound per space (``_MAX_N``) a decision raises
 ``Unsupported`` before any chart is built.

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import isqrt
+from functools import reduce
+from math import gcd, isqrt, lcm
 
 from bircharts import (GroupMatrix, MultiPoly, RatFunc, cartan,
-                       distinguished_word, lift, substitute, u_variables)
+                       distinguished_word, lift, poly_exact_div, poly_gcd,
+                       substitute, u_variables)
 
 
 def random_poly(rng: random.Random, vars, max_deg=2, max_terms=3,
@@ -46,6 +48,28 @@ def reference_substitute(f: RatFunc, values, universe) -> RatFunc:
         return total
 
     return evaluate(f.num) / evaluate(f.den)
+
+
+def normalize_by_gcd(num: MultiPoly, den: MultiPoly) -> tuple:
+    """The canonical (num, den) of num/den by the general route: both
+    divided by their ``poly_gcd``, then by their rational contents, whose
+    ratio in lowest terms is multiplied back, signed so that the
+    denominator's leading coefficient is positive."""
+    g = poly_gcd(num, den)
+    num, den = poly_exact_div(num, g), poly_exact_div(den, g)
+    if num.is_zero:
+        return MultiPoly.zero(num.vars), MultiPoly.one(num.vars)
+
+    def content(p):
+        cs = [Fraction(c) for c in p.exponents().values()]
+        return Fraction(reduce(gcd, (c.numerator for c in cs), 0),
+                        reduce(lcm, (c.denominator for c in cs), 1))
+
+    cn, cd = content(num), content(den)
+    ratio = cn / cd
+    sign = 1 if den.leading_coeff() > 0 else -1
+    return (num.scale(sign * ratio.numerator / cn),
+            den.scale(sign * ratio.denominator / cd))
 
 
 def dense_u_inputs(seed: int, n: int, count: int) -> list:

@@ -342,6 +342,18 @@ def test_degree_above_the_limit_is_a_usage_error(capsys):
     assert time.monotonic() - started < 5
 
 
+def test_a_pullback_past_the_term_budget_is_unsupported(capsys):
+    # the pullback (a1 + a2 + a3)^1000 has 501,501 terms; the power table
+    # of u(2,3) -> a1 + a3 alone passes the budget, and the run stops there
+    started = time.monotonic()
+    code, out, err = run(capsys, "membership", "u", "--group", "sl3",
+                         "--expr", "(u(1,2)+u(2,3))^1000")
+    assert code == 3 and out == ""
+    assert err.startswith("error: unsupported: the pullback would multiply "
+                          "more than 1000000 pairs of terms")
+    assert time.monotonic() - started < 5
+
+
 def test_long_literal_is_a_usage_error(capsys):
     code, out, err = run(capsys, "membership", "u", "--group", "sl4",
                          "--expr", "u(1,2) + " + "1" * 5000)

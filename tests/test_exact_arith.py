@@ -8,8 +8,8 @@ from fractions import Fraction
 import pytest
 
 from bircharts import (ChartId, DegreeLimitError, MultiPoly, PoleError,
-                       RatFunc, UniverseError, exact_arith, g_variables,
-                       is_laurent_in, is_polynomial, membership,
+                       RatFunc, UniverseError, Unsupported, exact_arith,
+                       g_variables, is_laurent_in, is_polynomial, membership,
                        poly_exact_div, poly_gcd, ratfunc_normalize, substitute)
 
 from helpers import (divide_univariate, random_nonzero_poly, random_poly,
@@ -342,6 +342,15 @@ def _sl3_right_minor_functions():
             cols23[0] * cols23[1], 3 / col3[1], Fraction(-1, 2) / cols23[1]]
 
 
+def _sl3_two_sided_quotient():
+    """A quotient of right minors whose pullbacks along the sl3 quotient
+    charts have two or more terms on each side."""
+    names = g_variables(3)
+    g = {v: RatFunc.var(names, v) for v in names}
+    det23 = g["g12"] * g["g23"] - g["g13"] * g["g22"]
+    return (g["g13"] * g["g23"] + 1) / (det23 + 2)
+
+
 def _sl3_pullback(matrix):
     """The assignment g_ij -> entry (i, j) of a 3x3 chart matrix."""
     return {f"g{i}{j}": matrix.entry(i, j)
@@ -349,8 +358,9 @@ def _sl3_pullback(matrix):
 
 
 def test_monomial_pullbacks_normalize_once(monkeypatch):
-    # the polynomial branch pays one gcd, in the final normalization; the
-    # RatFunc branch would pay gcds at every product and sum
+    # the polynomial branch normalizes once, at the end; the RatFunc branch
+    # would pay gcds at every product and sum.  A pullback with a side of
+    # one term c * x^m needs no gcd at all, one with two longer sides one
     calls = []
     real_gcd = exact_arith.poly_gcd
     monkeypatch.setattr(exact_arith, "poly_gcd",
@@ -358,8 +368,14 @@ def test_monomial_pullbacks_normalize_once(monkeypatch):
     matrix = membership._chart(ChartId("GmodU", 0, sign="+"), 3)
     for phi in _sl3_right_minor_functions():
         calls.clear()
-        substitute(phi, _sl3_pullback(matrix))
-        assert len(calls) == 1
+        got = substitute(phi, _sl3_pullback(matrix))
+        assert 1 in (len(got.num.terms), len(got.den.terms))
+        assert len(calls) == 0
+    phi = _sl3_two_sided_quotient()
+    calls.clear()
+    got = substitute(phi, _sl3_pullback(matrix))
+    assert len(got.num.terms) > 1 and len(got.den.terms) > 1
+    assert len(calls) == 1
 
 
 def test_a_term_product_is_added_into_the_sum_by_its_last_factor(monkeypatch):
@@ -502,6 +518,36 @@ def test_pullback_degree_limit_is_checked_per_term():
     assert got.den.exponents() == {(16000,): 1}
 
 
+def test_pullback_term_budget_is_checked_before_each_product(monkeypatch):
+    # the raw products of one pullback, power tables included, may form at
+    # most _TERM_BUDGET pairs of terms; the product that would pass it is
+    # refused before it runs, as unsupported
+    x, w = (RatFunc.var(("x", "w"), v) for v in ("x", "w"))
+    a, b = _ab()
+    # a polynomial over a monomial denominator normalizes without products
+    phi = (x + w) ** 3 * x - 2
+    values = {"x": a + b, "w": (a - 1) / b}
+    pairs = []
+    real = exact_arith._mul_terms
+
+    def spy(at, bt, out=None):
+        pairs.append(len(at) * len(bt))
+        return real(at, bt, out)
+
+    monkeypatch.setattr(exact_arith, "_mul_terms", spy)
+    want = substitute(phi, values)
+    ran = list(pairs)
+    assert want == reference_substitute(phi, [values["x"], values["w"]], AB)
+    monkeypatch.setattr(exact_arith, "_TERM_BUDGET", sum(ran))
+    assert substitute(phi, values) == want
+    monkeypatch.setattr(exact_arith, "_TERM_BUDGET", sum(ran) - 1)
+    pairs.clear()
+    with pytest.raises(Unsupported, match=f"more than {sum(ran) - 1} pairs"):
+        substitute(phi, values)
+    # every product but the last ran
+    assert pairs == ran[:-1]
+
+
 def _scale_by_contents(num, den):
     """Canonical scaling by the content round-trip: both sides divided by
     their contents, the ratio of the contents multiplied back."""
@@ -517,6 +563,12 @@ def test_canonical_scale_keeps_an_integer_polynomial_over_one():
     f = exact_arith._canonical_scale(num, one)
     assert f.num is num and f.den is one and str(f) == "-2*x - 4"
     assert (f.num, f.den) == _scale_by_contents(num, one)
+    # and so is one over a monic monomial, the common denominator of a
+    # chart pullback
+    mono = _x() * _y() ** 2
+    f = exact_arith._canonical_scale(num, mono)
+    assert f.num is num and f.den is mono
+    assert (f.num, f.den) == _scale_by_contents(num, mono)
     # Fraction coefficients are still scaled: x/2 is x over 2
     half = _x().scale(Fraction(1, 2))
     g = exact_arith._canonical_scale(half, one)

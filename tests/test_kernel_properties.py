@@ -31,8 +31,8 @@ from bircharts import (MultiPoly, PoleError, RatFunc, TorusPoint,  # noqa: E402
                        weyl_apply, weyl_from_word)
 
 from helpers import (enumerate_weyl_group, matrix_apply,  # noqa: E402
-                     matrix_lengths, matrix_product, reference_substitute,
-                     weyl_matrix)
+                     matrix_lengths, matrix_product, normalize_by_gcd,
+                     reference_substitute, weyl_matrix)
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
@@ -126,6 +126,26 @@ def test_normalize_is_idempotent(f):
     again = ratfunc_normalize(f.num, f.den)
     assert again == f
     assert again.num.terms == f.num.terms and again.den.terms == f.den.terms
+
+
+nonzero_coeffs = coeffs.filter(bool)
+
+
+@SETTINGS
+@given(nonzero_coeffs, st.tuples(*[st.integers(0, 2)] * 3),
+       nonzero_polys(XYZ, max_terms=5),
+       nonzero_coeffs, st.tuples(*[st.integers(0, 2)] * 3), st.booleans())
+def test_a_monomial_side_normalizes_as_by_the_gcd(c, e, p, k, shared, first):
+    # num or den a single term c * x^e: its gcd with the other side is a
+    # monomial, found without poly_gcd; the shared factor k * x^shared
+    # gives both sides a common monomial and a common content
+    common = MultiPoly(XYZ, {shared: k})
+    term = MultiPoly(XYZ, {e: c}) * common
+    other = p * common
+    num, den = (term, other) if first else (other, term)
+    got = ratfunc_normalize(num, den)
+    assert (got.num, got.den) == normalize_by_gcd(num, den)
+    assert_canonical_ratfunc(got)
 
 
 @SETTINGS

@@ -64,6 +64,41 @@ def test_dense_pullbacks_print_as_recorded():
         "423ad6c04157859a5c37911e5c2bd652ec7cf7fb4f261054cbf4546aed4e3645")
 
 
+def _torus_chart_inputs(n):
+    """Seeded inputs on G/U- (sums, products and quotients of right column
+    minors, see ``_right_column_minors``) and on G (products of entries
+    and their sums, quotients and reciprocals) at sl_n."""
+    names, g, minors = _right_column_minors(n)
+    rng = random.Random(f"torus-charts/{n}")
+    one = RatFunc.const(names, 1)
+    quotient, group = [], []
+    for _ in range(3):
+        m1, m2, m3 = (rng.choice(minors[:-1]) for _ in range(3))
+        c = rng.randint(1, 5)
+        quotient += [c * m1 + m2 * m3 - c, m1 * m2, c / m1,
+                     (m1 + c * one) / (m2 * m3 - c * one)]
+        p, q = (sum((rng.randint(-4, 4) or 1) * g[rng.choice(names)]
+                    * g[rng.choice(names)] for _ in range(3)) for _ in range(2))
+        group += [p + c, p * q, c / q, (p + c) / (q - c)]
+    return quotient, group
+
+
+def test_torus_chart_pullbacks_print_as_recorded():
+    # sha256 of each G/U- and G input at sl3 and sl4 and of its pullbacks
+    # along every chart of its space, as printed, recorded before a
+    # pullback with a one-term side normalized without a gcd
+    digest = hashlib.sha256()
+    for n in (3, 4):
+        quotient, group = _torus_chart_inputs(n)
+        for decide, inputs in ((decide_O_GmodU, quotient), (decide_O_G, group)):
+            for phi in inputs:
+                digest.update(f"{phi}\n".encode())
+                for cert in decide(phi, n).certificates:
+                    digest.update(f"{cert.chart} {cert.ok} {cert.pullback}\n".encode())
+    assert digest.hexdigest() == (
+        "91161ff2dcaa862f3e3346bab888e1542c8ce087bb71aaa632efe223b5a7e8ad")
+
+
 def test_decide_O_U_accepts_polynomials():
     names, u = _uvars(4)
     assert decide_O_U(u["u13"], 4).member
