@@ -6,18 +6,12 @@ reduced word into those along another.  It follows Berenstein-Zelevinsky
 (1997) and Fomin-Zelevinsky (1999): for x the source chart along a word for
 w, the twist z = twist(x, word) (eta_w: the lower factor L of x times the
 lift of w^-1, pushed through the swap automorphism) holds the target
-parameters as ratios of chamber minors (Berenstein-Fomin-Zelevinsky 1996,
-Thm 1.4).  The k-th target parameter is
-
-    t_k = D(w[:i+1]) D(w[:i-1]) / (D(w[:i]) D((w s_i)[:i]))
-
-where i is the k-th letter of word2, w = s_{i_1} ... s_{i_{k-1}} in
-one-line notation, and D(J) is the minor of z on rows 1..|J| and the
-sorted columns J (D of no columns or of all n columns is 1).  Each
-distinct minor is computed once.  This works for every w, so no word is
-completed to w0 and no word is cut into runs.  Most gcds taken in reducing
-the ratio are of coprime polynomials, which the certificate in
-``poly_gcd`` settles before its heuristic runs.
+parameters as ratios of chamber minors, which
+``sl_realization._chamber_parameters`` reads off along word2; chart
+inversion reads the same minors of the twisted generic matrix.  This
+works for every w, so no word is completed to w0 and no word is cut into
+runs.  Most gcds taken in reducing the ratios are of coprime polynomials,
+which the certificate in ``poly_gcd`` settles before its heuristic runs.
 
 Requests are refused from the input before any work: another Cartan type,
 and a source word with a run of more than 27 adjacent letters (the cost
@@ -42,7 +36,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .exact_arith import RatFunc
 from .root_data import CartanDatum, Unsupported, length, weyl_from_word
-from .sl_realization import _det, chart_U, twist
+from .sl_realization import _chamber_parameters, chart_U, twist
 
 class Move(NamedTuple):
     """A local rewrite at ``position``: "commute" swaps two letters whose
@@ -173,34 +167,6 @@ def word_path(word1: Sequence[int], word2: Sequence[int], datum: CartanDatum,
         "connecting these words requires a braid move of order 4 or 6 (unsupported)")
 
 
-def _chamber_parameters(word1: tuple, word2: tuple, params: tuple,
-                        n: int) -> tuple:
-    """Parameters along word2 of chart_U(word1, params, n), by the twist
-    eta_w and the chamber minors of its prefixes (module docstring)."""
-    z = twist(chart_U(word1, params, n), word1).entries
-    one = RatFunc.const(params[0].universe, 1)
-    minors: dict = {}
-
-    def minor(cols):
-        key = tuple(sorted(cols))
-        if len(key) in (0, n):
-            return one
-        if key not in minors:
-            minors[key] = _det([[z[r][c - 1] for c in key]
-                                for r in range(len(key))])
-        return minors[key]
-
-    w = list(range(1, n + 1))
-    out = []
-    for i in word2:
-        ws = list(w)
-        ws[i - 1], ws[i] = w[i], w[i - 1]
-        out.append(minor(w[:i + 1]) * minor(w[:i - 1])
-                   / (minor(w[:i]) * minor(ws[:i])))
-        w = ws
-    return tuple(out)
-
-
 def _runs(word: tuple) -> list:
     """The maximal runs of consecutive letters that a word uses."""
     runs: list = []
@@ -213,8 +179,9 @@ def _runs(word: tuple) -> list:
 
 
 # The twist grows with the longest run of adjacent letters, not with the
-# group: pairs with 27 letters in one run took 0.3-6.8 s and under 50 MB at
-# sl8-sl12, while w0 of SL_8 (28 letters) did not finish in 250 s.
+# group: pairs with 27 letters in one run took 0.3-7 s and under 50 MB at
+# sl8-sl12 (a far sl8 pair passes the kernel's term budget in one product),
+# while w0 of SL_8 (28 letters) did not finish in 250 s.
 _MAX_RUN_LETTERS = 27
 
 
@@ -247,5 +214,5 @@ def transition(word1: Sequence[int], word2: Sequence[int], datum: CartanDatum,
     params = tuple(RatFunc.var(universe, v) for v in universe)
     if w1 == w2:
         return TransitionMap(w1, w2, params)
-    return TransitionMap(w1, w2, _chamber_parameters(w1, w2, params,
-                                                     datum.rank + 1))
+    z = twist(chart_U(w1, params, datum.rank + 1), w1)
+    return TransitionMap(w1, w2, _chamber_parameters(z, w2))

@@ -39,7 +39,8 @@ valid without checking them again.  There is one product and one power
 on term dicts, ``_product`` and ``_power``: each checks the total degree,
 takes the raw product (``_mul_terms``, or ``_pow_terms`` by repeated
 squaring) and makes it canonical once with ``_canon``.  ``MultiPoly``
-arithmetic and the expression parser both call them.
+arithmetic and the expression parser both call them.  A raw product
+past ``_TERM_BUDGET`` pairs of terms raises ``Unsupported`` before it runs.
 
 Only this module reads the key layout.  Other modules hold keys without
 looking inside them: the parser takes each variable's key from the table
@@ -121,7 +122,8 @@ _BITS = 16
 _FIELD = (1 << _BITS) - 1
 MAX_DEGREE = (1 << _BITS - 1) - 1
 
-# The pairs of terms that the raw products of one pullback may form.
+# The pairs of terms that the raw products of one pullback, or one raw
+# product of ``_product`` and ``_power``, may form.
 _TERM_BUDGET = 10 ** 6
 
 # ``_INT.issuperset(map(type, coefficients))`` tests in C that all are ints
@@ -256,6 +258,16 @@ def _mul_terms(at: dict, bt: dict, out: Optional[dict] = None) -> dict:
     return out
 
 
+def _budgeted(at: dict, bt: dict) -> dict:
+    """The raw product of two term dicts, refused as ``Unsupported`` past
+    ``_TERM_BUDGET`` pairs of terms before it runs."""
+    if len(at) * len(bt) > _TERM_BUDGET:
+        raise Unsupported(
+            f"a product of {len(at)} by {len(bt)} terms would multiply "
+            f"more than {_TERM_BUDGET} pairs of terms")
+    return _mul_terms(at, bt)
+
+
 def _product(at: dict, bt: dict, width: int) -> dict:
     """The canonical product of two term dicts without zero coefficients
     over a universe of ``width`` variables, after its degree check: the top
@@ -263,7 +275,7 @@ def _product(at: dict, bt: dict, width: int) -> dict:
     if at and bt:
         s = _BITS * width
         _check_degree((max(at) >> s) + (max(bt) >> s))
-    return _canon(_mul_terms(at, bt))
+    return _canon(_budgeted(at, bt))
 
 
 def _power(terms: dict, k: int, width: int) -> dict:
@@ -276,8 +288,9 @@ def _power(terms: dict, k: int, width: int) -> dict:
 
 def _pow_terms(terms: dict, k: int) -> dict:
     """A term dict raised to k >= 0 by repeated squaring on raw term
-    dicts; not canonical, and the dict itself when k is 1.  The caller
-    checks the degree.  A single term is raised directly."""
+    dicts, each product budgeted; not canonical, and the dict itself when
+    k is 1.  The caller checks the degree.  A single term is raised
+    directly."""
     if not k:
         return {0: 1}
     if len(terms) == 1:
@@ -286,11 +299,11 @@ def _pow_terms(terms: dict, k: int) -> dict:
     result = None
     while True:
         if k & 1:
-            result = terms if result is None else _mul_terms(result, terms)
+            result = terms if result is None else _budgeted(result, terms)
         k >>= 1
         if not k:
             return result
-        terms = _mul_terms(terms, terms)
+        terms = _budgeted(terms, terms)
 
 
 def _div(a, b):

@@ -22,12 +22,13 @@ A subexpression is held as a raw term dict over those keys while it is a
 polynomial, with no zero coefficient.  Products and powers are the
 kernel's term-dict product and power (``_product``, ``_power``), which
 check the total degree first, as ``MultiPoly`` arithmetic does, so past
-``MAX_DEGREE`` they raise ``DegreeLimitError``.  Each sum is added in
-place into one dict, and a division by a nonzero constant scales it.  The
-dict becomes a polynomial only at the end of the parse, or as a
-``RatFunc`` at a division by a non-constant or a negative power; from then
-on the subexpression combines canonically, so polynomial input pays no
-gcd.
+``MAX_DEGREE`` they raise ``DegreeLimitError``, and past the kernel's
+term budget ``Unsupported``, before the raw product runs.  Each sum is
+added in place into one dict, and a division by a nonzero constant scales
+it.  The dict becomes a polynomial only at the end of the parse, or as a
+``RatFunc`` at a division by a non-constant (one ``ratfunc_normalize`` of
+the two dicts) or a negative power; from then on the subexpression
+combines canonically, so polynomial input pays no gcd.
 
 An exponent whose absolute value exceeds ``MAX_EXPONENT`` is rejected
 before any power is computed, so a hostile input such as
@@ -44,7 +45,7 @@ from itertools import islice
 from typing import Sequence
 
 from .exact_arith import (MultiPoly, RatFunc, _canon, _div, _keys, _power,
-                          _product)
+                          _product, ratfunc_normalize)
 
 
 def indexed_name(stem: str, indices: Sequence[int]) -> str:
@@ -154,10 +155,13 @@ class _Parser:
     def fail(self, k: int, template: str):
         raise _error(self.text, k, template)
 
+    def poly(self, terms: dict) -> MultiPoly:
+        return MultiPoly._make(self.universe, _canon(terms))
+
     def rational(self, value) -> RatFunc:
         """A term dict as a canonical rational function; a RatFunc as is."""
         if type(value) is dict:
-            return RatFunc(MultiPoly._make(self.universe, _canon(value)))
+            return RatFunc(self.poly(value))
         return value
 
     # grammar ----------------------------------------------------------
@@ -205,12 +209,14 @@ class _Parser:
                     value = self.rational(value) / self.rational(rhs)
             elif op == "*":
                 value = _product(value, rhs, self.width)
+            elif not rhs:
+                raise ZeroDivisionError("division by the zero function")
             elif len(rhs) == 1 and 0 in rhs:
                 c = _div(1, rhs[0])
                 if c != 1:
                     value = {e: x * c for e, x in value.items()}
             else:
-                value = self.rational(value) / self.rational(rhs)
+                value = ratfunc_normalize(self.poly(value), self.poly(rhs))
         return value
 
     def factor(self):

@@ -30,14 +30,14 @@ current size after gc.collect(), before and after the builds).
 Above a measured size bound per space (``_MAX_N``) a decision raises
 ``Unsupported`` before any chart is built.
 
-Chart inversion is one construction, general in n, that runs up to sl6:
-factors are peeled off the left of the generic unitriangular matrix, each
-parameter a ratio of minors.  The formulas are built once per (word, n)
-and then substituted; a point is undefined only where a canonical
-denominator vanishes.  Building them takes under 0.01 s at sl4,
-0.03-0.05 s at sl5 and 0.9-13 s at sl6, depending on the word (Python
-3.11, 2 vCPUs); at sl7 it did not finish in 500 s, so inversion above sl6
-raises ``Unsupported`` before any work.
+Chart inversion reads the chamber minors of one twist, as ``transition``
+does: the parameters along a word are ratios of minors of eta_w0 of the
+generic unitriangular matrix (``sl_realization._chamber_parameters``).
+The formulas are built once per (word, n) and then substituted; a point
+is undefined only where a canonical denominator vanishes.  Building them
+takes under 0.03 s up to sl5 and 0.3-0.6 s at sl6, depending on the word
+(Python 3.11, 2 vCPUs); at sl7 the build of ``jj1`` did not finish in
+300 s, so inversion above sl6 raises ``Unsupported`` before any work.
 """
 
 from __future__ import annotations
@@ -50,8 +50,8 @@ from .exact_arith import (PoleError, RatFunc, Substitution, _derivation,
                           is_laurent_in, prepare_substitution, substitute)
 from .exprparse import indexed_name
 from .root_data import Unsupported, distinguished_word
-from .sl_realization import (GroupMatrix, TorusPoint, _datum_for, _det, chart_G,
-                             chart_GmodU, chart_U)
+from .sl_realization import (GroupMatrix, TorusPoint, _chamber_parameters,
+                             _datum_for, chart_G, chart_GmodU, chart_U, twist)
 
 class ChartId(NamedTuple):
     """Identifier of one distinguished chart.
@@ -103,10 +103,12 @@ def _entries(stem: str, n: int) -> tuple:
                  for j in range(i + 1 if stem == "u" else 1, n + 1))
 
 
+@lru_cache(maxsize=None)
 def u_variables(n: int) -> tuple:
     return tuple(name for name, _, _ in _entries("u", n))
 
 
+@lru_cache(maxsize=None)
 def g_variables(n: int) -> tuple:
     return tuple(name for name, _, _ in _entries("g", n))
 
@@ -121,7 +123,7 @@ def torus_names(n: int) -> tuple:
 
 
 def _require_universe(phi: RatFunc, stem: str, n: int) -> None:
-    if phi.universe != tuple(name for name, _, _ in _entries(stem, n)):
+    if phi.universe != (u_variables(n) if stem == "u" else g_variables(n)):
         raise ValueError(f"expected a function of the {stem}_ij of sl{n}, "
                          f"got one over {phi.universe}")
 
@@ -265,30 +267,13 @@ def decide_O_G(phi: RatFunc, n: int) -> MembershipVerdict:
 @lru_cache(maxsize=None)
 def _inversion_formulas(word: tuple, n: int) -> tuple:
     """Inverse of the unipotent chart along a reduced word for w0, as
-    rational functions of the strictly-upper matrix entries.
-
-    Factors are peeled off the left of the generic matrix g (Chamber
-    Ansatz, Berenstein-Fomin-Zelevinsky 1996).  Before letter i, w is w0
-    times the simple reflections already peeled, in one-line notation; the
-    parameter a is the ratio of the minors of g on rows 1..i and on rows
-    1..i-1, i+1, both on the columns w(1..i).  Then g <- x_i(-a) g and
-    w <- w s_i.
-    """
+    rational functions of the strictly-upper matrix entries: the chamber
+    minors of the twist of the generic upper unitriangular matrix."""
     uu = u_variables(n)
     g = [[RatFunc.const(uu, int(i == j)) for j in range(n)] for i in range(n)]
     for name, i, j in _entries("u", n):
         g[i - 1][j - 1] = RatFunc.var(uu, name)
-    w = list(range(n, 0, -1))
-    params = []
-    for i in word:
-        cols = sorted(w[:i])
-        rows = list(range(i - 1))
-        a = (_det([[g[r][c - 1] for c in cols] for r in rows + [i - 1]])
-             / _det([[g[r][c - 1] for c in cols] for r in rows + [i]]))
-        params.append(a)
-        g[i - 1] = [x - a * y for x, y in zip(g[i - 1], g[i])]
-        w[i - 1], w[i] = w[i], w[i - 1]
-    return tuple(params)
+    return _chamber_parameters(twist(GroupMatrix(g, check=False)), word)
 
 
 def require_invertible(n: int) -> None:

@@ -5,7 +5,8 @@ birational chart products for the unipotent group, the flag-type quotient
 and the full group, Weyl-group lifts, the automorphism swapping the two
 triangular subgroups, generalized minors, LDU (Gauss) decomposition, and
 the twist eta_w of a unipotent matrix, which for w0 is the big-cell twist
-involution.
+involution, whose chamber minors give the chart parameters along any
+reduced word of w (``_chamber_parameters``, for transitions and inversion).
 
 Right multiplication by x_i(a), y_i(a) or the dot lift of s_i is a column
 operation on a list of rows, in place (``_act``); the x/y generators, the
@@ -412,3 +413,31 @@ def twist(u: GroupMatrix, word: Optional[Sequence[int]] = None) -> GroupMatrix:
     except ValueError:
         raise ValueError("twist undefined: a leading principal minor vanishes") from None
     return GroupMatrix(_iota_of_lower(lower), check=False)
+
+
+def _chamber_parameters(z: GroupMatrix, word: Sequence[int]) -> tuple:
+    """The parameters of x along a reduced word of w, read off its twist
+    z = eta_w(x) by chamber minors (Berenstein-Fomin-Zelevinsky 1996,
+    Thm 1.4): for i the k-th letter and v = s_{i_1} ... s_{i_{k-1}} in
+    one-line notation, the k-th is D(v[:i+1]) D(v[:i-1]) / (D(v[:i])
+    D((v s_i)[:i])), where D(J) is the minor of z on rows 1..|J| and the
+    sorted columns J (1 for none or all n).  Each minor is computed once."""
+    n, rows = z.n, z.entries
+    minors = dict.fromkeys(((), tuple(range(1, n + 1))), _as_ratfunc(1))
+
+    def minor(cols):
+        key = tuple(sorted(cols))
+        if key not in minors:
+            minors[key] = _det([[rows[r][c - 1] for c in key]
+                                for r in range(len(key))])
+        return minors[key]
+
+    v = list(range(1, n + 1))
+    out = []
+    for i in word:
+        vs = list(v)
+        vs[i - 1], vs[i] = v[i], v[i - 1]
+        out.append(minor(v[:i + 1]) * minor(v[:i - 1])
+                   / (minor(v[:i]) * minor(vs[:i])))
+        v = vs
+    return tuple(out)

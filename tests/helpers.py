@@ -10,6 +10,7 @@ from math import gcd, isqrt, lcm
 from bircharts import (GroupMatrix, MultiPoly, RatFunc, cartan,
                        distinguished_word, lift, poly_exact_div, poly_gcd,
                        substitute, u_variables)
+from bircharts.sl_realization import _det
 
 
 def random_poly(rng: random.Random, vars, max_deg=2, max_terms=3,
@@ -223,6 +224,33 @@ def golden_sl4_entries(eps: int):
         (2, 4): b3 * b5,
         (3, 4): b2 + b5,
     }
+
+
+def peeled_inversion_formulas(word, n):
+    """Reference inverse of the unipotent chart along a reduced word for
+    w0, by peeling factors off the left of the generic upper unitriangular
+    matrix g (Chamber Ansatz, Berenstein-Fomin-Zelevinsky 1996).  Before
+    letter i, w is w0 times the simple reflections already peeled, in
+    one-line notation; the parameter a is the ratio of the minors of g on
+    rows 1..i and on rows 1..i-1, i+1, both on the columns w(1..i).  Then
+    g <- x_i(-a) g and w <- w s_i."""
+    uu = u_variables(n)
+    g = [[RatFunc.const(uu, int(i == j)) for j in range(n)] for i in range(n)]
+    # u_variables(n) lists the entries above the diagonal row by row
+    above = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for (i, j), name in zip(above, uu):
+        g[i][j] = RatFunc.var(uu, name)
+    w = list(range(n, 0, -1))
+    params = []
+    for i in word:
+        cols = sorted(w[:i])
+        rows = list(range(i - 1))
+        a = (_det([[g[r][c - 1] for c in cols] for r in rows + [i - 1]])
+             / _det([[g[r][c - 1] for c in cols] for r in rows + [i]]))
+        params.append(a)
+        g[i - 1] = [x - a * y for x, y in zip(g[i - 1], g[i])]
+        w[i - 1], w[i] = w[i], w[i - 1]
+    return tuple(params)
 
 
 # Frozen closed-form inverse of the first SL4 bipartite chart: the six

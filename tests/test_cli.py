@@ -354,6 +354,16 @@ def test_a_pullback_past_the_term_budget_is_unsupported(capsys):
     assert time.monotonic() - started < 5
 
 
+def test_a_power_past_the_term_budget_is_unsupported(capsys):
+    # squaring toward the 501,501-term power is refused in the parse
+    started = time.monotonic()
+    code, out, err = run(capsys, "membership", "u", "--group", "sl3",
+                         "--expr", "(u(1,2)+u(2,3)+u(1,3))^1000")
+    assert code == 3 and out == ""
+    assert err.startswith("error: unsupported: a product of 861 by 2145 terms")
+    assert time.monotonic() - started < 5
+
+
 def test_long_literal_is_a_usage_error(capsys):
     code, out, err = run(capsys, "membership", "u", "--group", "sl4",
                          "--expr", "u(1,2) + " + "1" * 5000)

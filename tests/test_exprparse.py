@@ -290,3 +290,59 @@ def test_dense_polynomial_input_builds_no_polynomial_per_factor(monkeypatch):
         lambda vars, v: calls.append("variable") or variable(vars, v)))
     assert parse_expression(text, UV) == expected
     assert calls == []
+
+
+def test_a_product_past_the_term_budget_is_refused_before_it_runs(monkeypatch):
+    # each raw product of _product and _power, every squaring included,
+    # may form at most _TERM_BUDGET pairs of terms; the one that would
+    # pass it raises Unsupported before it runs
+    pairs = []
+    real = exact_arith._mul_terms
+
+    def spy(at, bt, out=None):
+        pairs.append(len(at) * len(bt))
+        return real(at, bt, out)
+
+    monkeypatch.setattr(exact_arith, "_mul_terms", spy)
+    # (x + y)^4 squares 2 terms, then 3; its product by x + y is 5 by 2
+    text = "(u(1,2)+u(2,3))^4*(u(1,2)+u(2,3))"
+    want = parse_expression(text, UV)
+    assert pairs == [4, 9, 10]
+    monkeypatch.setattr(exact_arith, "_TERM_BUDGET", 10)
+    assert parse_expression(text, UV) == want
+    for budget, ran in ((9, [4, 9]), (8, [4])):
+        monkeypatch.setattr(exact_arith, "_TERM_BUDGET", budget)
+        pairs.clear()
+        with pytest.raises(exact_arith.Unsupported,
+                           match=f"more than {budget} pairs of terms"):
+            parse_expression(text, UV)
+        assert pairs == ran
+
+
+@pytest.mark.parametrize("text, sizes", [
+    # the power has 501,501 terms; by squaring, the 40th power (861
+    # terms) times the 64th (2,145) would form 1,846,845 pairs
+    ("(u(1,2)+u(2,3)+u(1,3))^1000", "861 by 2145"),
+    # each power has 1,001 terms, their product 1,002,001 pairs
+    ("(u(1,2)+u(2,3))^1000*(u(1,2)+u(2,3))^1000", "1001 by 1001"),
+])
+def test_hostile_powers_stop_in_the_parse(text, sizes):
+    with pytest.raises(exact_arith.Unsupported,
+                       match=f"^a product of {sizes} terms would multiply "
+                             f"more than 1000000 pairs of terms$"):
+        parse_expression(text, u_variables(3))
+
+
+def test_division_by_a_polynomial_is_one_normalization():
+    # p*r/(q*r) by the parser equals the same quotient by the RatFunc
+    # operators, which take the inverse and then the product
+    rng = random.Random(29)
+    for _ in range(40):
+        p, q, r = (random_nonzero_poly(rng, UV, max_deg=2, max_terms=3)
+                   for _ in range(3))
+        num, den = p * r, q * r
+        if den.is_const:
+            continue
+        got = parse_expression(f"({num})/({den})", UV)
+        want = RatFunc(num) * RatFunc(den).inv()
+        assert (got.num, got.den) == (want.num, want.den)

@@ -18,7 +18,8 @@ from bircharts import (Certificate, ChartId, GroupMatrix, RatFunc, TorusPoint, U
                        transition, u_variables, weight_sets)
 from bircharts.sl_realization import _det
 
-from helpers import (SL4_INVERSION_EXPRS, dense_u_inputs, random_poly,
+from helpers import (SL4_INVERSION_EXPRS, dense_u_inputs,
+                     peeled_inversion_formulas, random_poly,
                      reference_check_invariance)
 
 
@@ -568,6 +569,24 @@ def test_invert_chart_generic_round_trip_sl5(eps):
     usym = _generic_u(5)
     params = invert_chart(usym, eps, 5)
     assert chart_U(distinguished_word(cartan("A", 4), eps), params, 5) == usym
+
+
+@pytest.mark.parametrize("n,eps", [(3, 0), (3, 1), (4, 0), (4, 1), (5, 0),
+                                   (5, 1), (6, 1)])
+def test_chamber_inversion_equals_peeling(n, eps):
+    # the chamber minors of the twisted generic matrix give the formulas
+    # that peeling factors off the generic matrix gives; sl6 jj0 is left
+    # out, as its peeling takes about 9 s
+    word = distinguished_word(cartan("A", n - 1), eps)
+    assert (membership._inversion_formulas(word, n)
+            == peeled_inversion_formulas(word, n))
+
+
+@pytest.mark.parametrize("eps", [0, 1])
+def test_invert_chart_generic_round_trip_sl6(eps):
+    usym = _generic_u(6)
+    params = invert_chart(usym, eps, 6)
+    assert chart_U(distinguished_word(cartan("A", 5), eps), params, 6) == usym
 
 
 def test_invert_chart_sl4_second_word_matches_transition():
