@@ -61,27 +61,24 @@ a monic monomial is kept as it is.
 
 ``substitute`` has one evaluator, which sums c * prod(v_i ** e_i) over
 the terms with one power cache per variable, in the arithmetic the values
-call for.  When every value has a single-term denominator c_i * x^m_i (a
-constant is the case m_i = 0), each is divided by c_i and the sum is
-taken on raw term dicts: one product loop, each term's product started
-from the monomial that shifts it up to one common denominator x^top and
-its last power multiplied straight into one accumulator, and one
-canonical pass and one normalization at the end; each term of f is
-decoded once, each value gets its power table at its first use, and the
-largest degree of a term is checked before any product, so no key
-carries.  The raw products of one pullback, power tables included, may
-form at most ``_TERM_BUDGET`` pairs of terms, counted before each
-product; past it ``Unsupported`` is raised.  The sum over x^top has a
-one-term side, and so normalizes without a gcd, unless both sides of f
-pull back to two or more terms.  When some denominator has two or more
-terms, the sum is taken with canonical ``RatFunc`` arithmetic.  Both are
-needed: polynomial arithmetic on rational values clears ever larger common
-denominators (the test suite ran past ten minutes), and canonical
+call for.  A polynomial decodes its keys to each term's nonzero exponents
+once and keeps them (``_sparse_terms``): the 4 or 8 pullbacks of one
+decision decode f once.  When every value has a single-term denominator
+c_i * x^m_i (m_i = 0 for a constant), each is divided by c_i and the sum
+is taken on raw term dicts over one denominator x^top, the componentwise
+maximum (``_max_key``, on keys) of the weights w(e) = sum e_i * m_i over
+the nonzero e_i.  Each term's product starts from x^(top - w(e)) and adds
+its last power straight into the sum; one canonical pass and one
+normalization end it, without a gcd unless both sides of f pull back to
+two or more terms.  The largest degree of a term is checked before any
+product, so no key carries, and past ``_TERM_BUDGET`` pairs of terms in
+the raw products of one pullback ``Unsupported`` is raised.  With a
+denominator of two or more terms the sum is taken in canonical
+``RatFunc`` arithmetic: polynomial arithmetic on rational values clears
+ever larger denominators (the tests ran past ten minutes), and canonical
 arithmetic on polynomial values pays gcds at every step (dense pullbacks
-ran at under a quarter of the speed).  What depends only on the values (their universe, each
-numerator divided by c_i, the shifts m_i and the degrees) is prepared
-once by ``prepare_substitution``: ``substitute`` takes such a
-``Substitution`` as well as a mapping, which it prepares on every call.
+ran under a quarter of the speed).  ``prepare_substitution`` prepares
+what depends only on the values once, as a ``Substitution``.
 
 Two values may be combined only when their universes agree; a constant is
 silently promoted into the other operand's universe (a constant mentions
@@ -214,6 +211,25 @@ def _min_key(keys: Collection[int], width: int) -> int:
     return key
 
 
+def _max_key(keys: Collection[int], width: int) -> int:
+    """The key of the componentwise maximum of the (nonempty) keys, checked
+    as by ``_pack``.  A field of ``(a | guards) - b`` keeps its guard bit
+    exactly when a's exponent is at least b's; the degree of the maximum is
+    its key mod 2**16 - 1 while the keys' degrees sum below that."""
+    s = _BITS * width
+    guards = _guards(width)
+    top = bound = 0
+    for e in keys:
+        bound += e >> s
+        e &= (1 << s) - 1
+        keep = ((top | guards) - e & guards) >> _BITS - 1
+        top = e ^ (top ^ e) & keep * _FIELD
+    if bound > MAX_DEGREE:  # a key may also carry into its degree field
+        _check_degree(max(keys) >> s)
+        _check_degree(sum(_unpack(top, width)))
+    return top % _FIELD << s | top
+
+
 def _coeff(value):
     """Canonical coefficient: ``int`` when integral, ``Fraction`` otherwise."""
     if type(value) is int:
@@ -323,7 +339,7 @@ class MultiPoly:
     The zero polynomial has no terms.
     """
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "terms", "_sparse")
 
     def __init__(self, vars: Sequence[str], terms: Mapping[tuple, Fraction]):
         vs = tuple(vars)
@@ -678,6 +694,17 @@ def _primitive_positive(p: MultiPoly) -> MultiPoly:
         return p
     _, prim = _int_primitive(p)
     return prim
+
+
+def _sparse_terms(p: MultiPoly) -> tuple:
+    """(key, coefficient, (index, exponent) pairs of the nonzero exponents)
+    per term of p, keys ascending; decoded once and kept."""
+    sparse = getattr(p, "_sparse", None)
+    if sparse is None:
+        sparse = p._sparse = tuple(
+            (e, c, tuple(compress(enumerate(ex), ex)))
+            for e, c in sorted(p.terms.items()) for ex in (_unpack(e, len(p.vars)),))
+    return sparse
 
 
 def _monomial_content(p: MultiPoly) -> int:
@@ -1325,20 +1352,25 @@ def is_polynomial(f: RatFunc) -> bool:
     return f.den.is_const
 
 
+@lru_cache(maxsize=64)
+def _fields_outside(universe: tuple, names: tuple) -> int:
+    """The key fields of the universe's variables not among names."""
+    return sum(_FIELD << _shift(len(universe), i)
+               for i, v in enumerate(universe) if v not in names)
+
+
 def is_laurent_in(f: RatFunc, names: Iterable[str]) -> bool:
     """True iff the canonical denominator is a monomial in variables from names."""
     if not f.den.is_monomial:
         return False
-    key = next(iter(f.den.terms))
-    # a constant denominator needs no look at the names
-    return not key or set(names).issuperset(
-        compress(f.den.vars, _unpack(key, len(f.den.vars))))
+    key, = f.den.terms
+    return not key or not key & _fields_outside(f.den.vars, tuple(names))
 
 
 def _evaluate(terms: Iterable[tuple], values: Sequence, powers: dict, one,
               mul, add, total):
-    """Sum of t * prod(values[i] ** e[i]) over the pairs (t, e) of terms,
-    e an exponent tuple.
+    """Sum of t * prod(values[i] ** k) over the pairs (t, e) of terms, e
+    the (i, k) pairs of a term's nonzero exponents.
 
     The caller's arithmetic: ``one`` is the unit, ``mul`` multiplies two
     values and ``add(t, f, total)`` returns total + t * f; ``total``
@@ -1350,8 +1382,7 @@ def _evaluate(terms: Iterable[tuple], values: Sequence, powers: dict, one,
     """
     for t, e in terms:
         f = one
-        for i in compress(range(len(e)), e):
-            k = e[i]
+        for i, k in e:
             cache = powers.get(i)
             if cache is None:
                 cache = powers[i] = [one, values[i]]
@@ -1420,17 +1451,14 @@ def substitute(f: RatFunc,
         raise ValueError(f"substitution prepared for {sub.source}, "
                          f"not for {f.universe}")
     _, tvars, values, shifted, degrees = sub
-    width = len(f.universe)
-    # every exponent key of f, decoded once
-    exps = {e: _unpack(e, width) for e in (*f.num.terms, *f.den.terms)}
+    terms = _sparse_terms(f.num), _sparse_terms(f.den)
     # the powers of each value, shared by the numerator and the denominator
     powers: dict = {}
     if shifted is None:
         one, zero = RatFunc.const(tvars, 1), RatFunc.const(tvars, 0)
-        num, den = (_evaluate([(c, exps[e]) for e, c in sorted(g.terms.items())],
-                              values, powers, one, mul,
-                              lambda t, f, total: total + t * f, zero)
-                    for g in (f.num, f.den))
+        num, den = (_evaluate([(c, ex) for _, c, ex in g], values, powers, one,
+                              mul, lambda t, f, total: total + t * f, zero)
+                    for g in terms)
         if den.is_zero:
             raise PoleError("pullback undefined: chart lies in pole locus")
         return num / den
@@ -1439,26 +1467,25 @@ def substitute(f: RatFunc,
     # m_i, and is shifted up to the common denominator x^top
     top_field = _BITS * len(tvars)
     top = 0
+    weight = dict.fromkeys((*f.num.terms, *f.den.terms), 0)
     if any(shifted):
-        weight = {e: sum(map(mul, ex, shifted)) for e, ex in exps.items()}
-        # a lower field of w(e) can carry into the top one only once the
-        # degree of w(e) passes 2**16, so its top field passes the limit
-        # exactly when its degree does, and the largest w(e) has the
-        # largest top field; checked before any w(e) is decoded
-        _check_degree(max(weight.values()) >> top_field)
-        top = _pack(tuple(map(max, zip(*(
-            _unpack(w, len(tvars)) for w in set(weight.values()))))))
-    else:
-        weight = dict.fromkeys(exps, 0)
+        # w(e) from the nonzero e_i; a lower field of w(e) carries into its
+        # top field only past degree 2**16, which _max_key then refuses
+        for e, _, ex in (*terms[0], *terms[1]):
+            w = 0
+            for i, k in ex:
+                w += k * shifted[i]
+            weight[e] = w
+        top = _max_key(set(weight.values()), len(tvars))
     # each term's product has the degree of x^(top - w(e)) plus sum e_i *
     # deg P_i, at most the degree of x^top plus that of f times the
     # largest deg P_i; past that bound the largest is checked, before any
     # product, so no key carries
-    if ((top >> top_field) + (max(exps) >> _BITS * width)
+    if ((top >> top_field) + (max(weight) >> _BITS * len(f.universe))
             * max(degrees, default=0) > MAX_DEGREE):
         _check_degree((top >> top_field) + max(
-            sum(map(mul, ex, degrees)) - (weight[e] >> top_field)
-            for e, ex in exps.items()))
+            sum(k * degrees[i] for i, k in ex) - (weight[e] >> top_field)
+            for e, _, ex in (*terms[0], *terms[1])))
     spent = 0
 
     def product(at: dict, bt: dict, out: Optional[dict] = None) -> dict:
@@ -1472,15 +1499,15 @@ def substitute(f: RatFunc,
                 f"pairs of terms")
         return _mul_terms(at, bt, out)
 
-    def pull_back(g: MultiPoly) -> MultiPoly:
-        if len(g.terms) == 1 and 0 in g.terms:
+    def pull_back(g: tuple) -> MultiPoly:
+        if len(g) == 1 and not g[0][0]:
             # a constant c pulls back to c * x^top
-            return MultiPoly._make(tvars, {top: g.terms[0]})
+            return MultiPoly._make(tvars, {top: g[0][1]})
         return MultiPoly._make(tvars, _canon(_evaluate(
-            [({top - weight[e]: c}, exps[e]) for e, c in sorted(g.terms.items())],
+            [({top - weight[e]: c}, ex) for e, c, ex in g],
             values, powers, {0: 1}, product, product, {})))
 
-    num, den = pull_back(f.num), pull_back(f.den)
+    num, den = map(pull_back, terms)
     if den.is_zero:
         raise PoleError("pullback undefined: chart lies in pole locus")
     return ratfunc_normalize(num, den)

@@ -10,25 +10,25 @@ back along each and returns a verdict with one certificate per chart; a
 certificate records the pullback itself so it can be re-checked
 independently.  The function must be given over the space's own
 variables, ``u_variables(n)`` or ``g_variables(n)``; on G/U- it must also
-be right-invariant, which ``check_invariance`` tests by vector fields.
+be right-invariant, which ``check_invariance`` tests by vector fields D:
+D(p) q = p D(q), or D(r) = 0 when the other side of p/q is a constant.
 
 The chart matrices do not depend on the function being decided.  Each
 chart is built lazily, on first use, once per process per (chart, n), from
 the distinguished words of sl_n, and only its prepared substitution (see
 ``exact_arith``) is kept; a pullback is then a table lookup plus
-``substitute``.  The chart entries are polynomials over monomials in the
-torus coordinates, so a pullback is summed with polynomial arithmetic over
-one common monomial and needs no per-step gcd, only its one final
-normalization; that takes no gcd either when a side of the sum is one
-term, as it is for a polynomial input and for c/(polynomial), and one
-gcd when both sides have two or more.  A pullback whose raw products
-would form more pairs of terms than the kernel's budget raises
-``Unsupported``.  Held at once, the unipotent charts at sl3-sl7 and the
-quotient and full-group charts at sl3-sl5 take about 0.58 MB, of which
-the eight sl5 full-group charts, built last, take 0.27 MB (tracemalloc's
-current size after gc.collect(), before and after the builds).
-Above a measured size bound per space (``_MAX_N``) a decision raises
-``Unsupported`` before any chart is built.
+``substitute``, which decodes the function's keys once per decision.  The
+chart entries are polynomials over monomials in the torus coordinates, so
+a pullback is summed over one common monomial with no per-step gcd, and
+its one final normalization takes no gcd either unless both sides of the
+sum have two or more terms (a polynomial and c/(polynomial) have a
+one-term side).  A pullback whose raw products would form more pairs of
+terms than the kernel's budget raises ``Unsupported``.  Held at once, the
+unipotent charts at sl3-sl7 and the quotient and full-group charts at
+sl3-sl5 take about 0.58 MB, of which the eight sl5 full-group charts,
+built last, take 0.27 MB (tracemalloc's current size after gc.collect(),
+before and after the builds).  Above a measured size bound per space
+(``_MAX_N``) a decision raises ``Unsupported`` before any chart is built.
 
 Chart inversion reads the chamber minors of one twist, as ``transition``
 does: the parameters along a word are ratios of minors of eta_w0 of the
@@ -236,6 +236,9 @@ def check_invariance(phi: RatFunc) -> bool:
     # g_{i,j} is variable (i-1)n + j-1, so the field of y_j pairs the
     # variables k of column j with k + 1, the same row of column j+1
     fields = ([(k, k + 1) for k in range(j - 1, n * n, n)] for j in range(1, n))
+    if p.is_const or q.is_const:
+        # D of a constant is 0: the identity is D(r) = 0 for the other side
+        return all(_derivation(q if p.is_const else p, f).is_zero for f in fields)
     return all(_derivation(p, f) * q == p * _derivation(q, f) for f in fields)
 
 

@@ -441,6 +441,32 @@ def test_is_laurent_examples():
     assert is_laurent_in(RatFunc(_x() + 1), set())
 
 
+def test_is_laurent_in_reads_the_denominator_key():
+    universe = ("a", "t1", "b", "t2")
+    a, t1, b, t2 = (RatFunc.var(universe, v) for v in universe)
+    torus = ("t1", "t2")
+    cases = [
+        ((a + t1) / 3, True),             # a constant denominator
+        (a / (t1 * t2 ** 2), True),       # a torus monomial
+        (5 / (-2 * t2), True),
+        (t1 / (a * t1 * t2), False),      # a monomial outside the torus
+        (1 / b, False),
+        (1 / (t1 + t2), False),           # two terms
+        (a / (t1 * t2 - 1), False),
+    ]
+    for f, want in cases:
+        for names in (torus, set(torus), list(torus), iter(torus)):
+            assert is_laurent_in(f, names) is want
+        # the decoded definition: a one-term denominator whose variables
+        # all lie among the names
+        den = f.den
+        assert want == (den.is_monomial and all(
+            universe[i] in torus for i in den.variables_present()))
+    # nothing is Laurent in no names but a polynomial
+    assert is_laurent_in((a + t1) / 3, ())
+    assert not is_laurent_in(a / t1, ())
+
+
 def test_universe_mixing_rules():
     x = RatFunc.var(("x",), "x")
     u = RatFunc.var(("u",), "u")

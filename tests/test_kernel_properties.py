@@ -405,6 +405,35 @@ def test_packed_keys_decode_and_order_as_graded_lex(case):
         i for i in range(width) if any(e[i] for e in exps))
 
 
+def _top_heavy_exponents(width):
+    """One to six exponent tuples over ``width`` variables with up to three
+    nonzero entries each, drawn at 0, at small values and near
+    MAX_DEGREE, each total degree within the limit."""
+    top = exact_arith.MAX_DEGREE
+    entry = st.one_of(st.integers(1, 3), st.integers(top - 3, top),
+                      st.integers(1, top))
+    exps = st.dictionaries(st.integers(0, width - 1), entry, max_size=3).map(
+        lambda d: tuple(d.get(i, 0) for i in range(width)))
+    return st.lists(exps.filter(lambda e: sum(e) <= top), min_size=1, max_size=6)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 25).flatmap(
+    lambda w: st.tuples(st.just(w), _top_heavy_exponents(w))))
+def test_max_key_is_the_decoded_componentwise_max(case):
+    width, exps = case
+    keys = [exact_arith._pack(e) for e in exps]
+    top = tuple(map(max, zip(*exps)))
+    if sum(top) > exact_arith.MAX_DEGREE:
+        # _max_key raises exactly when packing the decoded maximum does
+        with pytest.raises(exact_arith.DegreeLimitError):
+            exact_arith._pack(top)
+        with pytest.raises(exact_arith.DegreeLimitError):
+            exact_arith._max_key(keys, width)
+    else:
+        assert exact_arith._max_key(keys, width) == exact_arith._pack(top)
+
+
 @SETTINGS
 @given(nonzero_polys(XYZ, max_terms=3), nonzero_polys(XYZ, max_terms=3),
        st.integers(0, 2), st.integers(1, 3))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -12,7 +13,7 @@ import pytest
 from bircharts import (Certificate, ChartId, GroupMatrix, RatFunc, TorusPoint, Unsupported,
                        cartan, check_invariance, chart_G, chart_GmodU, chart_U,
                        decide_O_G, decide_O_GmodU, decide_O_U,
-                       distinguished_word, g_variables, gen_minor,
+                       distinguished_word, exact_arith, g_variables, gen_minor,
                        invert_chart, is_polynomial, membership, minor_spec,
                        param_names, pullback_U, substitute, torus_names,
                        transition, u_variables, weight_sets)
@@ -20,7 +21,7 @@ from bircharts.sl_realization import _det
 
 from helpers import (SL4_INVERSION_EXPRS, dense_u_inputs,
                      peeled_inversion_formulas, random_poly,
-                     reference_check_invariance)
+                     reference_check_invariance, reference_substitute)
 
 
 def _uvars(n):
@@ -65,21 +66,26 @@ def test_dense_pullbacks_print_as_recorded():
         "423ad6c04157859a5c37911e5c2bd652ec7cf7fb4f261054cbf4546aed4e3645")
 
 
-def _torus_chart_inputs(n):
+def _torus_chart_inputs(n, columns=None, products=3):
     """Seeded inputs on G/U- (sums, products and quotients of right column
-    minors, see ``_right_column_minors``) and on G (products of entries
-    and their sums, quotients and reciprocals) at sl_n."""
+    minors, see ``_right_column_minors``, on at most ``columns`` columns,
+    by default all but the determinant) and on G (sums of ``products``
+    products of two entries, and their sums, products, quotients and
+    reciprocals) at sl_n."""
     names, g, minors = _right_column_minors(n)
     rng = random.Random(f"torus-charts/{n}")
     one = RatFunc.const(names, 1)
+    pool = minors[:-1] if columns is None else minors[:sum(
+        math.comb(n, k) for k in range(1, columns + 1))]
     quotient, group = [], []
     for _ in range(3):
-        m1, m2, m3 = (rng.choice(minors[:-1]) for _ in range(3))
+        m1, m2, m3 = (rng.choice(pool) for _ in range(3))
         c = rng.randint(1, 5)
         quotient += [c * m1 + m2 * m3 - c, m1 * m2, c / m1,
                      (m1 + c * one) / (m2 * m3 - c * one)]
         p, q = (sum((rng.randint(-4, 4) or 1) * g[rng.choice(names)]
-                    * g[rng.choice(names)] for _ in range(3)) for _ in range(2))
+                    * g[rng.choice(names)] for _ in range(products))
+                for _ in range(2))
         group += [p + c, p * q, c / q, (p + c) / (q - c)]
     return quotient, group
 
@@ -98,6 +104,67 @@ def test_torus_chart_pullbacks_print_as_recorded():
                     digest.update(f"{cert.chart} {cert.ok} {cert.pullback}\n".encode())
     assert digest.hexdigest() == (
         "91161ff2dcaa862f3e3346bab888e1542c8ce087bb71aaa632efe223b5a7e8ad")
+
+
+def test_sparse_sl5_torus_chart_pullbacks_print_as_recorded():
+    # as above at sl5, on minors of at most two columns and single products
+    # of two entries, recorded before x^top was taken on packed keys and
+    # before a polynomial kept its decoded exponents
+    digest = hashlib.sha256()
+    quotient, group = _torus_chart_inputs(5, columns=2, products=1)
+    for decide, inputs in ((decide_O_GmodU, quotient), (decide_O_G, group)):
+        for phi in inputs:
+            digest.update(f"{phi}\n".encode())
+            for cert in decide(phi, 5).certificates:
+                digest.update(f"{cert.chart} {cert.ok} {cert.pullback}\n".encode())
+    assert digest.hexdigest() == (
+        "17406860e07fd9c3b9e224f5ca2ec0d991ef4aa79755c8c34bb666dc9c2289cf")
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_torus_chart_pullbacks_match_the_reference(n):
+    # inputs whose terms pull back over different torus monomials, so that
+    # x^top is the maximum of several weights on some chart of each space
+    names, g = _gvars(n)
+    one = RatFunc.const(names, 1)
+    a, b, c, d = (g[f"g{i}{j}"] for i, j in ((1, n), (n, 1), (2, 2), (n, n)))
+    inputs = [a * b + 3 * c - 2, 5 / (a * c + d * d), (a + 2 * one) / (b * d - c)]
+    spread = {space: set() for space in ("GmodU", "G")}
+    for space in spread:
+        for cid in membership._CHARTS[space]:
+            matrix = membership._chart(cid, n)
+            values = [matrix.entry(i, j) for _, i, j in membership._entries("g", n)]
+            prepared = membership._chart_substitution(cid, n)
+            for k, phi in enumerate(inputs):
+                assert substitute(phi, prepared) == reference_substitute(
+                    phi, values, prepared.target)
+                weights = {sum(x * m for x, m in zip(e, prepared.shifts))
+                           for p in (phi.num, phi.den) for e in p.exponents()}
+                if len(weights) > 1:
+                    spread[space].add(k)
+    assert spread == {"GmodU": {0, 1, 2}, "G": {0, 1, 2}}
+
+
+def test_a_decision_decodes_its_input_once(monkeypatch):
+    names, g = _gvars(3)
+
+    def quotient():
+        return (g["g11"] * g["g22"] + 2 * g["g13"]) / (g["g31"] * g["g12"] - 3)
+
+    decide_O_G(quotient(), 3)  # builds the charts
+    phi = quotient()
+    decoded = []
+    real = exact_arith._unpack
+
+    def spy(key, width):
+        if width == len(names):
+            decoded.append(key)
+        return real(key, width)
+
+    monkeypatch.setattr(exact_arith, "_unpack", spy)
+    assert len(decide_O_G(phi, 3).certificates) == 8
+    # each key of the input once, not once per chart
+    assert sorted(decoded) == sorted((*phi.num.terms, *phi.den.terms))
 
 
 def test_decide_O_U_accepts_polynomials():
@@ -215,8 +282,11 @@ def test_check_invariance_matches_substitution(n):
                      (m1 + c1 * one) / (m2 * m3 + c1 * one))
         e = rng.choice(left)
         non_invariant = (invariant[0] + e, invariant[1] * e,
-                         invariant[0] / (m2 + e), e / (m1 + c1 * one))
-        for phi in invariant:
+                         invariant[0] / (m2 + e), e / (m1 + c1 * one),
+                         # a constant over a non-invariant side, and a
+                         # non-invariant polynomial: D(r) = 0 decides
+                         c2 / (m3 + e), m3 * e - c1)
+        for phi in invariant + (c2 / m3,):
             assert check_invariance(phi) and reference_check_invariance(phi)
         for phi in non_invariant:
             assert not check_invariance(phi)
