@@ -46,39 +46,37 @@ Only this module reads the key layout.  Other modules hold keys without
 looking inside them: the parser takes each variable's key from the table
 ``_keys``, and ``membership`` its vector fields from ``_derivation``.
 
-There is one exact division and one content routine, on term dicts,
-shared by ``poly_exact_div``, ``poly_gcd``'s divisor test and the
-heuristic gcd.
-The division takes the remainder's terms off a heap in descending
-graded-lex order, so no term is looked at twice.  A single term c * x^a
-and a polynomial have the gcd x^m, with m the componentwise minimum of
-a and the polynomial's exponents (``_min_key``): ``poly_gcd`` answers it
-at once, and ``ratfunc_normalize`` shifts m out of a quotient with a
-one-term side without calling ``poly_gcd``.  The canonical scaling takes
-no primitive parts: it clears the denominators of both sides and divides
-them by one gcd of all their coefficients, so an integer polynomial over
-a monic monomial is kept as it is.
+There is one exact division and one content routine, on term dicts, shared
+by ``poly_exact_div``, ``poly_gcd``'s divisor test and the heuristic gcd.
+It takes the remainder's terms off a heap in descending graded-lex order,
+so no term is looked at twice.  A remainder left by a divisor the kernel
+found (a gcd or a content) raises ``KernelInvariantError``, by a caller's
+divisor a ``ValueError``.  A single term c * x^a and a polynomial have the
+gcd x^m, m the componentwise minimum of a and the polynomial's exponents
+(``_min_key``): ``poly_gcd`` answers it at once, and ``ratfunc_normalize``
+and ``substitute`` shift m out of a quotient with a one-term side.  The
+canonical scaling takes no primitive parts: it clears the denominators of
+both sides and divides them by one gcd of all their coefficients, so an
+integer polynomial over a monic monomial is kept as it is.
 
-``substitute`` has one evaluator, which sums c * prod(v_i ** e_i) over
-the terms with one power cache per variable, in the arithmetic the values
-call for.  A polynomial decodes its keys to each term's nonzero exponents
-once and keeps them (``_sparse_terms``): the 4 or 8 pullbacks of one
-decision decode f once.  When every value has a single-term denominator
+``substitute`` sums c * prod(v_i ** e_i) over the terms with one power
+table per variable, in the arithmetic the values call for; a polynomial
+decodes its keys to each term's nonzero exponents once and keeps them
+(``_sparse_terms``).  When every value has a single-term denominator
 c_i * x^m_i (m_i = 0 for a constant), each is divided by c_i and the sum
 is taken on raw term dicts over one denominator x^top, the componentwise
-maximum (``_max_key``, on keys) of the weights w(e) = sum e_i * m_i over
-the nonzero e_i.  Each term's product starts from x^(top - w(e)) and adds
-its last power straight into the sum; one canonical pass and one
-normalization end it, without a gcd unless both sides of f pull back to
-two or more terms.  The largest degree of a term is checked before any
-product, so no key carries, and past ``_TERM_BUDGET`` pairs of terms in
-the raw products of one pullback ``Unsupported`` is raised.  With a
-denominator of two or more terms the sum is taken in canonical
-``RatFunc`` arithmetic: polynomial arithmetic on rational values clears
-ever larger denominators (the tests ran past ten minutes), and canonical
-arithmetic on polynomial values pays gcds at every step (dense pullbacks
-ran under a quarter of the speed).  ``prepare_substitution`` prepares
-what depends only on the values once, as a ``Substitution``.
+maximum (``_max_key``) of the weights w(e) = sum e_i * m_i.  The m_i form
+a shift table, one object for equal tables, and a polynomial keeps its
+weights and their maximum per table next to its decode (``_weighted``),
+so substitutions that share a table weigh it once.  Each term's product
+starts from x^(top - w(e)) and adds its last power straight into the
+sum.  The degree is bounded before any product, so no key carries, and
+past ``_TERM_BUDGET`` pairs of terms in the raw products of one pullback
+``Unsupported`` is raised.  With a denominator of two or more terms the
+sum is taken in canonical ``RatFunc`` arithmetic: polynomial arithmetic
+on rational values clears ever larger denominators (the tests ran past
+ten minutes), and canonical arithmetic on polynomial values pays gcds at
+every step (dense pullbacks ran under a quarter of the speed).
 
 Two values may be combined only when their universes agree; a constant is
 silently promoted into the other operand's universe (a constant mentions
@@ -92,7 +90,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache, reduce
 from heapq import heapify, heappop, heappush
-from itertools import compress
+from itertools import compress, repeat
 from math import gcd as _igcd, lcm as _ilcm
 from operator import mul, or_
 from struct import Struct
@@ -114,6 +112,10 @@ class DegreeLimitError(ValueError):
     """A polynomial's total degree would exceed ``MAX_DEGREE``."""
 
 
+class KernelInvariantError(RuntimeError):
+    """A division by a gcd or a content left a remainder: a kernel fault."""
+
+
 # exponent keys (see the module docstring)
 _BITS = 16
 _FIELD = (1 << _BITS) - 1
@@ -122,6 +124,7 @@ MAX_DEGREE = (1 << _BITS - 1) - 1
 # The pairs of terms that the raw products of one pullback, or one raw
 # product of ``_product`` and ``_power``, may form.
 _TERM_BUDGET = 10 ** 6
+_OVER_BUDGET = "the pullback would multiply more than {} pairs of terms"
 
 # ``_INT.issuperset(map(type, coefficients))`` tests in C that all are ints
 _INT = frozenset((int,))
@@ -339,7 +342,7 @@ class MultiPoly:
     The zero polynomial has no terms.
     """
 
-    __slots__ = ("vars", "terms", "_sparse")
+    __slots__ = ("vars", "terms", "_sparse", "_weights")
 
     def __init__(self, vars: Sequence[str], terms: Mapping[tuple, Fraction]):
         vs = tuple(vars)
@@ -646,6 +649,11 @@ def _quotient(p: dict, d: dict, div=_div):
 
 def poly_exact_div(p: MultiPoly, d: MultiPoly) -> MultiPoly:
     """Exact division p/d; raises ValueError when d does not divide p."""
+    return _exact_div(p, d, ValueError)
+
+
+def _exact_div(p: MultiPoly, d: MultiPoly, error=KernelInvariantError) -> MultiPoly:
+    """p/d; a remainder raises ``error``, for a divisor the kernel found."""
     p, d = p._pair(d)
     if d.is_zero:
         raise ZeroDivisionError("division by zero polynomial")
@@ -655,7 +663,7 @@ def poly_exact_div(p: MultiPoly, d: MultiPoly) -> MultiPoly:
         return p.scale(_div(1, d.const_value))
     quot = _quotient(p.terms, d.terms)
     if quot is None:
-        raise ValueError("polynomial division is not exact")
+        raise error("polynomial division is not exact")
     return MultiPoly._make(p.vars, quot)
 
 
@@ -698,9 +706,11 @@ def _primitive_positive(p: MultiPoly) -> MultiPoly:
 
 def _sparse_terms(p: MultiPoly) -> tuple:
     """(key, coefficient, (index, exponent) pairs of the nonzero exponents)
-    per term of p, keys ascending; decoded once and kept."""
+    per term of p, keys ascending; decoded once and kept, with a dict for
+    the weights of ``_weighted``."""
     sparse = getattr(p, "_sparse", None)
     if sparse is None:
+        p._weights = {}
         sparse = p._sparse = tuple(
             (e, c, tuple(compress(enumerate(ex), ex)))
             for e, c in sorted(p.terms.items()) for ex in (_unpack(e, len(p.vars)),))
@@ -802,10 +812,10 @@ def _subresultant_last(f: dict, g: dict) -> dict:
         f, g, m, d = g, h, k, m - k
         b = (-lc) * (c ** d)
         h = _prem(f, g)
-        h = {deg: poly_exact_div(cf, b) for deg, cf in h.items()}
+        h = {deg: _exact_div(cf, b) for deg, cf in h.items()}
         lc = g[m]
         if d > 1:
-            c = poly_exact_div((-lc) ** d, c ** (d - 1))
+            c = _exact_div((-lc) ** d, c ** (d - 1))
         else:
             c = -lc
     return last
@@ -925,8 +935,8 @@ def _gcd_core(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     cp = _content_of_univ(pu)
     cq = _content_of_univ(qu)
     cg = poly_gcd(cp, cq)
-    pp = poly_exact_div(p, cp)
-    qq = poly_exact_div(q, cq)
+    pp = _exact_div(p, cp)
+    qq = _exact_div(q, cq)
     if pp.degree_in(v) <= 0 or qq.degree_in(v) <= 0:
         return cg
     last = _subresultant_last(_univ(pp, v), _univ(qq, v))
@@ -934,7 +944,7 @@ def _gcd_core(p: MultiPoly, q: MultiPoly) -> MultiPoly:
         return cg
     flat = _from_univ(last, v, p.vars)
     cont = _content_of_univ(_univ(flat, v))
-    prim = poly_exact_div(flat, cont)
+    prim = _exact_div(flat, cont)
     return cg * prim
 
 
@@ -1183,22 +1193,22 @@ class RatFunc:
             h = poly_gcd(t, a.den)
             if h.is_one:
                 return _canonical_scale(t, a.den)
-            return _canonical_scale(poly_exact_div(t, h),
-                                    poly_exact_div(a.den, h))
+            return _canonical_scale(_exact_div(t, h),
+                                    _exact_div(a.den, h))
         g = poly_gcd(a.den, b.den)
         if g.is_one:
             return _canonical_scale(a.num * b.den + b.num * a.den,
                                     a.den * b.den)
-        bd = poly_exact_div(a.den, g)
-        dd = poly_exact_div(b.den, g)
+        bd = _exact_div(a.den, g)
+        dd = _exact_div(b.den, g)
         t = a.num * dd + b.num * bd
         if t.is_zero:
             return RatFunc.const(a.universe, 0)
         h = poly_gcd(t, g)
         if h.is_one:
             return _canonical_scale(t, bd * b.den)
-        return _canonical_scale(poly_exact_div(t, h),
-                                bd * poly_exact_div(b.den, h))
+        return _canonical_scale(_exact_div(t, h),
+                                bd * _exact_div(b.den, h))
 
     __radd__ = __add__
 
@@ -1224,10 +1234,10 @@ class RatFunc:
             return RatFunc.const(a.universe, 0)
         g1 = poly_gcd(a.num, b.den)
         g2 = poly_gcd(b.num, a.den)
-        an = a.num if g1.is_one else poly_exact_div(a.num, g1)
-        bd = b.den if g1.is_one else poly_exact_div(b.den, g1)
-        bn = b.num if g2.is_one else poly_exact_div(b.num, g2)
-        ad = a.den if g2.is_one else poly_exact_div(a.den, g2)
+        an = a.num if g1.is_one else _exact_div(a.num, g1)
+        bd = b.den if g1.is_one else _exact_div(b.den, g1)
+        bn = b.num if g2.is_one else _exact_div(b.num, g2)
+        ad = a.den if g2.is_one else _exact_div(a.den, g2)
         return _canonical_scale(an * bn, ad * bd)
 
     __rmul__ = __mul__
@@ -1329,22 +1339,24 @@ def ratfunc_normalize(num: MultiPoly, den: MultiPoly) -> RatFunc:
     num, den = num._pair(den)
     if den.is_zero:
         raise ZeroDivisionError("division by zero polynomial")
-    if not (num.is_const or den.is_const):
-        if len(num.terms) == 1 or len(den.terms) == 1:
-            # the gcd of a term c * x^a and a polynomial is x^m, with m the
-            # componentwise minimum of a and the polynomial's exponents
-            m = _min_key((*num.terms, *den.terms), len(num.vars))
-            num, den = _shift_down(num, m), _shift_down(den, m)
-        else:
-            g = poly_gcd(num, den)
-            if g.is_monomial:
-                # g is primitive, so it is x^m: shift m out of both
-                m = next(iter(g.terms))
-                num, den = _shift_down(num, m), _shift_down(den, m)
-            else:
-                num = poly_exact_div(num, g)
-                den = poly_exact_div(den, g)
-    return _canonical_scale(num, den)
+    if num.is_const or den.is_const:
+        return _canonical_scale(num, den)
+    if len(num.terms) > 1 < len(den.terms):
+        g = poly_gcd(num, den)
+        if not g.is_monomial:
+            return _canonical_scale(_exact_div(num, g), _exact_div(den, g))
+    return _shifted_quotient(num.vars, num.terms, den.terms)
+
+
+def _shifted_quotient(vars: tuple, nt: dict, dt: dict) -> RatFunc:
+    """Canonical form of the term dicts nt/dt (dt nonzero) whose gcd is a
+    monomial x^m, as it is when one side is a single term c * x^a: m is
+    the componentwise minimum of all their exponents, shifted out."""
+    m = 0 if 0 in nt or 0 in dt else _min_key((*nt, *dt), len(vars))
+    if m:
+        nt = {e - m: c for e, c in nt.items()}
+        dt = {e - m: c for e, c in dt.items()}
+    return _canonical_scale(MultiPoly._make(vars, nt), MultiPoly._make(vars, dt))
 
 
 def is_polynomial(f: RatFunc) -> bool:
@@ -1352,47 +1364,23 @@ def is_polynomial(f: RatFunc) -> bool:
     return f.den.is_const
 
 
-@lru_cache(maxsize=64)
-def _fields_outside(universe: tuple, names: tuple) -> int:
+def _fields_outside(universe: tuple, names: Iterable[str]) -> int:
     """The key fields of the universe's variables not among names."""
+    names = set(names)
     return sum(_FIELD << _shift(len(universe), i)
                for i, v in enumerate(universe) if v not in names)
 
 
 def is_laurent_in(f: RatFunc, names: Iterable[str]) -> bool:
     """True iff the canonical denominator is a monomial in variables from names."""
-    if not f.den.is_monomial:
-        return False
-    key, = f.den.terms
-    return not key or not key & _fields_outside(f.den.vars, tuple(names))
+    return _laurent_outside(f, _fields_outside(f.den.vars, names))
 
 
-def _evaluate(terms: Iterable[tuple], values: Sequence, powers: dict, one,
-              mul, add, total):
-    """Sum of t * prod(values[i] ** k) over the pairs (t, e) of terms, e
-    the (i, k) pairs of a term's nonzero exponents.
-
-    The caller's arithmetic: ``one`` is the unit, ``mul`` multiplies two
-    values and ``add(t, f, total)`` returns total + t * f; ``total``
-    starts the sum.  Each term's product starts from its t and takes its
-    powers in order, all but the last by ``mul``; the last power (``one``
-    for a constant term) goes to ``add``, so the term's full product is
-    never built on its own.  ``powers`` keeps the powers of each variable
-    from its first use on, and may be shared by calls on the same values.
-    """
-    for t, e in terms:
-        f = one
-        for i, k in e:
-            cache = powers.get(i)
-            if cache is None:
-                cache = powers[i] = [one, values[i]]
-            while len(cache) <= k:
-                cache.append(mul(cache[-1], values[i]))
-            if f is not one:
-                t = mul(t, f)
-            f = cache[k]
-        total = add(t, f, total)
-    return total
+def _laurent_outside(f: RatFunc, fields: int) -> bool:
+    """Whether the canonical denominator is a monomial with no exponent in
+    the key fields ``fields``, prepared once by ``_fields_outside``."""
+    den = f.den.terms
+    return len(den) == 1 and not next(iter(den)) & fields
 
 
 class Substitution(NamedTuple):
@@ -1401,14 +1389,21 @@ class Substitution(NamedTuple):
     and ``degrees`` are None when some value's denominator has two or more
     terms; otherwise each value is the term dict of its numerator divided
     by c_i, ``shifts`` holds the key of the m_i of each value's
-    denominator c_i * x^m_i (0 for a constant), and ``degrees`` each
-    value's total degree."""
+    denominator c_i * x^m_i (0 for a constant; one object per equal table),
+    ``degrees`` each value's total degree and ``reach`` the largest."""
 
     source: tuple
     target: tuple
     values: tuple
     shifts: Optional[tuple]
     degrees: Optional[tuple]
+    reach: int = 0
+
+
+@lru_cache(maxsize=256)
+def _interned(shifts: tuple) -> tuple:
+    """One object per shift table in use, for the weights of ``_weighted``."""
+    return shifts
 
 
 def prepare_substitution(universe: Sequence[str],
@@ -1430,10 +1425,24 @@ def prepare_substitution(universe: Sequence[str],
     dens = [next(iter(val.den.terms.items())) for val in values]
     nums = tuple(val.num.scale(_div(1, c)).terms
                  for val, (_, c) in zip(values, dens))
-    return Substitution(
-        tuple(universe), tvars, nums,
-        tuple(m for m, _ in dens),
-        tuple(max(p, default=0) >> _BITS * len(tvars) for p in nums))
+    degrees = tuple(max(p, default=0) >> _BITS * len(tvars) for p in nums)
+    return Substitution(tuple(universe), tvars, nums, _interned(tuple(m for m, _ in dens)),
+                        degrees, max(degrees, default=0))
+
+
+def _weighted(p: MultiPoly, shifts: tuple, width: int) -> tuple:
+    """(shifts, the weights w(e) = sum e_i * m_i of ``_sparse_terms(p)``,
+    their componentwise maximum), kept per table next to the decode but not
+    on a shared constant; a field of w(e) carries only past degree 2**16,
+    which ``_max_key`` refuses."""
+    if p.is_const:
+        return shifts, [0] * len(p.terms), 0
+    terms = _sparse_terms(p)
+    entry = p._weights.get(id(shifts))
+    if entry is None or entry[0] is not shifts:
+        weights = [sum([k * shifts[i] for i, k in ex]) for _, _, ex in terms]
+        entry = p._weights[id(shifts)] = shifts, weights, _max_key(weights, width)
+    return entry
 
 
 def substitute(f: RatFunc,
@@ -1450,64 +1459,72 @@ def substitute(f: RatFunc,
     if sub.source != f.universe:
         raise ValueError(f"substitution prepared for {sub.source}, "
                          f"not for {f.universe}")
-    _, tvars, values, shifted, degrees = sub
+    _, tvars, values, shifts, degrees, reach = sub
     terms = _sparse_terms(f.num), _sparse_terms(f.den)
-    # the powers of each value, shared by the numerator and the denominator
-    powers: dict = {}
-    if shifted is None:
-        one, zero = RatFunc.const(tvars, 1), RatFunc.const(tvars, 0)
-        num, den = (_evaluate([(c, ex) for _, c, ex in g], values, powers, one,
-                              mul, lambda t, f, total: total + t * f, zero)
-                    for g in terms)
+    if shifts is None:
+        # canonical RatFunc arithmetic, each power of a value taken once
+        power = lru_cache(maxsize=None)(lambda i, k: values[i] ** k)
+        num, den = (sum((reduce(mul, (power(i, k) for i, k in ex), RatFunc.const(tvars, c))
+                         for _, c, ex in g), RatFunc.const(tvars, 0)) for g in terms)
         if den.is_zero:
             raise PoleError("pullback undefined: chart lies in pole locus")
         return num / den
-    # values[i] = P_i / (c_i * x^m_i): each term c * x^e of f.num and
-    # f.den evaluates to c * prod P_i^e_i over x^w(e), w(e) = sum e_i *
-    # m_i, and is shifted up to the common denominator x^top
-    top_field = _BITS * len(tvars)
+    # values[i] = P_i / (c_i * x^m_i): a term c * x^e of f.num or f.den
+    # is c * prod P_i^e_i over x^w(e), shifted up to the common
+    # denominator x^top, the componentwise maximum of all the weights
+    width = len(tvars)
+    top_field = _BITS * width
+    nw = dw = repeat(0)
     top = 0
-    weight = dict.fromkeys((*f.num.terms, *f.den.terms), 0)
-    if any(shifted):
-        # w(e) from the nonzero e_i; a lower field of w(e) carries into its
-        # top field only past degree 2**16, which _max_key then refuses
-        for e, _, ex in (*terms[0], *terms[1]):
-            w = 0
-            for i, k in ex:
-                w += k * shifted[i]
-            weight[e] = w
-        top = _max_key(set(weight.values()), len(tvars))
-    # each term's product has the degree of x^(top - w(e)) plus sum e_i *
-    # deg P_i, at most the degree of x^top plus that of f times the
-    # largest deg P_i; past that bound the largest is checked, before any
-    # product, so no key carries
-    if ((top >> top_field) + (max(weight) >> _BITS * len(f.universe))
-            * max(degrees, default=0) > MAX_DEGREE):
+    if any(shifts):
+        _, nw, nhi = _weighted(f.num, shifts, width)
+        _, dw, dhi = _weighted(f.den, shifts, width)
+        top = _max_key((nhi, dhi), width) if nhi and dhi else nhi | dhi
+    sides = (terms[0], nw), (terms[1], dw)
+    # a term's product has the degree of x^(top - w(e)) plus sum e_i *
+    # deg P_i, at most deg x^top + deg f * reach (f's leading keys are
+    # last); past that bound the largest is checked before any product
+    if ((top >> top_field) + (max((terms[0] or terms[1])[-1][0], terms[1][-1][0])
+                              >> _BITS * len(f.universe)) * reach > MAX_DEGREE):
         _check_degree((top >> top_field) + max(
-            sum(k * degrees[i] for i, k in ex) - (weight[e] >> top_field)
-            for e, _, ex in (*terms[0], *terms[1])))
+            sum(k * degrees[i] for i, k in ex) - (w >> top_field)
+            for g, ws in sides for (_, _, ex), w in zip(g, ws)))
+    # a term's product starts from c * x^(top - w(e)) and adds its last
+    # power, from one power table per variable, straight into the sum; a
+    # constant term (first, as keys ascend) starts the sum.  The raw
+    # products of one pullback may form _TERM_BUDGET pairs of terms,
+    # counted before each product.
+    powers: dict = {}
     spent = 0
-
-    def product(at: dict, bt: dict, out: Optional[dict] = None) -> dict:
-        # the raw products of one pullback form at most _TERM_BUDGET
-        # pairs of terms, counted before each product
-        nonlocal spent
-        spent += len(at) * len(bt)
-        if spent > _TERM_BUDGET:
-            raise Unsupported(
-                f"the pullback would multiply more than {_TERM_BUDGET} "
-                f"pairs of terms")
-        return _mul_terms(at, bt, out)
-
-    def pull_back(g: tuple) -> MultiPoly:
+    pulled = []
+    for g, ws in sides:
         if len(g) == 1 and not g[0][0]:
             # a constant c pulls back to c * x^top
-            return MultiPoly._make(tvars, {top: g[0][1]})
-        return MultiPoly._make(tvars, _canon(_evaluate(
-            [({top - weight[e]: c}, ex) for e, c, ex in g],
-            values, powers, {0: 1}, product, product, {})))
-
-    num, den = map(pull_back, terms)
-    if den.is_zero:
+            pulled.append({top: g[0][1]})
+            continue
+        total: dict = {}
+        for (_, c, ex), w in zip(g, ws):
+            t = {top - w: c}
+            if not ex:
+                total = t
+            for pair in ex:
+                i, k = pair
+                cache = powers.get(i)
+                if cache is None:
+                    cache = powers[i] = [None, values[i]]
+                while len(cache) <= k:
+                    spent += len(cache[-1]) * len(values[i])
+                    if spent > _TERM_BUDGET:
+                        raise Unsupported(_OVER_BUDGET.format(_TERM_BUDGET))
+                    cache.append(_mul_terms(cache[-1], values[i]))
+                spent += len(t) * len(cache[k])
+                if spent > _TERM_BUDGET:
+                    raise Unsupported(_OVER_BUDGET.format(_TERM_BUDGET))
+                t = _mul_terms(t, cache[k], total if pair is ex[-1] else None)
+        pulled.append(_canon(total))
+    nt, dt = pulled
+    if not dt:
         raise PoleError("pullback undefined: chart lies in pole locus")
-    return ratfunc_normalize(num, den)
+    if len(nt) == 1 or len(dt) == 1:
+        return _shifted_quotient(tvars, nt, dt)
+    return ratfunc_normalize(MultiPoly._make(tvars, nt), MultiPoly._make(tvars, dt))

@@ -16,19 +16,21 @@ D(p) q = p D(q), or D(r) = 0 when the other side of p/q is a constant.
 The chart matrices do not depend on the function being decided.  Each
 chart is built lazily, on first use, once per process per (chart, n), from
 the distinguished words of sl_n, and only its prepared substitution (see
-``exact_arith``) is kept; a pullback is then a table lookup plus
-``substitute``, which decodes the function's keys once per decision.  The
-chart entries are polynomials over monomials in the torus coordinates, so
-a pullback is summed over one common monomial with no per-step gcd, and
-its one final normalization takes no gcd either unless both sides of the
-sum have two or more terms (a polynomial and c/(polynomial) have a
-one-term side).  A pullback whose raw products would form more pairs of
-terms than the kernel's budget raises ``Unsupported``.  Held at once, the
-unipotent charts at sl3-sl7 and the quotient and full-group charts at
-sl3-sl5 take about 0.58 MB, of which the eight sl5 full-group charts,
-built last, take 0.27 MB (tracemalloc's current size after gc.collect(),
-before and after the builds).  Above a measured size bound per space
-(``_MAX_N``) a decision raises ``Unsupported`` before any chart is built.
+``exact_arith``) is kept, with the key fields of the space's non-torus
+parameters for the Laurent test.  The chart entries are polynomials over
+monomials in the torus coordinates, so a pullback is summed over one
+common monomial with no per-step gcd, and normalized without a gcd unless
+both sides of the sum have two or more terms.  The 4 G/U- charts, like the
+8 G charts, share 2 shift tables (the torus monomials of their entries'
+denominators), so a decision decodes the function once and weighs its
+terms twice.  A pullback past the kernel's term budget raises
+``Unsupported``, and so, naming the chart, does one past its degree limit.
+Held at once, the unipotent charts at sl3-sl7 and the quotient and
+full-group charts at sl3-sl5 take about 0.56 MB, of which the eight sl5
+full-group charts, built last, take 0.26 MB (tracemalloc's current size
+after gc.collect(), before and after the builds).  Above a measured size
+bound per space (``_MAX_N``) a decision raises ``Unsupported`` before any
+chart is built.
 
 Chart inversion reads the chamber minors of one twist, as ``transition``
 does: the parameters along a word are ratios of minors of eta_w0 of the
@@ -46,8 +48,9 @@ from functools import lru_cache
 from math import isqrt
 from typing import NamedTuple, Optional
 
-from .exact_arith import (PoleError, RatFunc, Substitution, _derivation,
-                          is_laurent_in, prepare_substitution, substitute)
+from .exact_arith import (DegreeLimitError, PoleError, RatFunc, Substitution,
+                          _derivation, _fields_outside, _laurent_outside,
+                          prepare_substitution, substitute)
 from .exprparse import indexed_name
 from .root_data import Unsupported, distinguished_word
 from .sl_realization import (GroupMatrix, TorusPoint, _chamber_parameters,
@@ -175,6 +178,13 @@ def _chart_substitution(cid: ChartId, n: int) -> Substitution:
     return _substitution("u" if cid.space == "U" else "g", _chart(cid, n).entries)
 
 
+@lru_cache(maxsize=None)
+def _outside_torus(space: str, n: int) -> int:
+    """The key fields of the non-torus parameters, alike on every chart of a space."""
+    return _fields_outside(_chart_substitution(_CHARTS[space][0], n).target,
+                           torus_names(n))
+
+
 # The largest n measured to decide cold within 10 s (CLI, one run each):
 # U at sl20 in 9.2 s and 509 MB, G/U- at sl16 in 5.3 s (sl17: 11 s), G at
 # sl8 in 2.9 s (sl9: 12 s).  sl22 on U held 1.45 GB when stopped at 20 s.
@@ -193,7 +203,7 @@ def _decide(phi: RatFunc, space: str, n: int) -> MembershipVerdict:
     coordinates (a U chart has none, so there it must be a polynomial)."""
     require_decidable(space, n)
     _require_universe(phi, "u" if space == "U" else "g", n)
-    tnames = torus_names(n)
+    outside = _outside_torus(space, n)
     where = "U" if space == "U" else f"SL_{n}"
     certs = []
     for cid in _CHARTS[space]:
@@ -206,7 +216,10 @@ def _decide(phi: RatFunc, space: str, n: int) -> MembershipVerdict:
             raise ValueError(
                 f"the input's denominator vanishes on {where}: it is zero "
                 f"along the chart {cid.label}, whose image is dense") from None
-        certs.append(Certificate(cid, pb, is_laurent_in(pb, tnames)))
+        except DegreeLimitError as exc:
+            raise Unsupported(f"along the chart {cid.label}, the pullback's "
+                              f"{exc}") from None
+        certs.append(Certificate(cid, pb, _laurent_outside(pb, outside)))
     failing = next((c.chart for c in certs if not c.ok), None)
     return MembershipVerdict(failing is None, tuple(certs), failing)
 

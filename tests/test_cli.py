@@ -342,6 +342,38 @@ def test_degree_above_the_limit_is_a_usage_error(capsys):
     assert time.monotonic() - started < 5
 
 
+def test_a_pullback_past_the_degree_limit_is_unsupported(capsys):
+    # the input's degree, 17,000, is within the limit; its pullback along
+    # u:jj0, 34,000, is not, which the input did not ask for
+    started = time.monotonic()
+    code, out, err = run(capsys, "membership", "u", "--group", "sl3",
+                         "--expr", "(u(1,3)^1000)^17")
+    assert code == 3 and out == ""
+    assert err == ("error: unsupported: along the chart u:jj0, the pullback's "
+                   "total degree 34000 exceeds the limit 32767\n")
+    assert time.monotonic() - started < 5
+    # 22,000 along every G chart is within it
+    code, out, _ = run(capsys, "membership", "g", "--group", "sl3",
+                       "--expr", "(g(3,1)^1000)^11")
+    assert code == 0 and "member: True" in out
+
+
+def test_an_internal_kernel_failure_exits_three(monkeypatch, capsys):
+    # a gcd that does not divide: the exact division by it is the kernel's
+    # fault, not the input's
+    from bircharts import exact_arith
+
+    def not_a_divisor(p, q):
+        return p + exact_arith.MultiPoly.variable(p.vars, p.vars[0])
+
+    monkeypatch.setattr(exact_arith, "poly_gcd", not_a_divisor)
+    code, out, err = run(capsys, "membership", "g", "--group", "sl3", "--expr",
+                         "(g(1,1)*g(2,2)+1)/(g(1,2)*g(2,1)+2)")
+    assert code == 3 and out == ""
+    assert err.startswith("internal error: KernelInvariantError: "
+                          "polynomial division is not exact")
+
+
 def test_a_pullback_past_the_term_budget_is_unsupported(capsys):
     # the pullback (a1 + a2 + a3)^1000 has 501,501 terms; the power table
     # of u(2,3) -> a1 + a3 alone passes the budget, and the run stops there

@@ -39,10 +39,22 @@ def test_normalize_cancels_common_factor():
 
 def test_normalize_shifts_out_a_monomial_gcd(monkeypatch):
     # gcd x*y: divided out by an exponent shift, not by the heap division
-    monkeypatch.setattr(exact_arith, "poly_exact_div", None)
+    monkeypatch.setattr(exact_arith, "_exact_div", None)
     x, y = _x(), _y()
     f = ratfunc_normalize(3 * x * x * y + 6 * x * y, 9 * x * y * y)
     assert f.num == x + 2 and f.den == 3 * y
+
+
+def test_an_inexact_division_by_a_divisor_the_kernel_found_is_its_fault():
+    # a caller's divisor is an input error; one the kernel found (a gcd or
+    # a content) that leaves a remainder is an invariant failure
+    x, y = _x(), _y()
+    with pytest.raises(ValueError, match="not exact"):
+        poly_exact_div(x + 1, y)
+    with pytest.raises(exact_arith.KernelInvariantError, match="not exact"):
+        exact_arith._exact_div(x + 1, y)
+    assert not issubclass(exact_arith.KernelInvariantError,
+                          (ValueError, ArithmeticError))
 
 
 def test_normalize_zero_numerator():

@@ -4,7 +4,9 @@ Kernel arithmetic builds its results with the trusted ``MultiPoly._make``,
 which checks nothing.  These properties re-validate every result through
 the public constructor, so a producer that emits a zero coefficient, an
 exponent vector of the wrong width, an integral Fraction or a float fails
-here.  A property checks ``iota``, which is built from the kernel's
+here.  Pullbacks along the torus charts of G/U- and G, whose term weights
+are kept per shift table, are checked against a term-by-term reference.
+A property checks ``iota``, which is built from the kernel's
 determinants, against independent Fraction arithmetic.  Two check the
 Weyl-group elements of ``root_data`` (a word and its image of rho, lengths
 by descent): against a breadth-first enumeration of the group, and against
@@ -26,9 +28,9 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from bircharts import (MultiPoly, PoleError, RatFunc, TorusPoint,  # noqa: E402
                        Weight, cartan, chart_G, decide_O_U, distinguished_word,
-                       exact_arith, iota, is_reduced, length, poly_exact_div,
-                       poly_gcd, ratfunc_normalize, substitute, u_variables,
-                       weyl_apply, weyl_from_word)
+                       exact_arith, g_variables, iota, is_reduced, length,
+                       membership, poly_exact_div, poly_gcd, ratfunc_normalize,
+                       substitute, u_variables, weyl_apply, weyl_from_word)
 
 from helpers import (enumerate_weyl_group, matrix_apply,  # noqa: E402
                      matrix_lengths, matrix_product, normalize_by_gcd,
@@ -263,6 +265,56 @@ def test_product_matches_term_by_term_reference(pair):
     for r in (p * q, q * p):
         assert_canonical(r)
         assert r.exponents() == want
+
+
+@lru_cache(maxsize=None)
+def _chart_values(cid, n):
+    matrix = membership._chart(cid, n)
+    return [matrix.entry(i, j) for _, i, j in membership._entries("g", n)]
+
+
+@st.composite
+def torus_chart_cases(draw):
+    """(n, space, phi): at sl3 or sl4, a G/U- or G space and a sparse
+    function of the g_ij, a polynomial, c/(polynomial) or a quotient of
+    polynomials whose terms have one to three factors, next to a constant
+    term that may be 0."""
+    n = draw(st.sampled_from([3, 4]))
+    names = g_variables(n)
+
+    def sparse():
+        p = MultiPoly.const(names, draw(int_coeffs))
+        for _ in range(draw(st.integers(1, 3))):
+            factors = draw(st.lists(st.sampled_from(names), min_size=1, max_size=3))
+            p = p + reduce(lambda t, v: t * MultiPoly.variable(names, v), factors,
+                           MultiPoly.const(names, draw(int_coeffs.filter(bool))))
+        return p
+
+    shape = draw(st.sampled_from(["poly", "c/poly", "poly/poly"]))
+    num = (MultiPoly.const(names, draw(int_coeffs.filter(bool)))
+           if shape == "c/poly" else sparse())
+    den = MultiPoly.one(names) if shape == "poly" else sparse()
+    assume(not den.is_zero)
+    return n, draw(st.sampled_from(["GmodU", "G"])), RatFunc(num, den)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(torus_chart_cases())
+def test_torus_chart_pullbacks_match_the_term_by_term_reference(case):
+    # the weights of phi are built for the first chart of each shift table
+    # and reused by the others
+    n, space, phi = case
+    for cid in membership._CHARTS[space]:
+        prepared = membership._chart_substitution(cid, n)
+        values = _chart_values(cid, n)
+        try:
+            got = substitute(phi, prepared)
+        except PoleError:
+            with pytest.raises(ZeroDivisionError):
+                reference_substitute(phi, values, prepared.target)
+            continue
+        assert_canonical_ratfunc(got)
+        assert got == reference_substitute(phi, values, prepared.target)
 
 
 @SETTINGS

@@ -167,6 +167,88 @@ def test_a_decision_decodes_its_input_once(monkeypatch):
     assert sorted(decoded) == sorted((*phi.num.terms, *phi.den.terms))
 
 
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_a_decision_weighs_its_input_once_per_shift_table(monkeypatch, n):
+    # a weight table ends in one _max_key over the weights of one side;
+    # x^top takes another only when neither side is a constant, and these
+    # inputs have a constant side
+    names, g = _gvars(n)
+    _, u = _uvars(n)
+    decide_O_G(g["g11"] + 1, n)  # builds the charts
+    decide_O_GmodU(g[f"g1{n}"] + 1, n)
+    decide_O_U(u["u12"], n)
+    built = []
+    real = exact_arith._max_key
+
+    def spy(keys, width):
+        built.append(len(keys))
+        return real(keys, width)
+
+    monkeypatch.setattr(exact_arith, "_max_key", spy)
+    cases = [(decide_O_G, g["g11"] * g["g22"] - 3 * g[f"g{n}1"] + 2, 2),
+             (decide_O_G, 5 / (g["g12"] * g["g21"] + 2), 2),
+             (decide_O_GmodU, g[f"g1{n}"] * g[f"g2{n}"] + 2, 2),
+             (decide_O_GmodU, 3 / (g[f"g1{n}"] + 1), 2),
+             (decide_O_U, u["u12"] * u[f"u2{n}"] + 1, 0),
+             (decide_O_U, 1 / (u["u12"] + 2), 0)]
+    for decide, phi, tables in cases:
+        built.clear()
+        decide(phi, n)
+        assert len(built) == tables, (decide.__name__, str(phi))
+        # a second decision on the same value weighs nothing again
+        decide(phi, n)
+        assert len(built) == tables
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_charts_with_equal_shift_tables_hold_one_table(n):
+    for space in ("GmodU", "G"):
+        tables = [membership._chart_substitution(cid, n).shifts
+                  for cid in membership._CHARTS[space]]
+        distinct = {id(t) for t in tables}
+        assert len(distinct) == len(set(tables))
+        assert len(distinct) == (1 if (n, space) == (2, "G") else 2)
+
+
+def test_the_term_budget_is_per_pullback(monkeypatch):
+    # each chart's pullback forms fewer pairs of terms than the budget, all
+    # eight together more; the decision stands as without the budget
+    names, g = _gvars(3)
+    phi = (g["g11"] * g["g23"] + 3 * g["g32"] + 1) ** 2 + g["g22"]
+    want = decide_O_G(phi, 3)
+    pairs = []
+    real = exact_arith._mul_terms
+
+    def spy(at, bt, out=None):
+        pairs[-1] += len(at) * len(bt)
+        return real(at, bt, out)
+
+    monkeypatch.setattr(exact_arith, "_mul_terms", spy)
+    for cid in membership._CHARTS["G"]:
+        pairs.append(0)
+        substitute(phi, membership._chart_substitution(cid, 3))
+    most = max(pairs)
+    assert most < sum(pairs)
+    monkeypatch.setattr(exact_arith, "_TERM_BUDGET", most)
+    assert decide_O_G(phi, 3) == want
+    monkeypatch.setattr(exact_arith, "_TERM_BUDGET", most - 1)
+    with pytest.raises(Unsupported, match=f"more than {most - 1} pairs"):
+        decide_O_G(phi, 3)
+
+
+def test_a_pullback_of_degree_22000_is_taken_along_every_chart():
+    # g31^11000 pulls back to a numerator of degree 22,000 over a torus
+    # monomial of degree 11,000; a common denominator of every chart value
+    # would take it to 33,000, past MAX_DEGREE
+    names, g = _gvars(3)
+    phi = g["g31"] ** 11000
+    for cid in membership._CHARTS["G"]:
+        pb = substitute(phi, membership._chart_substitution(cid, 3))
+        (num,), (den,) = pb.num.exponents(), pb.den.exponents()
+        assert (sum(num), sum(den)) == (22000, 11000)
+    assert decide_O_G(phi, 3).member
+
+
 def test_decide_O_U_accepts_polynomials():
     names, u = _uvars(4)
     assert decide_O_U(u["u13"], 4).member
