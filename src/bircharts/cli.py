@@ -99,10 +99,11 @@ def _cmd_membership(args):
     return report
 
 
-# The largest n whose slowest chart eval or transition input finished cold
-# within 10 s (CLI, Python 3.11): eval of jj0 or jj1 with every parameter 1
-# took 9.5-10.0 s at sl50, 11.8-14.0 s at sl55; transition jj1 -> jj0 is
-# refused on its run length in 0.2 s at sl50.
+# The largest n a chart eval or transition is built for.  It was set as the
+# largest n whose slowest input finished cold within 10 s; now (CLI, Python
+# 3.11) eval of jj0 or jj1 with every parameter 1 takes 0.6 s at sl50, and
+# transition jj1 -> jj0 is refused on its run length in 0.2 s.  It stays
+# until the fixed caps are derived from one per-run work budget.
 _MAX_CHART_N = 50
 
 
@@ -135,7 +136,10 @@ def _cmd_chart_eval(args):
         if len(texts) != len(word):
             raise UsageError(
                 f"need {len(word)} parameters, got {len(texts)}")
-        params = [parse_expression(t, universe) for t in texts]
+        # a constant goes in over the empty universe, so that the column
+        # operations on it do not carry exponent keys of the word's width
+        params = [RatFunc.const((), p.const_value) if p.is_const else p
+                  for p in (parse_expression(t, universe) for t in texts)]
     matrix = chart_U(word, params, n)
     return {
         "group": f"sl{n}",

@@ -289,7 +289,7 @@ def _inversion_formulas(word: tuple, n: int) -> tuple:
     g = [[RatFunc.const(uu, int(i == j)) for j in range(n)] for i in range(n)]
     for name, i, j in _entries("u", n):
         g[i - 1][j - 1] = RatFunc.var(uu, name)
-    return _chamber_parameters(twist(GroupMatrix(g, check=False)), word)
+    return _chamber_parameters(twist(GroupMatrix._make(g)), word)
 
 
 def require_invertible(n: int) -> None:

@@ -14,7 +14,9 @@ charts and the twist are built that way, the torus as column scaling and
 Weyl lifts as signed swaps.  The twist takes the swap automorphism of its
 lower unitriangular factor L from L^-1 by forward substitution; ``iota``
 of a general matrix takes complementary minors.  ``lift`` and
-``gen_minor`` still multiply generator matrices.
+``gen_minor`` still multiply generator matrices.  The public
+``GroupMatrix`` constructor validates; ``GroupMatrix._make`` is trusted,
+and every matrix built here goes through it.
 
 The torus is coordinatized so that the i-th fundamental character reads
 off the i-th coordinate: diag(t1, t2/t1, ..., t_{n-1}/t_{n-2}, 1/t_{n-1}).
@@ -77,23 +79,34 @@ def _is_triangular(rows, upper: bool) -> bool:
 class GroupMatrix:
     """Square matrix of RatFuncs with determinant 1.
 
-    The determinant is verified on construction; products of verified
-    matrices skip the check (the determinant is multiplicative).
+    The public constructor validates: it coerces the entries to RatFuncs
+    and checks that the matrix is square with determinant 1.  ``_make`` is
+    trusted: the library builds every matrix it returns through it, from
+    products of generators, column operations and automorphisms, whose
+    determinant is 1 by construction, and stores the rows unchecked.
     """
 
     __slots__ = ("n", "entries")
 
-    def __init__(self, entries, check: bool = True):
+    def __init__(self, entries):
         rows = tuple(tuple(_as_ratfunc(e) for e in row) for row in entries)
         n = len(rows)
         if any(len(r) != n for r in rows):
             raise ValueError("matrix is not square")
         self.n = n
         self.entries = rows
-        if check:
-            d = self.det()
-            if not (d.is_const and d.const_value == 1):
-                raise ValueError("matrix determinant is not 1")
+        d = self.det()
+        if not (d.is_const and d.const_value == 1):
+            raise ValueError("matrix determinant is not 1")
+
+    @classmethod
+    def _make(cls, rows) -> "GroupMatrix":
+        """The matrix of square rows of RatFuncs with determinant 1, stored
+        as tuples with no coercion and no determinant."""
+        m = object.__new__(cls)
+        m.entries = tuple(map(tuple, rows))
+        m.n = len(m.entries)
+        return m
 
     def det(self) -> RatFunc:
         rows = self.entries
@@ -103,7 +116,7 @@ class GroupMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "GroupMatrix":
-        return cls(_identity_rows(n), check=False)
+        return cls._make(_identity_rows(n))
 
     def __matmul__(self, other: "GroupMatrix") -> "GroupMatrix":
         if self.n != other.n:
@@ -121,15 +134,14 @@ class GroupMatrix:
                     acc = acc + a[i][k] * b[k][j]
                 row.append(acc)
             prod.append(row)
-        return GroupMatrix(prod, check=False)
+        return GroupMatrix._make(prod)
 
     def inverse(self) -> "GroupMatrix":
         # the adjugate, valid because det = 1: iota's complementary minors,
         # transposed and signed
         m = iota(self).entries
-        return GroupMatrix([[m[j][i] if (i + j) % 2 == 0 else -m[j][i]
-                             for j in range(self.n)] for i in range(self.n)],
-                           check=False)
+        return GroupMatrix._make([[m[j][i] if (i + j) % 2 == 0 else -m[j][i]
+                                   for j in range(self.n)] for i in range(self.n)])
 
     @property
     def is_upper_unitriangular(self) -> bool:
@@ -176,7 +188,7 @@ class TorusPoint(NamedTuple("TorusPoint", [("coords", tuple)])):
         return len(self.coords) + 1
 
     def matrix(self) -> GroupMatrix:
-        return GroupMatrix(_scale(_identity_rows(self.n), self), check=False)
+        return GroupMatrix._make(_scale(_identity_rows(self.n), self))
 
     def inverse(self) -> "TorusPoint":
         return TorusPoint(tuple(c.inv() for c in self.coords))
@@ -228,7 +240,7 @@ def generator(kind: str, i: int, arg: Optional[RatFunc], n: int) -> GroupMatrix:
     if kind in ("x", "y"):
         if arg is None:
             raise ValueError(f"generator {kind!r} requires an argument")
-        return GroupMatrix(_act(_identity_rows(n), kind, (i,), (arg,)))
+        return GroupMatrix._make(_act(_identity_rows(n), kind, (i,), (arg,)))
     if kind in ("sdot", "sddot"):
         one = RatFunc.const((), 1)
         a, b = ("x", "y") if kind == "sdot" else ("y", "x")
@@ -238,7 +250,7 @@ def generator(kind: str, i: int, arg: Optional[RatFunc], n: int) -> GroupMatrix:
 
 def chart_U(word: Sequence[int], params: Sequence, n: int) -> GroupMatrix:
     """Product of upper one-parameter generators along the word."""
-    return GroupMatrix(_act(_identity_rows(n), "x", word, params), check=False)
+    return GroupMatrix._make(_act(_identity_rows(n), "x", word, params))
 
 
 @lru_cache(maxsize=None)
@@ -275,7 +287,7 @@ def chart_GmodU(word: Sequence[int], params: Sequence, t: TorusPoint,
         raise ValueError(f"unknown sign {sign!r}")
     rows = _scale(_act(_identity_rows(n), "x" if sign == "+" else "y", word, params), t)
     w0 = distinguished_word(_datum_for(n), 0) if sign == "-" else ()
-    return GroupMatrix(_act(rows, "s", w0), check=False)
+    return GroupMatrix._make(_act(rows, "s", w0))
 
 
 def chart_G(word: Sequence[int], word2: Sequence[int], params: Sequence,
@@ -290,7 +302,7 @@ def chart_G(word: Sequence[int], word2: Sequence[int], params: Sequence,
     first, second = ("x", "y") if variant == "pm" else ("y", "x")
     rows = _scale(_act(_identity_rows(n), first, word, params),
                   t if variant == "pm" else t.inverse())
-    return GroupMatrix(_act(rows, second, word2, params2), check=False)
+    return GroupMatrix._make(_act(rows, second, word2, params2))
 
 
 def iota(g: GroupMatrix) -> GroupMatrix:
@@ -300,11 +312,11 @@ def iota(g: GroupMatrix) -> GroupMatrix:
     n = g.n
     rows = g.entries
     if n == 1:
-        return GroupMatrix([[rows[0][0].inv()]], check=False)
-    return GroupMatrix(
+        return GroupMatrix._make([[rows[0][0].inv()]])
+    return GroupMatrix._make(
         [[_det([[rows[a][b] for b in range(n) if b != j]
                 for a in range(n) if a != i]) for j in range(n)]
-         for i in range(n)], check=False)
+         for i in range(n)])
 
 
 class MinorSpec(NamedTuple):
@@ -362,13 +374,11 @@ def gauss_decompose(g: GroupMatrix):
     m = [list(row) for row in g.entries]
     lower = _eliminate(m)
     diag = [m[k][k] for k in range(n)]
-    upper = [[(m[i][j] / diag[i]) if j >= i else _as_ratfunc(0) for j in range(n)]
+    zero = _as_ratfunc(0)
+    upper = [[(m[i][j] / diag[i]) if j >= i else zero for j in range(n)]
              for i in range(n)]
-    L = GroupMatrix(lower, check=False)
-    D = GroupMatrix([[diag[i] if i == j else 0 for j in range(n)] for i in range(n)],
-                    check=False)
-    U = GroupMatrix(upper, check=False)
-    return L, D, U
+    D = [[diag[i] if i == j else zero for j in range(n)] for i in range(n)]
+    return GroupMatrix._make(lower), GroupMatrix._make(D), GroupMatrix._make(upper)
 
 
 def _iota_of_lower(lower: list) -> list:
@@ -412,7 +422,7 @@ def twist(u: GroupMatrix, word: Optional[Sequence[int]] = None) -> GroupMatrix:
         lower = _eliminate(rows)
     except ValueError:
         raise ValueError("twist undefined: a leading principal minor vanishes") from None
-    return GroupMatrix(_iota_of_lower(lower), check=False)
+    return GroupMatrix._make(_iota_of_lower(lower))
 
 
 def _chamber_parameters(z: GroupMatrix, word: Sequence[int]) -> tuple:

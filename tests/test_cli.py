@@ -95,6 +95,24 @@ def test_chart_eval_and_invert(tmp_path, capsys):
     assert report["values"]["params"] == ["1", "2", "3", "4", "5", "6"]
 
 
+def test_numeric_chart_eval_builds_over_the_empty_universe(capsys, monkeypatch):
+    # constant parameters go in over (), not over the word's parameter names,
+    # and so do the chart's entries
+    calls = []
+    real = sl_realization.chart_U
+    monkeypatch.setattr(sl_realization, "chart_U",
+                        lambda word, params, n: calls.append(
+                            (params, real(word, params, n))) or calls[-1][1])
+    code, report, _ = run_json(capsys, "chart", "eval", "--group", "sl4",
+                               "--params", "1,2,3,1/2,5,6")
+    assert code == 0 and len(calls) == 1
+    params, matrix = calls[0]
+    assert {p.universe for p in params} == {()}
+    assert {e.universe for row in matrix.entries for e in row} == {()}
+    assert report["values"]["matrix"] == [["1", "7", "1", "6"], ["0", "1", "(3)/(2)", "12"],
+                                          ["0", "0", "1", "9"], ["0", "0", "0", "1"]]
+
+
 def test_chart_invert_singular_matrix_is_negative_verdict(tmp_path, capsys):
     mfile = tmp_path / "id.json"
     mfile.write_text(json.dumps([["1", "0"], ["0", "1"]]))

@@ -152,6 +152,18 @@ def test_heuristic_and_subresultant_routes_agree():
     assert checked > 40
 
 
+def test_heuristic_gcd_answers_past_the_subresultant_budget():
+    # the subresultant route is refused on this pair at the kernel's term
+    # budget (a product of 4,668 by 496 terms); the heuristic answers
+    rng = random.Random(0)
+    V = ("v", "w", "x", "y", "z")
+    g, a, b = (random_nonzero_poly(rng, V, max_deg=4, max_terms=8) for _ in range(3))
+    d = poly_gcd(g * a, g * b)
+    poly_exact_div(g * a, d)
+    poly_exact_div(g * b, d)
+    poly_exact_div(d, g)
+
+
 def test_poly_gcd_fractional_coefficients():
     # contents are units over Q, so scaling the inputs cannot change the gcd
     x, y = _x(), _y()

@@ -160,7 +160,7 @@ def test_pinning_relations():
             sq = generator("sdot", i, None, n) @ generator("sdot", i, None, n)
             expect = [[(-1 if a == b and a in (i - 1, i) else int(a == b))
                        for b in range(n)] for a in range(n)]
-            assert sq == GroupMatrix(expect, check=False)
+            assert sq == GroupMatrix(expect)
 
 
 def test_braid_matrix_identity_sl3():
@@ -443,6 +443,47 @@ def test_charts_equal_generator_products(n):
             for variant in ("pm", "mp"):
                 assert (chart_G(jj, jj2, a, t, b, variant, n)
                         == reference_chart_G(jj, jj2, a, t, b, variant, n))
+
+
+def _library_matrices(n):
+    """One matrix of every kind the library builds at sl_n."""
+    d = cartan("A", n - 1)
+    jj0, jj1 = (distinguished_word(d, eps) for eps in (0, 1))
+    a, t, b = _chart_arguments(n)
+    u = chart_U(jj0, a, n)
+    g = chart_G(jj0, jj1, a, t, b, "mp", n)
+    return [GroupMatrix.identity(n), t.matrix(), t.inverse().matrix(),
+            torus_point(t.coords), u, twist(u), twist(u, jj0[:2]), iota(g),
+            g.inverse(), g @ u, *gauss_decompose(g),
+            lift(jj0, "dot", n), lift(jj1, "ddot", n),
+            *(generator(kind, i, a[0] if kind in ("x", "y") else None, n)
+              for kind in ("x", "y", "sdot", "sddot") for i in range(1, n)),
+            *(chart_GmodU(jj, a, t, sign, n) for jj in (jj0, jj1) for sign in "+-"),
+            *(chart_G(jj0, jj1, a, t, b, variant, n) for variant in ("pm", "mp"))]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_library_matrices_pass_the_public_constructor(n):
+    # the trusted constructor stores tuples of RatFuncs that the validating
+    # one accepts unchanged: square, determinant 1
+    for m in _library_matrices(n):
+        assert type(m.entries) is tuple and len(m.entries) == m.n == n
+        assert all(type(row) is tuple and len(row) == n
+                   and all(isinstance(e, RatFunc) for e in row)
+                   for row in m.entries)
+        assert GroupMatrix(m.entries) == m
+
+
+def test_built_matrices_compute_no_determinant(monkeypatch):
+    calls = []
+    det, method = sl_realization._det, GroupMatrix.det
+    monkeypatch.setattr(sl_realization, "_det",
+                        lambda rows: calls.append("_det") or det(rows))
+    monkeypatch.setattr(GroupMatrix, "det",
+                        lambda self: calls.append("det") or method(self))
+    lift(distinguished_word(cartan("A", 4), 0), "ddot", 5)
+    generator("x", 1, _sym(["a"])["a"], 4)
+    assert calls == []
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
