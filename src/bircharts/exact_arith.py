@@ -78,10 +78,10 @@ on rational values clears ever larger denominators (the tests ran past
 ten minutes), and canonical arithmetic on polynomial values pays gcds at
 every step (dense pullbacks ran under a quarter of the speed).
 
-Two values may be combined only when their universes agree; a constant is
-silently promoted into the other operand's universe (a constant mentions
-no variable, so no capture can occur).  Any other mix raises
-``UniverseError``.
+Two values may be combined only when their universes agree; a constant joins
+a non-constant operand's universe (it mentions no variable, so no capture can
+occur) and two constants over different universes go to ``()``, so operand
+order never changes a universe.  Any other mix raises ``UniverseError``.
 """
 
 from __future__ import annotations
@@ -457,6 +457,8 @@ class MultiPoly:
             return None, None
         if self.vars == other.vars:
             return self, other
+        if self.is_const and other.is_const:
+            return MultiPoly.const((), self.const_value)._pair(other.const_value)
         if other.is_const:
             return self, MultiPoly.const(self.vars, other.const_value)
         if self.is_const:
@@ -880,8 +882,9 @@ def _balanced_digits_raw(ge: dict, v: int, xi: int, width: int) -> dict:
     return terms
 
 
-def _heu_gcd_raw(p: dict, q: dict, depth: int, width: int) -> dict:
-    """Content-inclusive gcd over the integers of nonzero integer term dicts."""
+def _heu_gcd_raw(p: dict, q: dict, width: int) -> dict:
+    """Content-inclusive gcd over the integers of nonzero integer term dicts;
+    each level evaluates away a present variable, so at most width deep."""
     cp, p = _primitive_terms(p)
     cq, q = _primitive_terms(q)
     common = _igcd(cp, cq)
@@ -889,8 +892,6 @@ def _heu_gcd_raw(p: dict, q: dict, depth: int, width: int) -> dict:
     if not present:
         # both primitive parts are 1, so the gcd is the common content
         return {0: common}
-    if depth > width + 2:
-        raise _HeuristicFailed
     v = min(present, key=lambda i: max(_degree_in(p, width, i),
                                        _degree_in(q, width, i)))
     hp = max(abs(c) for c in p.values())
@@ -901,25 +902,24 @@ def _heu_gcd_raw(p: dict, q: dict, depth: int, width: int) -> dict:
         qe = _eval_at_int_raw(q, v, xi, width)
         if pe and qe:
             try:
-                g_low = _heu_gcd_raw(pe, qe, depth + 1, width)
+                g_low = _heu_gcd_raw(pe, qe, width)
             except _HeuristicFailed:
                 g_low = None
             if g_low is not None:
-                g = _balanced_digits_raw(g_low, v, xi, width)
-                if g:
-                    _, g = _primitive_terms(g)
-                    if (_quotient(p, g, _int_div) is not None
-                            and _quotient(q, g, _int_div) is not None):
-                        if common > 1:
-                            g = {e: common * c for e, c in g.items()}
-                        return g
+                # the balanced digits of a nonzero gcd are never empty
+                _, g = _primitive_terms(_balanced_digits_raw(g_low, v, xi, width))
+                if (_quotient(p, g, _int_div) is not None
+                        and _quotient(q, g, _int_div) is not None):
+                    if common > 1:
+                        g = {e: common * c for e, c in g.items()}
+                    return g
         xi = xi * 73 // 32 + 31
     raise _HeuristicFailed
 
 
 def _heu_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     """Heuristic gcd of integer-primitive polynomials; raises on failure."""
-    return MultiPoly._make(p.vars, _heu_gcd_raw(p.terms, q.terms, 0, len(p.vars)))
+    return MultiPoly._make(p.vars, _heu_gcd_raw(p.terms, q.terms, len(p.vars)))
 
 
 def _gcd_core(p: MultiPoly, q: MultiPoly) -> MultiPoly:
@@ -1166,6 +1166,8 @@ class RatFunc:
             return None, None
         if self.universe == other.universe:
             return self, other
+        if self.is_const and other.is_const:
+            return RatFunc.const((), self.const_value)._pair(other.const_value)
         if other.is_const:
             return self, RatFunc.const(self.universe, other.const_value)
         if self.is_const:
@@ -1202,8 +1204,6 @@ class RatFunc:
         bd = _exact_div(a.den, g)
         dd = _exact_div(b.den, g)
         t = a.num * dd + b.num * bd
-        if t.is_zero:
-            return RatFunc.const(a.universe, 0)
         h = poly_gcd(t, g)
         if h.is_one:
             return _canonical_scale(t, bd * b.den)

@@ -9,9 +9,10 @@ involution, whose chamber minors give the chart parameters along any
 reduced word of w (``_chamber_parameters``, for transitions and inversion).
 
 Right multiplication by x_i(a), y_i(a) or the dot lift of s_i is a column
-operation on a list of rows, in place (``_act``); the x/y generators, the
-charts and the twist are built that way, the torus as column scaling and
-Weyl lifts as signed swaps.  The twist takes the swap automorphism of its
+operation on a list of rows, in place (``_act``); ``generator`` (x_i and
+y_i only), the charts and the twist are built that way, the torus as
+column scaling and their lifts as signed swaps.  ``lift`` builds both
+Weyl lifts from generators.  The twist takes the swap automorphism of its
 lower unitriangular factor L from L^-1 by forward substitution; ``iota``
 of a general matrix takes complementary minors.  ``lift`` and
 ``gen_minor`` still multiply generator matrices.  The public
@@ -27,8 +28,7 @@ identities in the test suite, not assumed.
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
-from operator import mul
+from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence
 
 from .exact_arith import MultiPoly, RatFunc
@@ -37,6 +37,10 @@ from .root_data import CartanDatum, Weight, _fundamental_descent, cartan, \
 # defined in root_data, so that the CLI catches it without loading the
 # kernel; re-exported here
 from .root_data import Unsupported  # noqa: F401
+
+# the shared 0 and 1 of every matrix built here; only caller values are coerced
+_ZERO = RatFunc.const((), 0)
+_ONE = RatFunc.const((), 1)
 
 
 def _as_ratfunc(x) -> RatFunc:
@@ -56,7 +60,7 @@ def _det(rows) -> RatFunc:
         return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
     # expand along the row with the most zeros
     best = max(range(n), key=lambda i: sum(1 for e in rows[i] if e.is_zero))
-    total = RatFunc.const((), 0)
+    total = _ZERO
     for j, e in enumerate(rows[best]):
         if e.is_zero:
             continue
@@ -109,10 +113,7 @@ class GroupMatrix:
         return m
 
     def det(self) -> RatFunc:
-        rows = self.entries
-        if _is_triangular(rows, True) or _is_triangular(rows, False):
-            return reduce(mul, (rows[i][i] for i in range(self.n)))
-        return _det(rows)
+        return _det(self.entries)
 
     @classmethod
     def identity(cls, n: int) -> "GroupMatrix":
@@ -200,7 +201,7 @@ def torus_point(coords: Sequence[RatFunc]) -> GroupMatrix:
 
 
 def _identity_rows(n: int) -> list:
-    return [[_as_ratfunc(1 if r == c else 0) for c in range(n)] for r in range(n)]
+    return [[_ONE if r == c else _ZERO for c in range(n)] for r in range(n)]
 
 
 def _act(rows: list, kind: str, word: Sequence[int],
@@ -236,16 +237,13 @@ def _scale(rows: list, t: TorusPoint) -> list:
 
 
 def generator(kind: str, i: int, arg: Optional[RatFunc], n: int) -> GroupMatrix:
-    """Pinned generators: x/y one-parameter subgroups, sdot/sddot Weyl lifts."""
-    if kind in ("x", "y"):
-        if arg is None:
-            raise ValueError(f"generator {kind!r} requires an argument")
-        return GroupMatrix._make(_act(_identity_rows(n), kind, (i,), (arg,)))
-    if kind in ("sdot", "sddot"):
-        one = RatFunc.const((), 1)
-        a, b = ("x", "y") if kind == "sdot" else ("y", "x")
-        return generator(a, i, one, n) @ generator(b, i, -one, n) @ generator(a, i, one, n)
-    raise ValueError(f"unknown generator kind {kind!r}")
+    """The pinned generators x_i(arg) (kind "x") and y_i(arg) (kind "y");
+    ``lift`` builds both Weyl lifts from them."""
+    if kind not in ("x", "y"):
+        raise ValueError(f"unknown generator kind {kind!r}")
+    if arg is None:
+        raise ValueError(f"generator {kind!r} requires an argument")
+    return GroupMatrix._make(_act(_identity_rows(n), kind, (i,), (arg,)))
 
 
 def chart_U(word: Sequence[int], params: Sequence, n: int) -> GroupMatrix:
@@ -265,10 +263,12 @@ def lift(word: Sequence[int], style: str, n: int) -> GroupMatrix:
         raise ValueError(f"unknown lift style {style!r}")
     if word and not is_reduced(word, _datum_for(n)):
         raise ValueError("word is not reduced")
+    a, b = ("x", "y") if style == "dot" else ("y", "x")
     out = GroupMatrix.identity(n)
-    kind = "sdot" if style == "dot" else "sddot"
     for i in word:
-        out = out @ generator(kind, i, None, n)
+        # s_i is x_i(1) y_i(-1) x_i(1) (dot) or y_i(1) x_i(-1) y_i(1) (ddot)
+        out = out @ (generator(a, i, _ONE, n) @ generator(b, i, -_ONE, n)
+                     @ generator(a, i, _ONE, n))
     return out
 
 
@@ -374,10 +374,9 @@ def gauss_decompose(g: GroupMatrix):
     m = [list(row) for row in g.entries]
     lower = _eliminate(m)
     diag = [m[k][k] for k in range(n)]
-    zero = _as_ratfunc(0)
-    upper = [[(m[i][j] / diag[i]) if j >= i else zero for j in range(n)]
+    upper = [[(m[i][j] / diag[i]) if j >= i else _ZERO for j in range(n)]
              for i in range(n)]
-    D = [[diag[i] if i == j else zero for j in range(n)] for i in range(n)]
+    D = [[diag[i] if i == j else _ZERO for j in range(n)] for i in range(n)]
     return GroupMatrix._make(lower), GroupMatrix._make(D), GroupMatrix._make(upper)
 
 
@@ -386,11 +385,10 @@ def _iota_of_lower(lower: list) -> list:
     (-1)^(i+j) times entry (j, i) of L^-1, which forward substitution gives
     without a division because the diagonal of L is 1."""
     n = len(lower)
-    zero = _as_ratfunc(0)
     inv = _identity_rows(n)
     for i in range(n):
         for j in range(i):
-            acc = zero
+            acc = _ZERO
             for k in range(j, i):
                 if not (lower[i][k].is_zero or inv[k][j].is_zero):
                     acc = acc + lower[i][k] * inv[k][j]
@@ -433,7 +431,7 @@ def _chamber_parameters(z: GroupMatrix, word: Sequence[int]) -> tuple:
     D((v s_i)[:i])), where D(J) is the minor of z on rows 1..|J| and the
     sorted columns J (1 for none or all n).  Each minor is computed once."""
     n, rows = z.n, z.entries
-    minors = dict.fromkeys(((), tuple(range(1, n + 1))), _as_ratfunc(1))
+    minors = dict.fromkeys(((), tuple(range(1, n + 1))), _ONE)
 
     def minor(cols):
         key = tuple(sorted(cols))

@@ -406,3 +406,23 @@ def test_transition_rejects_bad_words_and_higher_braid_orders():
         transition((1, 3), (3, 1), cartan("B", 3))
     with pytest.raises(Unsupported, match="type A, not B"):
         transition((1, 2, 1, 2), (2, 1, 2, 1), cartan("B", 2))
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: apply_move((1, 3), _params("ab"), Move(1, "commute"), cartan("A", 3)),
+                 "move position out of range", id="commute-position"),
+    pytest.param(lambda: apply_move((1, 2), _params("ab"), Move(0, "braid3"), cartan("A", 3)),
+                 "move position out of range", id="braid3-position"),
+    pytest.param(lambda: apply_move((1, 3, 1), _params("abc"), Move(0, "braid3"), cartan("A", 3)),
+                 "braid move not applicable here", id="braid3-pattern"),
+    pytest.param(lambda: apply_move((1, 3), _params("ab"), Move(0, "swap"), cartan("A", 3)),
+                 "unknown move kind 'swap'", id="kind"),
+    pytest.param(lambda: apply_move((1, 3), _params("a"), Move(0, "commute"), cartan("A", 3)),
+                 "length mismatch between word and parameters", id="params"),
+    pytest.param(lambda: transition((1,), (1,), cartan("A", 1), ("a", "b")),
+                 "need one parameter name per letter", id="transition-names"),
+])
+def test_move_and_transition_input_checks(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert type(err.value) is ValueError and str(err.value) == message

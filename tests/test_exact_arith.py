@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 import random
 from fractions import Fraction
 
@@ -670,3 +671,71 @@ def test_negating_zero_returns_it_and_large_constants_stay_exact():
         f = RatFunc.const(XY, c)
         assert f.const_value == c and (-f).const_value == -c
         assert -MultiPoly(XY, {(0, 0): c}) == MultiPoly.const(XY, -c)
+
+
+def test_a_failed_heuristic_hands_the_gcd_to_the_subresultant_prs(monkeypatch):
+    # D is the product of xi + 1 over the heuristic's six evaluation points
+    # for inputs of height 3 (xi = 35, 110, 281, 672, 1564, 3598), so at each
+    # the integer gcd is (xi + 2)(xi + 1) and every reconstruction fails its
+    # trial division
+    x = MultiPoly.variable(("x",), "x")
+    D = 4271553406404360
+    calls = []
+    real = exact_arith._gcd_core
+    monkeypatch.setattr(exact_arith, "_gcd_core",
+                        lambda p, q: calls.append(1) or real(p, q))
+    assert poly_gcd((x + 2) * (x + 1), (x + 2) * (x + 1 + D)) == x + 2
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("kind", [MultiPoly, RatFunc])
+def test_a_results_universe_does_not_depend_on_operand_order(kind):
+    def universe(v):
+        return v.vars if kind is MultiPoly else v.universe
+
+    ab, empty = kind.const(("a", "b"), 2), kind.const((), 3)
+    ops = [operator.add, operator.sub, operator.mul]
+    if kind is RatFunc:
+        ops.append(operator.truediv)
+    for op in ops:
+        # two constants over different universes meet over ()
+        assert universe(op(ab, empty)) == universe(op(empty, ab)) == ()
+        assert op(ab, empty) == kind.const((), op(Fraction(2), 3))
+        assert op(empty, ab) == kind.const((), op(Fraction(3), 2))
+    assert ab == kind.const((), 2) and kind.const((), 2) == ab
+    assert not ab == empty and not empty == ab
+    # a constant beside a non-constant joins the non-constant's universe
+    x = kind.variable(("x",), "x") if kind is MultiPoly else kind.var(("x",), "x")
+    assert universe(x + ab) == universe(ab + x) == ("x",)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: MultiPoly(("x",), {(1, 2): 1}), ValueError,
+                 "exponent vector (1, 2) has length 2, expected 1", id="width"),
+    pytest.param(lambda: MultiPoly(("x",), {(-1,): 1}), ValueError,
+                 "negative exponent in (-1,)", id="negative"),
+    pytest.param(lambda: MultiPoly.variable(("x",), "y"), UniverseError,
+                 "variable 'y' not in universe ('x',)", id="variable"),
+    pytest.param(lambda: MultiPoly.variable(("x",), "x").const_value, ValueError,
+                 "polynomial is not constant", id="const_value"),
+    pytest.param(lambda: MultiPoly.zero(("x",)).leading_exp(), ValueError,
+                 "zero polynomial has no leading term", id="leading_exp"),
+    pytest.param(lambda: MultiPoly.zero(("x",)).leading_coeff(), ValueError,
+                 "zero polynomial has no leading term", id="leading_coeff"),
+    pytest.param(lambda: MultiPoly.variable(("x",), "x") ** -1, ValueError,
+                 "polynomial exponent must be a non-negative integer", id="poly-power"),
+    pytest.param(lambda: poly_exact_div(_x(), MultiPoly.zero(XY)), ZeroDivisionError,
+                 "division by zero polynomial", id="exact-div"),
+    pytest.param(lambda: RatFunc(3), TypeError,
+                 "num must be a MultiPoly (or use RatFunc.const/var)", id="ratfunc"),
+    pytest.param(lambda: RatFunc.var(("x",), "x") ** 1.5, ValueError,
+                 "exponent must be an integer", id="ratfunc-power"),
+    pytest.param(lambda: exact_arith.prepare_substitution(
+                     XY, {"x": RatFunc.var(("a",), "a"), "y": RatFunc.var(("b",), "b")}),
+                 UniverseError, "assignment values live in different universes",
+                 id="substitution"),
+])
+def test_kernel_input_checks(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert type(err.value) is error and str(err.value) == message

@@ -346,3 +346,18 @@ def test_division_by_a_polynomial_is_one_normalization():
         got = parse_expression(f"({num})/({den})", UV)
         want = RatFunc(num) * RatFunc(den).inv()
         assert (got.num, got.den) == (want.num, want.den)
+
+
+@pytest.mark.parametrize("text, message, pos", [
+    # an exponent that is not an integer literal
+    ("u(1,2)^(2)", "expected 'int', found '('", 7),
+    ("u(1,2)^-u(1,3)", "expected 'int', found 'u'", 8),
+    # an unclosed parenthesized expression
+    ("(u(1,2)", "expected ')', found ''", 7),
+    ("(u(1,2) u(1,3))", "expected ')', found 'u'", 8),
+])
+def test_exponents_and_parentheses_keep_their_positions(text, message, pos):
+    with pytest.raises(ParseError) as err:
+        parse_expression(text, UV)
+    assert str(err.value) == f"{message} (at position {pos})"
+    assert err.value.pos == pos

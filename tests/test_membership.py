@@ -789,3 +789,13 @@ def test_decisions_above_their_bound_are_unsupported(decide, universe, bound):
 def test_invert_chart_above_sl6_is_unsupported():
     with pytest.raises(Unsupported, match="up to sl6"):
         invert_chart(GroupMatrix.identity(7), 0, 7)
+
+
+@pytest.mark.parametrize("u, message", [
+    (GroupMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]]), "matrix size does not match n"),
+    (GroupMatrix([[1, 0], [1, 1]]), "chart inversion expects an upper unitriangular matrix"),
+])
+def test_invert_chart_input_checks(u, message):
+    with pytest.raises(ValueError) as err:
+        invert_chart(u, 0, 2)
+    assert type(err.value) is ValueError and str(err.value) == message

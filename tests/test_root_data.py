@@ -369,3 +369,13 @@ def test_distinguished_word_is_memoised_per_datum():
     assert first == distinguished_word(cartan("A", 4), 1)
     assert distinguished_word(d, 0) != first
 
+
+
+@pytest.mark.parametrize("word, message", [
+    ((0,), "node 0 out of range"),
+    ((1, 3), "node 3 out of range"),
+])
+def test_weyl_from_word_range_checks_every_letter(word, message):
+    with pytest.raises(ValueError) as err:
+        weyl_from_word(word, cartan("A", 2))
+    assert type(err.value) is ValueError and str(err.value) == message

@@ -27,8 +27,8 @@ def test_generator_golden_matrices():
     s = _sym(["a"])["a"]
     x1 = generator("x", 1, s, 4)
     assert str(x1) == "[[1, a, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]"
-    assert str(generator("sdot", 1, None, 2)) == "[[0, 1], [-1, 0]]"
-    assert str(generator("sddot", 1, None, 2)) == "[[0, -1], [1, 0]]"
+    assert str(lift((1,), "dot", 2)) == "[[0, 1], [-1, 0]]"
+    assert str(lift((1,), "ddot", 2)) == "[[0, -1], [1, 0]]"
     with pytest.raises(ValueError):
         generator("x", 4, s, 4)
     with pytest.raises(ValueError):
@@ -157,7 +157,7 @@ def test_pinning_relations():
                 alpha = alpha / v[f"t{i+1}"]
             assert tm @ xa @ tinv == generator("x", i, alpha * v["a"], n)
             # the lift squares to the coroot at -1
-            sq = generator("sdot", i, None, n) @ generator("sdot", i, None, n)
+            sq = lift((i,), "dot", n) @ lift((i,), "dot", n)
             expect = [[(-1 if a == b and a in (i - 1, i) else int(a == b))
                        for b in range(n)] for a in range(n)]
             assert sq == GroupMatrix(expect)
@@ -456,8 +456,8 @@ def _library_matrices(n):
             torus_point(t.coords), u, twist(u), twist(u, jj0[:2]), iota(g),
             g.inverse(), g @ u, *gauss_decompose(g),
             lift(jj0, "dot", n), lift(jj1, "ddot", n),
-            *(generator(kind, i, a[0] if kind in ("x", "y") else None, n)
-              for kind in ("x", "y", "sdot", "sddot") for i in range(1, n)),
+            *(generator(kind, i, a[0], n) for kind in ("x", "y") for i in range(1, n)),
+            *(lift((i,), style, n) for style in ("dot", "ddot") for i in range(1, n)),
             *(chart_GmodU(jj, a, t, sign, n) for jj in (jj0, jj1) for sign in "+-"),
             *(chart_G(jj0, jj1, a, t, b, variant, n) for variant in ("pm", "mp"))]
 
@@ -505,3 +505,31 @@ def test_column_operations_reject_an_index_out_of_range():
         chart_U((1, 3), [1, 2], 3)
     with pytest.raises(ValueError, match="out of range"):
         chart_U((0,), [1], 3)
+
+
+
+_T = TorusPoint((RatFunc.var(("t",), "t"),))
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: GroupMatrix.identity(2) @ GroupMatrix.identity(3),
+                 "size mismatch", id="matmul"),
+    # the Weyl lifts are built by lift alone
+    pytest.param(lambda: generator("sdot", 1, None, 2),
+                 "unknown generator kind 'sdot'", id="generator"),
+    pytest.param(lambda: lift((1,), "dash", 2), "unknown lift style 'dash'", id="lift"),
+    pytest.param(lambda: chart_GmodU((1,), [], _T, "+", 2),
+                 "length mismatch: expected 1 parameters", id="GmodU-count"),
+    pytest.param(lambda: chart_GmodU((1,), [1], _T, "*", 2),
+                 "unknown sign '*'", id="GmodU-sign"),
+    pytest.param(lambda: chart_G((1,), (1,), [1], _T, [], "pm", 2),
+                 "length mismatch: expected 1 parameters per block", id="G-count"),
+    pytest.param(lambda: chart_G((1,), (1,), [1], _T, [1], "pp", 2),
+                 "unknown variant 'pp'", id="G-variant"),
+    pytest.param(lambda: twist(lift((1,), "dot", 2)),
+                 "twist is defined on upper unitriangular matrices", id="twist"),
+])
+def test_matrix_builder_input_checks(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert type(err.value) is ValueError and str(err.value) == message
