@@ -119,7 +119,7 @@ def _sl_datum(n: int):
 def _cmd_chart_eval(args):
     from .exact_arith import RatFunc
     from .exprparse import parse_expression
-    from .membership import require_decidable
+    from .membership import param_names, require_decidable
     from .sl_realization import chart_U
 
     n = _parse_group(args.group)
@@ -127,8 +127,7 @@ def _cmd_chart_eval(args):
         # the symbolic chart is the one a U membership decision builds
         require_decidable("U", n)
     word, tag = _word_arg(args.word, _sl_datum(n))
-    stem = "b" if tag == "jj1" else "a"
-    universe = tuple(f"{stem}{k}" for k in range(1, len(word) + 1))
+    universe = param_names(1 if tag == "jj1" else 0, len(word))
     if args.params is None:
         params = [RatFunc.var(universe, v) for v in universe]
     else:
@@ -158,7 +157,10 @@ def _cmd_chart_invert(args):
     n = _parse_group(args.group)
     require_invertible(n)
     with open(args.matrix) as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except RecursionError:
+            raise UsageError("matrix file nests its JSON arrays too deeply") from None
     if (not isinstance(raw, list) or len(raw) != n
             or any(not isinstance(r, list) or len(r) != n for r in raw)):
         raise UsageError(f"matrix file must hold an {n}x{n} array of expressions")

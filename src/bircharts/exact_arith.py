@@ -66,11 +66,11 @@ decodes its keys to each term's nonzero exponents once and keeps them
 c_i * x^m_i (m_i = 0 for a constant), each is divided by c_i and the sum
 is taken on raw term dicts over one denominator x^top, the componentwise
 maximum (``_max_key``) of the weights w(e) = sum e_i * m_i.  The m_i form
-a shift table, one object for equal tables, and a polynomial keeps its
-weights and their maximum per table next to its decode (``_weighted``),
-so substitutions that share a table weigh it once.  Each term's product
-starts from x^(top - w(e)) and adds its last power straight into the
-sum.  The degree is bounded before any product, so no key carries, and
+a shift table, and a polynomial keeps its weights and their maximum per
+table value next to its decode (``_weighted``), so substitutions with
+equal tables weigh it once.  Each term's product starts from
+x^(top - w(e)) and adds its last power straight into the sum.  The
+degree is bounded before any product, so no key carries, and
 past ``_TERM_BUDGET`` pairs of terms in the raw products of one pullback
 ``Unsupported`` is raised.  With a denominator of two or more terms the
 sum is taken in canonical ``RatFunc`` arithmetic: polynomial arithmetic
@@ -573,9 +573,9 @@ class MultiPoly:
 
 
 _SMALL = 256
-_SMALL_CONSTS: dict = {}
 
 
+@lru_cache(maxsize=None)
 def _small_const(vs: tuple, c: int) -> MultiPoly:
     """The shared constant polynomial c over ``vs``, for |c| <= _SMALL.
 
@@ -584,13 +584,7 @@ def _small_const(vs: tuple, c: int) -> MultiPoly:
     entries are small fractions, with denominators mostly 1) hold no
     copies of them.
     """
-    table = _SMALL_CONSTS.get(vs)
-    if table is None:
-        table = _SMALL_CONSTS[vs] = {}
-    p = table.get(c)
-    if p is None:
-        p = table[c] = MultiPoly._make(vs, {0: c} if c else {})
-    return p
+    return MultiPoly._make(vs, {0: c} if c else {})
 
 
 # ---------------------------------------------------------------------
@@ -1288,19 +1282,11 @@ class RatFunc:
         return f"RatFunc({self})"
 
 
-_SMALL_RATFUNCS: dict = {}
-
-
+@lru_cache(maxsize=None)
 def _small_ratfunc(vs: tuple, c: int) -> RatFunc:
     """The shared constant rational function c over ``vs``, for
     |c| <= _SMALL, as ``_small_const`` is for polynomials."""
-    table = _SMALL_RATFUNCS.get(vs)
-    if table is None:
-        table = _SMALL_RATFUNCS[vs] = {}
-    f = table.get(c)
-    if f is None:
-        f = table[c] = RatFunc._raw(_small_const(vs, c), _small_const(vs, 1))
-    return f
+    return RatFunc._raw(_small_const(vs, c), _small_const(vs, 1))
 
 
 def _canonical_scale(num: MultiPoly, den: MultiPoly) -> RatFunc:
@@ -1389,8 +1375,9 @@ class Substitution(NamedTuple):
     and ``degrees`` are None when some value's denominator has two or more
     terms; otherwise each value is the term dict of its numerator divided
     by c_i, ``shifts`` holds the key of the m_i of each value's
-    denominator c_i * x^m_i (0 for a constant; one object per equal table),
-    ``degrees`` each value's total degree and ``reach`` the largest."""
+    denominator c_i * x^m_i (0 for a constant; a polynomial keeps its
+    weights per table value), ``degrees`` each value's total degree and
+    ``reach`` the largest."""
 
     source: tuple
     target: tuple
@@ -1398,12 +1385,6 @@ class Substitution(NamedTuple):
     shifts: Optional[tuple]
     degrees: Optional[tuple]
     reach: int = 0
-
-
-@lru_cache(maxsize=256)
-def _interned(shifts: tuple) -> tuple:
-    """One object per shift table in use, for the weights of ``_weighted``."""
-    return shifts
 
 
 def prepare_substitution(universe: Sequence[str],
@@ -1426,22 +1407,24 @@ def prepare_substitution(universe: Sequence[str],
     nums = tuple(val.num.scale(_div(1, c)).terms
                  for val, (_, c) in zip(values, dens))
     degrees = tuple(max(p, default=0) >> _BITS * len(tvars) for p in nums)
-    return Substitution(tuple(universe), tvars, nums, _interned(tuple(m for m, _ in dens)),
+    return Substitution(tuple(universe), tvars, nums, tuple(m for m, _ in dens),
                         degrees, max(degrees, default=0))
 
 
 def _weighted(p: MultiPoly, shifts: tuple, width: int) -> tuple:
-    """(shifts, the weights w(e) = sum e_i * m_i of ``_sparse_terms(p)``,
-    their componentwise maximum), kept per table next to the decode but not
-    on a shared constant; a field of w(e) carries only past degree 2**16,
-    which ``_max_key`` refuses."""
+    """(the weights w(e) = sum e_i * m_i of ``_sparse_terms(p)``, their
+    componentwise maximum), kept per table value next to the decode but not
+    on a shared constant.  A nonzero key fixes its width (in a wider
+    universe its degree field reads 0), so for a table that is not all
+    zero, equal tables give equal weights.  A field of w(e) carries only
+    past degree 2**16, which ``_max_key`` refuses."""
     if p.is_const:
-        return shifts, [0] * len(p.terms), 0
+        return [0] * len(p.terms), 0
     terms = _sparse_terms(p)
-    entry = p._weights.get(id(shifts))
-    if entry is None or entry[0] is not shifts:
+    entry = p._weights.get(shifts)
+    if entry is None:
         weights = [sum([k * shifts[i] for i, k in ex]) for _, _, ex in terms]
-        entry = p._weights[id(shifts)] = shifts, weights, _max_key(weights, width)
+        entry = p._weights[shifts] = weights, _max_key(weights, width)
     return entry
 
 
@@ -1477,8 +1460,8 @@ def substitute(f: RatFunc,
     nw = dw = repeat(0)
     top = 0
     if any(shifts):
-        _, nw, nhi = _weighted(f.num, shifts, width)
-        _, dw, dhi = _weighted(f.den, shifts, width)
+        nw, nhi = _weighted(f.num, shifts, width)
+        dw, dhi = _weighted(f.den, shifts, width)
         top = _max_key((nhi, dhi), width) if nhi and dhi else nhi | dhi
     sides = (terms[0], nw), (terms[1], dw)
     # a term's product has the degree of x^(top - w(e)) plus sum e_i *

@@ -5,7 +5,7 @@ Grammar (standard precedence, ^ binds tightest, then unary minus, then
 
     expr   := term (('+' | '-') term)*
     term   := factor (('*' | '/') factor)*
-    factor := atom ['^' integer] | '-' factor
+    factor := '-'* atom ['^' integer]
     atom   := integer | var | '(' expr ')'
     var    := name ['(' indices ')']
 
@@ -34,7 +34,10 @@ An exponent whose absolute value exceeds ``MAX_EXPONENT`` is rejected
 before any power is computed, so a hostile input such as
 ``(u(1,2)+1)^100000`` fails at once instead of expanding.  An integer
 literal (a constant, an index or an exponent) longer than
-``MAX_LITERAL_DIGITS`` digits is rejected before it is converted.
+``MAX_LITERAL_DIGITS`` digits is rejected before it is converted.  A run
+of unary minus signs is read in a loop, and parentheses nested deeper
+than ``MAX_NESTING`` are rejected, so the parser's recursion stays
+within a fixed depth whatever the input.
 """
 
 from __future__ import annotations
@@ -64,6 +67,7 @@ class ParseError(ValueError):
 
 MAX_EXPONENT = 1000
 MAX_LITERAL_DIGITS = 1000
+MAX_NESTING = 100
 
 # an indexed variable (its name and its index list), an integer, a name, a
 # symbol, or any other non-space character (an error)
@@ -151,6 +155,7 @@ class _Parser:
         self.width = len(universe)
         self.kinds, self.values = _scan(text, _keys(universe))
         self.i = 0
+        self.depth = 0
 
     def fail(self, k: int, template: str):
         raise _error(self.text, k, template)
@@ -221,10 +226,15 @@ class _Parser:
 
     def factor(self):
         kinds = self.kinds
-        if kinds[self.i] == "-":
+        start = self.i
+        while kinds[self.i] == "-":
             self.i += 1
-            return _negated(self.factor())
-        value = self.atom()
+        negative = (self.i - start) & 1
+        value = self.power(self.atom())
+        return _negated(value) if negative else value
+
+    def power(self, value):
+        kinds = self.kinds
         if kinds[self.i] != "^":
             return value
         i = self.i + 1
@@ -258,10 +268,15 @@ class _Parser:
             c = self.values[i]
             return {0: c} if c else {}
         if kind == "(":
+            if self.depth == MAX_NESTING:
+                self.fail(i, f"parentheses nested deeper than the limit "
+                             f"of {MAX_NESTING}")
+            self.depth += 1
             value = self.expr()
             if self.kinds[self.i] != ")":
                 self.fail(self.i, "expected ')', found {!r}")
             self.i += 1
+            self.depth -= 1
             return value
         self.fail(i, "unexpected token {!r}")
 

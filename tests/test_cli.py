@@ -421,6 +421,29 @@ def test_long_literal_is_a_usage_error(capsys):
     assert "exceeds the limit" in err and "position 9" in err
 
 
+@pytest.mark.parametrize("depth", [250, 10000])
+def test_deep_parentheses_are_a_usage_error(capsys, depth):
+    code, out, err = run(capsys, "membership", "u", "--group", "sl3", "--expr",
+                         "(" * depth + "u(1,2)" + ")" * depth)
+    assert code == 2 and out == ""
+    assert "nested deeper than the limit" in err and "position 100" in err
+
+
+def test_a_thousand_unary_minus_signs_decide(capsys):
+    code, report, _ = run_json(capsys, "membership", "u", "--group", "sl3",
+                               "--expr=" + "-" * 1000 + "u(1,2)")
+    assert code == 0 and report["member"] is True
+
+
+def test_a_deeply_nested_matrix_file_is_a_usage_error(tmp_path, capsys):
+    mfile = tmp_path / "m.json"
+    mfile.write_text("[" * 100000 + "]" * 100000)
+    code, out, err = run(capsys, "chart", "invert", "--group", "sl2",
+                         "--eps", "0", "--matrix", str(mfile))
+    assert code == 2 and out == ""
+    assert "nests its JSON arrays too deeply" in err
+
+
 def test_unsupported_requests_exit_three(tmp_path, capsys):
     # refused before the matrix file is read, so a missing file is fine
     code, out, err = run(capsys, "chart", "invert", "--group", "sl7", "--eps", "0",

@@ -688,6 +688,30 @@ def test_a_failed_heuristic_hands_the_gcd_to_the_subresultant_prs(monkeypatch):
     assert len(calls) == 1
 
 
+def test_a_heuristic_failure_one_level_down_moves_to_the_next_point(monkeypatch):
+    # neither input divides the other and they are not coprime, so the gcd
+    # goes to the heuristic; its first gcd one level down fails, and the
+    # top level retries at its next point instead of giving up
+    x, y = _x(), _y()
+    r = x + y + 1
+    calls = []
+    real = exact_arith._heu_gcd_raw
+
+    def flaky(p, q, width):
+        calls.append(1)
+        if len(calls) == 2:
+            raise exact_arith._HeuristicFailed
+        return real(p, q, width)
+
+    core = []
+    real_core = exact_arith._gcd_core
+    monkeypatch.setattr(exact_arith, "_heu_gcd_raw", flaky)
+    monkeypatch.setattr(exact_arith, "_gcd_core",
+                        lambda p, q: core.append(1) or real_core(p, q))
+    assert poly_gcd(r * (x - y), r * (x + 2 * y + 3)) == r
+    assert len(calls) > 2 and not core
+
+
 @pytest.mark.parametrize("kind", [MultiPoly, RatFunc])
 def test_a_results_universe_does_not_depend_on_operand_order(kind):
     def universe(v):

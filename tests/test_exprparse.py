@@ -9,7 +9,7 @@ import pytest
 from bircharts import (ParseError, RatFunc, g_variables, parse_expression,
                        u_variables)
 from bircharts import exact_arith
-from bircharts.exprparse import MAX_EXPONENT, MAX_LITERAL_DIGITS
+from bircharts.exprparse import MAX_EXPONENT, MAX_LITERAL_DIGITS, MAX_NESTING
 
 from helpers import random_nonzero_poly, random_poly
 
@@ -361,3 +361,30 @@ def test_exponents_and_parentheses_keep_their_positions(text, message, pos):
         parse_expression(text, UV)
     assert str(err.value) == f"{message} (at position {pos})"
     assert err.value.pos == pos
+
+
+def test_parentheses_nest_up_to_the_limit():
+    u12 = RatFunc.var(UV, "u12")
+    text = "(" * MAX_NESTING + "u(1,2)" + ")" * MAX_NESTING
+    assert parse_expression(text, UV) == u12
+    # depth counts open parentheses, not all of them
+    text = "(u(1,2)) * " * 3 * MAX_NESTING + "1"
+    assert parse_expression(text, UV) == u12 ** (3 * MAX_NESTING)
+
+
+@pytest.mark.parametrize("depth", [MAX_NESTING + 1, 10000])
+def test_parentheses_past_the_limit_are_a_parse_error(depth):
+    text = "-(u(1,3) + " * 2 + "(" * (depth - 2) + "u(1,2)" + ")" * depth
+    with pytest.raises(ParseError) as err:
+        parse_expression(text, UV)
+    assert f"nested deeper than the limit of {MAX_NESTING}" in str(err.value)
+    # at the first parenthesis past the limit
+    assert err.value.pos == len("-(u(1,3) + ") * 2 + MAX_NESTING - 2
+
+
+@pytest.mark.parametrize("signs", [1, 2, 999, 1000, 10001])
+def test_a_run_of_unary_minus_signs_costs_no_recursion(signs):
+    u12 = RatFunc.var(UV, "u12")
+    want = u12 ** 2 if signs % 2 == 0 else -(u12 ** 2)
+    assert parse_expression("-" * signs + "u(1,2)^2", UV) == want
+    assert parse_expression("3 - " + "-" * signs + "u(1,2)^2", UV) == 3 - want
